@@ -140,14 +140,14 @@ def _cmd_count_points(args):
     source, point = _curve_source(args)
     curve, label, point_used, _ = resolve_curve(source, point)
     inputs = _source_inputs(args, point_used)
-    inputs.update({"p": args.p, "ext": args.ext, "threads": args.threads})
+    inputs.update({"p": args.p, "ext": args.ext})
     reduction = reduce_mod_p(curve, args.p)
     _log.info("counting points of %s modulo %d", label, args.p)
     if args.ext == 2:
-        counts = point_counts(reduction, args.p, threads=args.threads)
+        counts = point_counts(reduction, args.p)
         outputs = _weil_payload(weil_polynomial(counts), counts)
     else:
-        n1 = count_points(reduction, args.p, extension=1, threads=args.threads)
+        n1 = count_points(reduction, args.p, extension=1)
         outputs = {
             "p": args.p,
             "N1": n1,
@@ -229,7 +229,6 @@ def _cmd_certify(args):
         args.p1,
         args.p2,
         geometric=args.geometric,
-        threads=args.threads,
     )
     inputs = _source_inputs(args, cert.point)
     inputs.update(
@@ -237,7 +236,6 @@ def _cmd_certify(args):
             "p1": args.p1,
             "p2": args.p2,
             "geometric": args.geometric,
-            "threads": args.threads,
         }
     )
     return inputs, cert.as_dict(), 0 if cert.trivial else 4
@@ -316,7 +314,6 @@ def build_parser():
     _add_curve_source(q)
     q.add_argument("--p", type=int, required=True)
     q.add_argument("--ext", type=int, choices=(1, 2), default=2)
-    q.add_argument("--threads", type=int, default=None)
     q.set_defaults(handler=_cmd_count_points)
 
     q = sub.add_parser(
@@ -365,7 +362,6 @@ def build_parser():
         help="also run the root-of-unity ratio tests and, when they "
         "pass, upgrade the verdict to the geometric one",
     )
-    q.add_argument("--threads", type=int, default=None)
     q.set_defaults(handler=_cmd_certify)
 
     q = sub.add_parser(

@@ -28,10 +28,12 @@ from .curve_catalog import (
 from .errors import (
     AlignmentError,
     BadReductionError,
+    BlockedOnDataError,
     NonUniqueSubfieldError,
     NoQuadraticSubfieldError,
     ReducibleQuarticError,
     StructureError,
+    UnknownFamilyError,
 )
 from .exact_algebra import MultiPoly
 from .finite_arithmetic import point_counts, weil_polynomial
@@ -199,7 +201,7 @@ def frobenius_verdict(weil, *, ratios=True):
     return verdict
 
 
-def _prime_record(curve, p, geometric, threads):
+def _prime_record(curve, p, geometric):
     """Evidence for one prime. Every failure past input validation is
     recorded in the `notes` list instead of raised, so a bad prime
     degrades the verdict rather than the run."""
@@ -227,7 +229,7 @@ def _prime_record(curve, p, geometric, threads):
         record["notes"].append(f"bad reduction: {exc}")
         return record
     record["curve_mod_p"] = [int(c.value) for c in reduction.coefficients]
-    counts = point_counts(reduction, p, threads=threads)
+    counts = point_counts(reduction, p)
     weil = weil_polynomial(counts)
     record["n1"] = counts.n1
     record["n2"] = counts.n2
@@ -244,18 +246,20 @@ def _prime_record(curve, p, geometric, threads):
     return record
 
 
-def certify_endomorphisms(source, point, p1, p2, *, geometric=False,
-                          threads=None):
+def certify_endomorphisms(source, point, p1, p2, *, geometric=False):
     """Run the two-prime certificate and return an EndoCertificate.
 
-    A degenerate rational specialization raises; a prime of bad
+    Equal primes raise ValueError: one prime cannot give two different
+    cores. A degenerate rational specialization raises; a prime of bad
     reduction only downgrades the verdict to INCONCLUSIVE. The verdict
     is symmetric in the two primes, and dropping `geometric` never
     weakens a TRIVIAL_END outcome.
     """
-    curve, label, point_used, family = resolve_curve(source, point)
     primes = (int(p1), int(p2))
-    records = [_prime_record(curve, p, geometric, threads) for p in primes]
+    if primes[0] == primes[1]:
+        raise ValueError(f"the two primes must differ, got p1 = p2 = {p1}")
+    curve, label, point_used, family = resolve_curve(source, point)
+    records = [_prime_record(curve, p, geometric) for p in primes]
     first, second = records
     reasons = []
     verdict = INCONCLUSIVE
@@ -322,7 +326,7 @@ def degeneration_note(family_from, family_to):
         try:
             catalog_get(name)
             known.append(True)
-        except Exception:
+        except (UnknownFamilyError, BlockedOnDataError):
             known.append(name == KSS)
     if family_from == family_to:
         return {

@@ -1,20 +1,16 @@
 """Exact finite-field arithmetic and point counting for y^2 = f(x).
 
-Counting walks every x in F_p or F_{p^2} with plain-int modular
-arithmetic (no element objects in the hot loop) and a precomputed table
-of square-root multiplicities, then adds the points at infinity of the
-smooth model: one for deg f = 5, and for deg f = 6 two, none, or the
-conjugate pair depending on whether the leading coefficient is a square
-in the ground field (in F_{p^2} it always is).
-
-The work is split into chunks whose partial sums are combined in a fixed
-order, so the result is identical whatever SPECTRAL_TORELLI_THREADS says.
+Counting walks x over F_p, or over F_p and one of each conjugate pair
+in F_{p^2}, with plain-int modular arithmetic (no element objects in
+the hot loop) and a size-p Legendre table, then adds the points at
+infinity of the smooth model: one for deg f = 5, and for deg f = 6 two,
+none, or the conjugate pair depending on whether the leading
+coefficient is a square in the ground field (in F_{p^2} it always is).
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 from .errors import BadReductionError, InconsistentCountsError
 
@@ -302,31 +298,6 @@ class Fp2:
         return f"Fp2({self.a}, {self.b}, {self.p})"
 
 
-def _thread_count(threads):
-    if threads is not None:
-        n = int(threads)
-    else:
-        raw = os.environ.get("SPECTRAL_TORELLI_THREADS", "").strip()
-        n = int(raw) if raw else 1
-    return max(1, n)
-
-
-def _chunked_sum(total_range, worker, threads):
-    """Sum worker(lo, hi) over a fixed chunk decomposition of
-    range(total_range); chunk boundaries do not depend on the thread
-    count, so the result cannot either."""
-    n_chunks = 16 if total_range >= 16 else max(1, total_range)
-    bounds = [
-        (total_range * i // n_chunks, total_range * (i + 1) // n_chunks)
-        for i in range(n_chunks)
-    ]
-    if threads <= 1:
-        return sum(worker(lo, hi) for lo, hi in bounds)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        partials = list(pool.map(lambda b: worker(*b), bounds))
-    return sum(partials)
-
-
 def _model_coefficients(source, p):
     """Normalize to (ascending int 7-tuple mod p, degree in {5, 6})."""
     p = _validated_odd_prime(p)
@@ -350,20 +321,29 @@ def _model_coefficients(source, p):
     return tuple(out), degree
 
 
-def count_points(source, p, *, extension=1, threads=None):
+def count_points(source, p, *, extension=1):
     """Number of points of the smooth model of y^2 = f(x) over F_p
     (extension=1) or F_{p^2} (extension=2).
+
+    Both counts read one size-p Legendre table chi. Over F_p the affine
+    points number p + sum_x chi(f(x)). Over F_{p^2} an element z is a
+    square exactly when its norm is a square in F_p, so the affine
+    points number p^2 + sum_x chi(N f(x)). An x in F_p adds 1 unless
+    f(x) = 0. The other x = a + b*sqrt(n) (n the smallest non-residue)
+    come in conjugate pairs with equal norms of f(x), so only
+    b = 1..(p-1)/2 is summed and doubled. f(a + b*sqrt(n)) is expanded
+    in its Taylor series around a, whose seven coefficient rows are
+    tabulated over F_p once. That takes O(p^2) steps and O(p) memory.
 
     The input must reduce to a squarefree model modulo p; this routine
     only enforces the genus-2 Weil bound on the result as a safety net.
     """
     coeffs, degree = _model_coefficients(source, p)
-    workers = _thread_count(threads)
     if extension == 1:
-        count = _count_ground(coeffs, degree, p, workers)
+        count = _count_ground(coeffs, degree, p)
         q = p
     elif extension == 2:
-        count = _count_quadratic(coeffs, degree, p, workers)
+        count = _count_quadratic(coeffs, degree, p)
         q = p * p
     else:
         raise ValueError("extension must be 1 or 2")
@@ -375,51 +355,58 @@ def count_points(source, p, *, extension=1, threads=None):
     return count
 
 
-def _count_ground(coeffs, degree, p, threads):
-    roots = [0] * p
-    roots[0] = 1
-    for y in range(1, p):
-        roots[y * y % p] += 1
-    desc = list(coeffs[: degree + 1][::-1])
+def _legendre_table(p):
+    """chi[a] for a in range(p): 0, 1 or -1."""
+    chi = [-1] * p
+    chi[0] = 0
+    for y in range(1, (p + 1) // 2):
+        chi[y * y % p] = 1
+    return chi
 
-    def worker(lo, hi):
-        s = 0
-        for x in range(lo, hi):
-            v = 0
-            for c in desc:
-                v = (v * x + c) % p
-            s += roots[v]
-        return s
 
-    affine = _chunked_sum(p, worker, threads)
+def _values(desc, p):
+    """[g(a) for a in range(p)], g given by descending residues."""
+    out = []
+    for a in range(p):
+        v = 0
+        for c in desc:
+            v = (v * a + c) % p
+        out.append(v)
+    return out
+
+
+def _count_ground(coeffs, degree, p):
+    chi = _legendre_table(p)
+    affine = p + sum(chi[v] for v in _values(coeffs[::-1], p))
     if degree == 5:
         return affine + 1
-    return affine + (2 if roots[coeffs[6]] == 2 else 0)
+    return affine + 1 + chi[coeffs[6]]
 
 
-def _count_quadratic(coeffs, degree, p, threads):
+def _count_quadratic(coeffs, degree, p):
+    chi = _legendre_table(p)
     n = smallest_nonresidue(p)
-    roots = {0: 1}
-    for a in range(p):
-        for b in range(p):
-            if a == 0 and b == 0:
-                continue
-            key = ((a * a + n * b * b) % p) * p + (2 * a * b) % p
-            roots[key] = roots.get(key, 0) + 1
-    desc = list(coeffs[: degree + 1][::-1])
-
-    def worker(lo, hi):
-        s = 0
-        for i in range(lo, hi):
-            xa, xb = divmod(i, p)
-            u = 0
-            v = 0
-            for c in desc:
-                u, v = (u * xa + n * v * xb + c) % p, (u * xb + v * xa) % p
-            s += roots.get(u * p + v, 0)
-        return s
-
-    affine = _chunked_sum(p * p, worker, threads)
+    # rows[k][a] = f_k(a), where f_k = f^(k)/k! has coefficients C(j,k) c_j
+    rows = [
+        _values([comb(j, k) * coeffs[j] % p for j in range(6, k - 1, -1)], p)
+        for k in range(7)
+    ]
+    columns = list(zip(*rows))
+    nonzero = sum(1 for t in rows[0] if t)
+    pairs = 0
+    for b in range(1, (p + 1) // 2):
+        # w_k = b^k n^(k//2): f(a + b*sqrt(n)) = u + v*sqrt(n) below
+        w1 = b
+        w2 = b * b * n % p
+        w3 = w2 * b % p
+        w4 = w2 * w2 % p
+        w5 = w4 * b % p
+        w6 = w4 * w2 % p
+        for t0, t1, t2, t3, t4, t5, t6 in columns:
+            u = t0 + w2 * t2 + w4 * t4 + w6 * t6
+            v = w1 * t1 + w3 * t3 + w5 * t5
+            pairs += chi[(u * u - n * v * v) % p]
+    affine = p * p + nonzero + 2 * pairs
     if degree == 5:
         return affine + 1
     return affine + 2
@@ -447,11 +434,11 @@ class PointCount:
         return f"PointCount(p={self.p}, n1={self.n1}, n2={self.n2})"
 
 
-def point_counts(source, p, *, threads=None):
+def point_counts(source, p):
     return PointCount(
         p,
-        count_points(source, p, extension=1, threads=threads),
-        count_points(source, p, extension=2, threads=threads),
+        count_points(source, p, extension=1),
+        count_points(source, p, extension=2),
     )
 
 
@@ -494,7 +481,11 @@ class WeilPolynomial:
 
 
 def weil_polynomial(counts):
-    """Weil data from the two point counts of a genus-2 reduction."""
+    """Weil data from the two point counts of a genus-2 reduction.
+
+    Counts whose real Weil polynomial t^2 - a1*t + (a2 - 2p) lacks two
+    real roots in [-2*sqrt(p), 2*sqrt(p)] raise InconsistentCountsError.
+    """
     p, n1, n2 = counts.p, counts.n1, counts.n2
     a1 = p + 1 - n1
     if (n2 + n1 * n1) % 2:
@@ -502,6 +493,13 @@ def weil_polynomial(counts):
             f"N2 + N1^2 = {n2 + n1 * n1} is odd; counts are inconsistent"
         )
     a2 = (n2 + n1 * n1) // 2 - (p + 1) * n1 + p
+    edge = 2 * p + a2
+    inside = 4 * (a2 - 2 * p) <= a1 * a1 <= 16 * p and edge >= 0
+    if not (inside and edge * edge >= 4 * p * a1 * a1):
+        raise InconsistentCountsError(
+            f"(a1, a2) = ({a1}, {a2}) breaks the Weil bounds at p={p}; "
+            "no genus-2 curve has these counts"
+        )
     return WeilPolynomial(p, a1, a2)
 
 

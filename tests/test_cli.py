@@ -1,0 +1,79 @@
+"""The command-line front end: golden JSON envelopes and exit codes for
+the certificate and count commands, and rejection of counts no genus-2
+curve can have.
+
+The goldens were recorded with the counting code that scanned all of
+F_{p^2} with a table of square roots.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from spectral_torelli.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def run(argv, capsys):
+    code = main(argv)
+    out = capsys.readouterr().out
+    return code, (json.loads(out) if out else None)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["certify_kfs_37_53", "certify_gar92_101_103", "count_points_kfs_137"],
+)
+def test_golden_envelopes(name, capsys):
+    golden = json.loads((GOLDEN / f"{name}.json").read_text())
+    code, envelope = run(golden["argv"], capsys)
+    assert code == golden["exit_code"]
+    assert envelope == golden["envelope"]
+
+
+def test_certify_rejects_equal_primes(capsys):
+    code, envelope = run(
+        ["certify-endo", "--family", "KFS4/3+4/3", "--at", "h1=12,h2=17,s=29",
+         "--p1", "37", "--p2", "37", "--json"],
+        capsys,
+    )
+    assert (code, envelope) == (2, None)
+
+
+def test_frobenius_verdict_from_counts(capsys):
+    code, envelope = run(
+        ["frobenius", "--p", "37", "--n1", "36", "--n2", "1442", "--json"], capsys
+    )
+    assert code == 0
+    out = envelope["outputs"]
+    assert (out["a1"], out["a2"]) == (2, 38)
+    assert out["P"] == [1369, -74, 38, -2, 1]
+    assert out["tate"] is True
+
+
+def test_zeta_from_counts(capsys):
+    code, envelope = run(
+        ["zeta", "--p", "53", "--n1", "57", "--n2", "3001", "--json"], capsys
+    )
+    assert code == 0
+    assert envelope["inputs"] == {"p": 53, "n1": 57, "n2": 3001}
+    assert envelope["outputs"]["zeta"]["numerator"] == [1, 3, 100, 159, 2809]
+
+
+@pytest.mark.parametrize("command", ["frobenius", "zeta"])
+@pytest.mark.parametrize(
+    "p, n1, n2",
+    [
+        (37, 100, 0),  # a1 = -62 breaks |a1| <= 4 sqrt(p)
+        (37, 36, 1443),  # N2 + N1^2 is odd
+        (35, 36, 1442),  # 35 is not prime
+    ],
+)
+def test_impossible_counts_exit_2(command, p, n1, n2, capsys):
+    code, envelope = run(
+        [command, "--p", str(p), "--n1", str(n1), "--n2", str(n2), "--json"],
+        capsys,
+    )
+    assert (code, envelope) == (2, None)

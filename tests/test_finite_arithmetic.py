@@ -7,12 +7,15 @@ different choice of nonresidue), so the production tables get a witness
 that shares no code with them.
 """
 
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy
 import pytest
 import sympy
+from hypothesis import assume, given, strategies as st
 
 from spectral_torelli.curve_catalog import catalog_get, reduce_mod_p
 from spectral_torelli.errors import BadReductionError, InconsistentCountsError
@@ -84,6 +87,68 @@ def brute_count_quadratic(coeffs, p):
         return affine + 1
     # every scalar of the prime field becomes a square upstairs
     return affine + 2
+
+
+def brute_count_fp2(coeffs, p):
+    """Points over F_{p^2} by enumerating every x and y with Fp2
+    elements: affine pairs with y^2 = f(x), and at infinity one point
+    for a quintic or the square roots of the leading coefficient."""
+    field = [Fp2(a, b, p) for a in range(p) for b in range(p)]
+    roots = {}
+    for y in field:
+        square = y * y
+        roots[square] = roots.get(square, 0) + 1
+    seq = list(coeffs) + [0] * (7 - len(coeffs))
+    affine = 0
+    for x in field:
+        v = Fp2(0, 0, p)
+        for c in reversed(seq):
+            v = v * x + c
+        affine += roots.get(v, 0)
+    if seq[6] % p == 0:
+        return affine + 1
+    return affine + roots.get(Fp2.embed(seq[6], p), 0)
+
+
+def squarefree_mod_p(coeffs, p):
+    """gcd(f, f') = 1 over F_p, for ascending residues with a nonzero
+    leading one (f' = 0 means f is a p-th power)."""
+
+    def trim(poly):
+        poly = [c % p for c in poly]
+        while poly and poly[-1] == 0:
+            poly.pop()
+        return poly
+
+    a = trim(coeffs)
+    b = trim([k * c for k, c in enumerate(coeffs)][1:])
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            q = a[-1] * inv % p
+            shift = len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] -= q * c
+            a = trim(a)
+        a, b = b, a
+    return len(a) == 1
+
+
+def hasse_witt_matrix(residues, p):
+    """W = (c_{ip-j}) for i, j in {1, 2}, with c_k the coefficients of
+    f^((p-1)/2) modulo p (Yui 1978), by repeated truncated products."""
+    f = numpy.array(residues, dtype=numpy.int64)
+    power = numpy.array([1], dtype=numpy.int64)
+    for _ in range((p - 1) // 2):
+        power = numpy.convolve(power, f)[: 2 * p] % p
+    return [[int(power[i * p - j]) for j in (1, 2)] for i in (1, 2)]
+
+
+# (N1, N2) of each family at a fixed point, recorded with the counting
+# code that scanned all of F_{p^2} with a table of square roots.
+GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "point_counts.json").read_text()
+)
 
 
 def kfs_curve():
@@ -294,15 +359,48 @@ class TestPointCounts:
         with pytest.raises(ValueError):
             count_points((Fp(1, 5), 0, 0, 0, 0, 1), 7)
 
-    def test_thread_count_does_not_change_the_count(self, monkeypatch):
-        base1 = count_points(KFS_RATIONAL, 37, threads=1)
-        base2 = count_points(KFS_RATIONAL, 37, extension=2, threads=1)
-        for threads in (2, 5):
-            assert count_points(KFS_RATIONAL, 37, threads=threads) == base1
-            got = count_points(KFS_RATIONAL, 37, extension=2, threads=threads)
-            assert got == base2
-        monkeypatch.setenv("SPECTRAL_TORELLI_THREADS", "3")
-        assert count_points(KFS_RATIONAL, 37) == base1
+    @given(data=st.data())
+    def test_quadratic_counts_match_fp2_enumeration(self, data):
+        p = data.draw(st.sampled_from((3, 5, 7, 11, 13)))
+        degree = data.draw(st.sampled_from((5, 6)))
+        coeffs = data.draw(
+            st.lists(st.integers(0, p - 1), min_size=degree, max_size=degree)
+        ) + [data.draw(st.integers(1, p - 1))]
+        assume(squarefree_mod_p(coeffs, p))
+        n2 = count_points(coeffs, p, extension=2)
+        assert n2 == brute_count_fp2(coeffs, p)
+        weil_polynomial(PointCount(p, count_points(coeffs, p), n2))
+
+    def test_hasse_witt_matrix_matches_the_counts(self):
+        checked = 0
+        for family, point in GOLDEN["points"].items():
+            curve = catalog_get(family).specialize(point)
+            for p in (101, 103, 137, 277, 547):
+                try:
+                    reduction = reduce_mod_p(curve, p)
+                except BadReductionError:
+                    continue
+                residues = [c.value for c in reduction.coefficients]
+                w = weil_polynomial(point_counts(reduction, p))
+                (h11, h12), (h21, h22) = hasse_witt_matrix(residues, p)
+                assert (w.a1 - (h11 + h22)) % p == 0, (family, p)
+                assert (w.a2 - (h11 * h22 - h12 * h21)) % p == 0, (family, p)
+                checked += 1
+        assert checked == 25
+
+    @pytest.mark.parametrize("family", sorted(GOLDEN["points"]))
+    def test_golden_count_table(self, family):
+        curve = catalog_get(family).specialize(GOLDEN["points"][family])
+        rows = [r for r in GOLDEN["counts"] if r["family"] == family]
+        assert [r["p"] for r in rows] == GOLDEN["primes"]
+        for row in rows:
+            p = row["p"]
+            if row["n1"] is None:
+                with pytest.raises(BadReductionError):
+                    reduce_mod_p(curve, p)
+                continue
+            counts = point_counts(reduce_mod_p(curve, p), p)
+            assert (counts.n1, counts.n2) == (row["n1"], row["n2"]), p
 
     def test_point_count_record(self):
         record = PointCount(37, 36, 1442)
@@ -335,6 +433,24 @@ class TestWeilData:
     def test_parity_mismatch_is_rejected(self):
         with pytest.raises(InconsistentCountsError):
             weil_polynomial(PointCount(37, 36, 1443))
+
+    def test_counts_outside_the_weil_interval_are_rejected(self):
+        p = 37
+
+        def counts(a1, a2):
+            n1 = p + 1 - a1
+            return PointCount(p, n1, 2 * (a2 + (p + 1) * n1 - p) - n1 * n1)
+
+        with pytest.raises(InconsistentCountsError):
+            weil_polynomial(PointCount(p, 100, 0))  # a1 = -62, |a1| > 4 sqrt(p)
+        for a1, a2 in [(25, 0), (0, 2 * p + 1), (12, -2 * p)]:
+            with pytest.raises(InconsistentCountsError):
+                weil_polynomial(counts(a1, a2))
+        # a1^2 = 16p - 16 with a double root of the real Weil polynomial
+        # lies inside the interval
+        assert weil_polynomial(counts(24, 144 + 2 * p)) == WeilPolynomial(
+            p, 24, 144 + 2 * p
+        )
 
     def test_functional_equation(self):
         samples = [
