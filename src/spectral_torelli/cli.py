@@ -18,6 +18,7 @@ from .curve_catalog import catalog_entries, catalog_get, load_curve_file, reduce
 from .endo_pipeline import (
     certify_endomorphisms,
     frobenius_verdict,
+    rational_json,
     resolve_curve,
     verify_painleve_divisor_gar92,
 )
@@ -40,11 +41,6 @@ from .galois_certificates import galois_group
 from .igusa_invariants import DEFAULT_SEED, igusa, independence_rank
 
 _log = logging.getLogger("spectral_torelli.cli")
-
-
-def _rat(value):
-    frac = Fraction(value)
-    return {"num": str(frac.numerator), "den": str(frac.denominator)}
 
 
 def _parse_point(text):
@@ -80,7 +76,7 @@ def _source_inputs(args, point):
     if getattr(args, "file", None):
         inputs["file"] = args.file
     if point:
-        inputs["at"] = {k: _rat(v) for k, v in sorted(point.items())}
+        inputs["at"] = {k: rational_json(v) for k, v in sorted(point.items())}
     return inputs
 
 
@@ -107,15 +103,19 @@ def _cmd_invariants(args):
     inv = igusa(curve)
     outputs = {
         "source": label,
-        "J2": _rat(inv.j2),
-        "J4": _rat(inv.j4),
-        "J6": _rat(inv.j6),
-        "J8": _rat(inv.j8),
-        "J10": _rat(inv.j10),
+        "J2": rational_json(inv.j2),
+        "J4": rational_json(inv.j4),
+        "J6": rational_json(inv.j6),
+        "J8": rational_json(inv.j8),
+        "J10": rational_json(inv.j10),
     }
     try:
         i1, i2, i3 = inv.absolute()
-        outputs["absolute"] = {"I1": _rat(i1), "I2": _rat(i2), "I3": _rat(i3)}
+        outputs["absolute"] = {
+            "I1": rational_json(i1),
+            "I2": rational_json(i2),
+            "I3": rational_json(i3),
+        }
     except UndefinedChartError:
         outputs["absolute"] = None
     return inputs, outputs, 0
@@ -131,7 +131,9 @@ def _cmd_independence(args):
         "trials_used": report.trials,
         "rejected": report.rejected,
         "seed": report.seed,
-        "witness": {k: _rat(v) for k, v in sorted(report.witness.items())},
+        "witness": {
+            k: rational_json(v) for k, v in sorted(report.witness.items())
+        },
     }
     return inputs, outputs, 0
 

@@ -99,7 +99,8 @@ def resolve_curve(source, point=None):
     )
 
 
-def _rational_json(value):
+def rational_json(value):
+    """An exact rational as the {"num", "den"} strings of JSON envelopes."""
     frac = Fraction(value)
     return {"num": str(frac.numerator), "den": str(frac.denominator)}
 
@@ -132,7 +133,7 @@ class EndoCertificate:
         """JSON-ready form with a stable field order."""
         point = None
         if self.point is not None:
-            point = {k: _rational_json(v) for k, v in sorted(self.point.items())}
+            point = {k: rational_json(v) for k, v in sorted(self.point.items())}
         return {
             "schema_version": 1,
             "source": self.source,

@@ -8,6 +8,7 @@ as a coefficient (Fraction, MultiPoly, Jet1, finite-field elements), which
 is what the resultant and discriminant routines rely on.
 """
 
+import operator
 from fractions import Fraction
 
 from .errors import (
@@ -34,19 +35,32 @@ def _grlex_key(exponents):
     return (sum(exponents), exponents)
 
 
+def _check_distinct(variables):
+    if len(set(variables)) != len(variables):
+        raise ValueError(f"duplicate variable in {variables!r}")
+
+
+_add = operator.add
+
+
 class MultiPoly:
     """Sparse multivariate polynomial over Q.
 
     Terms are stored as a map from exponent tuples to nonzero Fractions.
     Instances are treated as immutable; no operation mutates its operands.
+
+    Canonical form: `variables` is a tuple of distinct names, and every
+    key of `terms` is a tuple of `len(variables)` non-negative ints mapped
+    to a nonzero `Fraction`. The public constructor establishes it from
+    any input; the class's own arithmetic preserves it and hands its
+    results to `_trusted`, which skips the checks.
     """
 
     __slots__ = ("variables", "terms")
 
     def __init__(self, variables, terms):
         variables = tuple(variables)
-        if len(set(variables)) != len(variables):
-            raise ValueError(f"duplicate variable in {variables!r}")
+        _check_distinct(variables)
         clean = {}
         for exponents, coeff in terms.items():
             coeff = _as_fraction(coeff)
@@ -66,6 +80,14 @@ class MultiPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
+
+    @classmethod
+    def _trusted(cls, variables, terms):
+        """An instance from data already in canonical form, unchecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "terms", terms)
+        return self
 
     # construction helpers
 
@@ -128,7 +150,7 @@ class MultiPoly:
         for exps, c in self.terms.items():
             if exps[i] == power:
                 picked[exps[:i] + exps[i + 1:]] = c
-        return MultiPoly(rest, picked)
+        return MultiPoly._trusted(rest, picked)
 
     def _index(self, name):
         try:
@@ -153,7 +175,9 @@ class MultiPoly:
                 )
             return other
         if isinstance(other, (int, Fraction)):
-            return MultiPoly.constant(self.variables, other)
+            value = _as_fraction(other)
+            terms = {(0,) * len(self.variables): value} if value else {}
+            return MultiPoly._trusted(self.variables, terms)
         return NotImplemented
 
     def __add__(self, other):
@@ -162,17 +186,22 @@ class MultiPoly:
             return NotImplemented
         out = dict(self.terms)
         for exps, c in other.terms.items():
-            s = out.get(exps, Fraction(0)) + c
-            if s:
-                out[exps] = s
+            if exps in out:
+                s = out[exps] + c
+                if s:
+                    out[exps] = s
+                else:
+                    del out[exps]
             else:
-                out.pop(exps, None)
-        return MultiPoly(self.variables, out)
+                out[exps] = c
+        return MultiPoly._trusted(self.variables, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.variables, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(
+            self.variables, {e: -c for e, c in self.terms.items()}
+        )
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -187,8 +216,8 @@ class MultiPoly:
         if isinstance(other, (int, Fraction)):
             other = _as_fraction(other)
             if not other:
-                return MultiPoly.zero(self.variables)
-            return MultiPoly(
+                return MultiPoly._trusted(self.variables, {})
+            return MultiPoly._trusted(
                 self.variables, {e: c * other for e, c in self.terms.items()}
             )
         other = self._coerce(other)
@@ -197,13 +226,16 @@ class MultiPoly:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(key, Fraction(0)) + c1 * c2
-                if s:
-                    out[key] = s
+                key = tuple(map(_add, e1, e2))
+                if key in out:
+                    s = out[key] + c1 * c2
+                    if s:
+                        out[key] = s
+                    else:
+                        del out[key]
                 else:
-                    del out[key]
-        return MultiPoly(self.variables, out)
+                    out[key] = c1 * c2
+        return MultiPoly._trusted(self.variables, out)
 
     __rmul__ = __mul__
 
@@ -211,7 +243,7 @@ class MultiPoly:
         n = int(n)
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = MultiPoly.constant(self.variables, 1)
+        result = self._coerce(1)
         base = self
         while n:
             if n & 1:
@@ -235,7 +267,8 @@ class MultiPoly:
 
         Single-divisor reduction under graded-lex order is a normal form
         for the principal ideal, so remainder 0 is equivalent to
-        divisibility.
+        divisibility. The leading monomial of the remainder falls at every
+        step, so each quotient monomial is produced exactly once.
         """
         divisor = self._coerce(divisor)
         if divisor.is_zero():
@@ -255,15 +288,18 @@ class MultiPoly:
                     f"{divisor} does not divide the dividend exactly"
                 )
             q_c = c / lead_c
-            quotient[q_e] = quotient.get(q_e, Fraction(0)) + q_c
+            quotient[q_e] = q_c
             for de, dc in div_terms:
-                key = tuple(a + b for a, b in zip(q_e, de))
-                s = rem.get(key, Fraction(0)) - q_c * dc
-                if s:
-                    rem[key] = s
+                key = tuple(map(_add, q_e, de))
+                if key in rem:
+                    s = rem[key] - q_c * dc
+                    if s:
+                        rem[key] = s
+                    else:
+                        del rem[key]
                 else:
-                    rem.pop(key, None)
-        return MultiPoly(self.variables, quotient)
+                    rem[key] = -(q_c * dc)
+        return MultiPoly._trusted(self.variables, quotient)
 
     def __eq__(self, other):
         if isinstance(other, MultiPoly):
@@ -286,9 +322,8 @@ class MultiPoly:
             e = exps[i]
             if e == 0:
                 continue
-            key = exps[:i] + (e - 1,) + exps[i + 1:]
-            out[key] = out.get(key, Fraction(0)) + c * e
-        return MultiPoly(self.variables, out)
+            out[exps[:i] + (e - 1,) + exps[i + 1:]] = c * e
+        return MultiPoly._trusted(self.variables, out)
 
     def evaluate(self, values):
         """Evaluate with values from any commutative ring.
@@ -361,7 +396,8 @@ class MultiPoly:
             for pos, e in zip(positions, exps):
                 key[pos] = e
             out[tuple(key)] = c
-        return MultiPoly(variables, out)
+        _check_distinct(variables)
+        return MultiPoly._trusted(variables, out)
 
     def drop_to_variables(self, variables):
         """Restrict to a smaller variable list; the dropped variables must
@@ -382,7 +418,8 @@ class MultiPoly:
             for pos, i in keep:
                 key[pos] = exps[i]
             out[tuple(key)] = c
-        return MultiPoly(variables, out)
+        _check_distinct(variables)
+        return MultiPoly._trusted(variables, out)
 
     def used_variables(self):
         used = set()
@@ -847,7 +884,13 @@ def discriminant(f):
 class Jet1:
     """First-order jet: a value plus exact first partials with respect to
     a fixed tuple of tracked parameters. Arithmetic follows the product
-    and quotient rules exactly."""
+    and quotient rules exactly.
+
+    Canonical form: `value` is a `Fraction` and `partials` a tuple of
+    `Fraction`s. The public constructor coerces any exact rationals to
+    it; the class's own arithmetic preserves it and hands its results to
+    `_trusted`, which skips the coercion.
+    """
 
     __slots__ = ("value", "partials")
 
@@ -859,6 +902,14 @@ class Jet1:
 
     def __setattr__(self, name, value):
         raise AttributeError("Jet1 is immutable")
+
+    @classmethod
+    def _trusted(cls, value, partials):
+        """An instance from data already in canonical form, unchecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "partials", partials)
+        return self
 
     @classmethod
     def constant(cls, value, n_tracked):
@@ -876,22 +927,24 @@ class Jet1:
                 raise AlignmentError("jets track different parameter lists")
             return other
         if isinstance(other, (int, Fraction)):
-            return Jet1.constant(other, len(self.partials))
+            return Jet1._trusted(
+                _as_fraction(other), (Fraction(0),) * len(self.partials)
+            )
         return NotImplemented
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Jet1(
+        return Jet1._trusted(
             self.value + other.value,
-            tuple(a + b for a, b in zip(self.partials, other.partials)),
+            tuple(map(_add, self.partials, other.partials)),
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet1(-self.value, tuple(-p for p in self.partials))
+        return Jet1._trusted(-self.value, tuple(-p for p in self.partials))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -903,10 +956,14 @@ class Jet1:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return Jet1._trusted(
+                self.value * other, tuple(p * other for p in self.partials)
+            )
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Jet1(
+        return Jet1._trusted(
             self.value * other.value,
             tuple(
                 self.value * db + da * other.value
@@ -923,7 +980,7 @@ class Jet1:
         if not other.value:
             raise ZeroDivisionError("jet division by zero value")
         v = self.value / other.value
-        return Jet1(
+        return Jet1._trusted(
             v,
             tuple(
                 (da - v * db) / other.value

@@ -322,6 +322,16 @@ def quadratic_subfield(weil, analysis=None):
     Requires the Frobenius quartic to be irreducible with group D4 or
     C4; V4 raises NonUniqueSubfieldError carrying the three candidate
     discriminant cores, S4/A4 raise NoQuadraticSubfieldError.
+
+    Under V4 each resolvent root y = r1*r2 + r3*r4 belongs to one pairing
+    of the roots, and the subfield fixed by that pairing's involution is
+    generated by r1*r2 - r3*r4, whose square is y^2 - 4e. When that is 0
+    (always for y = 2p, the pairing of each eigenvalue with its companion
+    p/eigenvalue) the subfield is generated by (r1 + r2) - (r3 + r4)
+    instead, whose square is b^2 - 4(c - y); for y = 2p that is the
+    a1^2 - 4(a2 - 2p) of the D4/C4 path. The two squares cannot both
+    vanish without a repeated root, so the error carries three cores,
+    whose product is a square.
     """
     if analysis is None:
         analysis = galois_group(weil.frobenius_coefficients)
@@ -333,10 +343,12 @@ def quadratic_subfield(weil, analysis=None):
     p, a1, a2 = weil.p, weil.a1, weil.a2
     if group == "V4":
         cores = []
-        e = analysis.coefficients[0]
+        e, _, c, b, _ = analysis.coefficients
         for y in analysis.resolvent_roots:
             delta = y * y - 4 * e
-            if delta != 0 and not _is_square(delta):
+            if delta == 0:
+                delta = b * b - 4 * (c - y)
+            if not _is_square(delta):
                 cores.append(squarefree_part(delta))
         raise NonUniqueSubfieldError(
             "group V4: three quadratic subfields, none distinguished",

@@ -1,9 +1,11 @@
 """The command-line front end: golden JSON envelopes and exit codes for
-the certificate and count commands, and rejection of counts no genus-2
-curve can have.
+the certificate, count, invariant, independence and divisor commands,
+and rejection of counts no genus-2 curve can have.
 
-The goldens were recorded with the counting code that scanned all of
-F_{p^2} with a table of square roots.
+The certificate and count goldens were recorded with the counting code
+that scanned all of F_{p^2} with a table of square roots; the invariant,
+independence and divisor goldens with the exact-algebra kernel that
+validated every arithmetic result in the public constructor.
 """
 
 import json
@@ -24,7 +26,14 @@ def run(argv, capsys):
 
 @pytest.mark.parametrize(
     "name",
-    ["certify_kfs_37_53", "certify_gar92_101_103", "count_points_kfs_137"],
+    [
+        "certify_kfs_37_53",
+        "certify_gar92_101_103",
+        "count_points_kfs_137",
+        "verify_divisor_gar92",
+        "invariants_kfs_12_17_29",
+        "independence_gar92_seed7",
+    ],
 )
 def test_golden_envelopes(name, capsys):
     golden = json.loads((GOLDEN / f"{name}.json").read_text())

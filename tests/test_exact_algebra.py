@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spectral_torelli.errors import (
     AlignmentError,
@@ -287,3 +289,110 @@ def test_matrix_rank_matches_sympy():
         ref = sympy.Matrix(m).rank()
         assert rational_matrix_rank(m) == ref
     assert rational_matrix_rank([]) == 0
+
+
+# Canonical form: what MultiPoly and Jet1 arithmetic results must satisfy,
+# since the classes build them without going through the validating
+# constructor.
+
+small_fractions = st.fractions(
+    min_value=-9, max_value=9, max_denominator=5
+)
+
+
+@st.composite
+def small_polys(draw, variables=VARS):
+    exponents = st.tuples(*(st.integers(0, 3) for _ in variables))
+    terms = draw(st.dictionaries(exponents, small_fractions, max_size=5))
+    return MultiPoly(variables, terms)
+
+
+def assert_canonical_poly(r, variables=VARS):
+    assert r.variables == variables
+    assert MultiPoly(r.variables, r.terms).terms == r.terms
+    for exps, c in r.terms.items():
+        assert type(c) is Fraction and c != 0
+        assert type(exps) is tuple and len(exps) == len(variables)
+        assert all(type(e) is int and e >= 0 for e in exps)
+
+
+@given(small_polys(), small_polys(), small_polys(), small_fractions)
+def test_multipoly_results_are_canonical(a, b, c, k):
+    results = [a + b, a - b, a * b, -a, a * k, a * 3, a * 0, a ** 2, a + 1]
+    results += [a.derivative(name) for name in VARS]
+    results += [a.coefficient_of("b", 1).with_variables(VARS)]
+    results += [a.with_variables(VARS + ("d",)).drop_to_variables(VARS)]
+    if b:
+        results.append((a * b) / b)
+        assert (a * b) / b == a
+    for r in results:
+        assert_canonical_poly(r)
+    assert_canonical_poly(a.coefficient_of("b", 1), ("a", "c"))
+    assert (a + b) * c == a * c + b * c
+    assert (a - a).is_zero() and (a - a).terms == {}
+
+
+jet_parts = st.tuples(small_fractions, small_fractions)
+
+
+@given(small_fractions, jet_parts, small_fractions, jet_parts, small_fractions)
+def test_jet_results_match_the_validated_constructor(v, dv, w, dw, k):
+    a, b = Jet1(v, dv), Jet1(w, dw)
+    results = [a + b, a - b, a * b, -a, a * k, k * a, a * 2, a + 1, 1 - a]
+    if w:
+        results += [a / b, a / w]
+    for r in results:
+        assert type(r.value) is Fraction and type(r.partials) is tuple
+        assert all(type(p) is Fraction for p in r.partials)
+        assert len(r.partials) == 2
+        assert r == Jet1(r.value, r.partials)
+    assert a * k == a * Jet1.constant(k, 2)
+
+
+def test_arithmetic_skips_validation(monkeypatch):
+    """Products and sums of existing polynomials and jets make no
+    validated construction: their results are canonical by construction,
+    and re-validating them dominated the symbolic computations."""
+    p = MultiPoly.parse("3*a^2*b - 1/2*c + 7", VARS)
+    q = MultiPoly.parse("a - 2*b*c", VARS)
+    j1 = Jet1(Fraction(3), (Fraction(1), Fraction(2, 3)))
+    j2 = Jet1(Fraction(-1, 2), (Fraction(0), Fraction(5)))
+    validated = []
+    for cls in (MultiPoly, Jet1):
+        original = cls.__init__
+
+        def counting(self, *args, _original=original):
+            validated.append(type(self).__name__)
+            _original(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    _ = (p * q, p + q, p - q, -p, p * 5, (p * q) / q, p.derivative("a"))
+    _ = (j1 * j2, j1 + j2, j1 - j2, j1 / j2, j1 * 4)
+    assert validated == []
+    MultiPoly(VARS, {})
+    Jet1(1, (0, 0))
+    assert validated == ["MultiPoly", "Jet1"]
+
+
+def test_public_constructors_still_validate():
+    with pytest.raises(ValueError, match="duplicate variable"):
+        MultiPoly(("a", "a"), {})
+    with pytest.raises(ValueError, match="does not match"):
+        MultiPoly(VARS, {(1, 0): 1})
+    with pytest.raises(ValueError, match="negative exponent"):
+        MultiPoly(VARS, {(1, -1, 0): 1})
+    with pytest.raises(TypeError, match="exact rational"):
+        MultiPoly(VARS, {(1, 0, 0): 0.5})
+    p = MultiPoly.parse("a*b", VARS)
+    with pytest.raises(ValueError, match="duplicate variable"):
+        p.with_variables(("a", "b", "c", "a"))
+    with pytest.raises(ValueError, match="duplicate variable"):
+        p.drop_to_variables(("a", "b", "b"))
+    with pytest.raises(AlignmentError):
+        p.drop_to_variables(("a", "c"))
+    with pytest.raises(TypeError, match="exact rational"):
+        Jet1(0.5, (0, 0))
+    with pytest.raises(TypeError, match="exact rational"):
+        Jet1(1, (0, 1.5))
+    with pytest.raises(TypeError, match="unsupported operand"):
+        Jet1(1, (0, 0)) * 0.5

@@ -2,8 +2,10 @@
 of eigenvalue ratios, checked against sympy's number-field machinery and
 hand-computable small cases."""
 
+import math
 import random
 
+import numpy
 import pytest
 import sympy
 from sympy.abc import t
@@ -240,9 +242,59 @@ class TestQuadraticSubfield:
             assert remainder == 0
 
     def test_v4_has_three_subfields(self):
+        # x^4 + 9 = (x^2 + 3i)(x^2 - 3i) = (x^2 - sqrt(6) x + 3)(x^2 + sqrt(6) x + 3),
+        # so Q(i), Q(sqrt 6) and Q(sqrt -6); two resolvent roots (+-2p) give
+        # y^2 - 4e = 0 here.
         with pytest.raises(NonUniqueSubfieldError) as info:
             quadratic_subfield(WeilPolynomial(3, 0, 0))
-        assert info.value.discriminants == (-1,)
+        assert info.value.discriminants == (-6, -1, 6)
+
+    def test_v4_keeps_the_companion_pairing_subfield(self):
+        # Gar9/2 at its first frozen rank witness, p = 103: the resolvent
+        # root 2p has y^2 - 4e = 0, and its subfield Q(sqrt 202) is the one
+        # a1^2 - 4(a2 - 2p) = 808 = 4 * 202 gives.
+        weil = WeilPolynomial(103, -4, 8)
+        assert weil.frobenius_coefficients == (10609, 412, 8, 4, 1)
+        with pytest.raises(NonUniqueSubfieldError) as info:
+            quadratic_subfield(weil)
+        cores = info.value.discriminants
+        assert cores == (-202, -1, 202)
+        product = cores[0] * cores[1] * cores[2]
+        assert product > 0 and math.isqrt(product) ** 2 == product
+
+    def test_v4_cores_match_numeric_root_pairings(self):
+        # Every V4 quartic of Weil shape at small p: three distinct cores whose
+        # product is a square, equal to the cores of r1*r2 - r3*r4 (or of
+        # (r1 + r2) - (r3 + r4) when that vanishes) from numeric roots.
+        checked = 0
+        for p in (3, 5, 7):
+            for a1 in range(-math.isqrt(16 * p), math.isqrt(16 * p) + 1):
+                for a2 in range(-2 * p, 6 * p + 1):
+                    weil = WeilPolynomial(p, a1, a2)
+                    try:
+                        analysis = galois_group(weil.frobenius_coefficients)
+                    except ReducibleQuarticError:
+                        continue
+                    if analysis.group != "V4":
+                        continue
+                    with pytest.raises(NonUniqueSubfieldError) as info:
+                        quadratic_subfield(weil, analysis)
+                    cores = info.value.discriminants
+                    product = cores[0] * cores[1] * cores[2]
+                    assert len(cores) == 3
+                    assert product > 0 and math.isqrt(product) ** 2 == product
+                    r = numpy.roots(weil.frobenius_coefficients[::-1])
+                    numeric = set()
+                    for i, j, k, l in ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2)):
+                        u = r[i] * r[j] - r[k] * r[l]
+                        if abs(u) < 1e-6:
+                            u = r[i] + r[j] - r[k] - r[l]
+                        square = u * u
+                        assert abs(square.imag) < 1e-6
+                        numeric.add(squarefree_part(round(square.real)))
+                    assert tuple(sorted(numeric)) == cores
+                    checked += 1
+        assert checked > 100
 
     def test_generic_groups_have_none(self):
         stub = WeilPolynomial(5, 1, 1)
