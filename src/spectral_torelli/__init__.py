@@ -48,7 +48,6 @@ from .endo_pipeline import (
     resolve_curve,
     verify_painleve_divisor_gar92,
     INCONCLUSIVE,
-    KSS_PRIMES,
     TRIVIAL_END,
     TRIVIAL_GEOMETRIC_END,
 )

@@ -9,6 +9,7 @@ polynomial in the parameters.
 """
 
 import json
+import math
 import os
 from fractions import Fraction
 from functools import lru_cache
@@ -86,7 +87,19 @@ class HyperellipticCurve:
         return self.coefficients + pad
 
     def discriminant(self):
-        return binary_sextic_discriminant(self.sextic_coefficients())
+        """The discriminant of f, from the sextic table evaluated on
+        plain integers: the residues over F_p, and over Q the coefficients
+        times L, the lcm of their denominators (the discriminant is
+        homogeneous of degree 10, so it is D(L f) / L^10)."""
+        coeffs = self.sextic_coefficients()
+        if self.characteristic:
+            return Fp(
+                binary_sextic_discriminant([c.value for c in coeffs]),
+                self.characteristic,
+            )
+        scale = math.lcm(*(c.denominator for c in coeffs))
+        scaled = [c.numerator * (scale // c.denominator) for c in coeffs]
+        return Fraction(binary_sextic_discriminant(scaled), scale**10)
 
     def __eq__(self, other):
         if not isinstance(other, HyperellipticCurve):
@@ -451,13 +464,12 @@ def reduce_mod_p(curve, p):
         raise BadReductionError(
             f"leading coefficient vanishes modulo {p}: the degree drops"
         )
-    zero = Fp(0, p)
-    padded = tuple(coeffs) + (zero,) * (7 - len(coeffs))
-    if not binary_sextic_discriminant(padded):
+    try:
+        return HyperellipticCurve(coeffs)
+    except DegenerateCurveError:
         raise BadReductionError(
             f"the reduction modulo {p} is singular (discriminant is 0)"
-        )
-    return HyperellipticCurve(coeffs)
+        ) from None
 
 
 def _rational_from_json(value):

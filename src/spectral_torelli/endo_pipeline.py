@@ -56,11 +56,6 @@ TRIVIAL_END = "TRIVIAL_END"
 TRIVIAL_GEOMETRIC_END = "TRIVIAL_GEOMETRIC_END"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-# The rank-(3,3,2) matrix system has a registered two-prime run at these
-# primes, but its spectral family is not in the catalog (see KSS): the
-# run needs a user-supplied curve file.
-KSS_PRIMES = (37, 31)
-
 
 def resolve_curve(source, point=None):
     """Normalize (source, point) to a rational curve plus a label.

@@ -20,7 +20,7 @@ from .errors import (
     ReducibleQuarticError,
     StructureError,
 )
-from .exact_algebra import MultiPoly, UniPoly, discriminant, resultant
+from .exact_algebra import UniPoly
 
 _TRIAL_LIMIT = 10 ** 6
 _CERTIFIED_COFACTOR_BOUND = 10 ** 18
@@ -186,11 +186,18 @@ def factor_quartic(coefficients):
 
 
 def _quartic_discriminant(coeffs):
-    poly = UniPoly([Fraction(c) for c in coeffs])
-    d = discriminant(poly)
-    if d.denominator != 1:
-        raise ValueError("integer quartic produced a fractional discriminant")
-    return d.numerator
+    """Discriminant of e + d t + c t^2 + b t^3 + a t^4 (ascending integer
+    coefficients) from its closed form."""
+    e, d, c, b, a = coeffs
+    return (
+        256 * a**3 * e**3 - 192 * a**2 * b * d * e**2
+        - 128 * a**2 * c**2 * e**2 + 144 * a**2 * c * d**2 * e
+        - 27 * a**2 * d**4 + 144 * a * b**2 * c * e**2
+        - 6 * a * b**2 * d**2 * e - 80 * a * b * c**2 * d * e
+        + 18 * a * b * c * d**3 + 16 * a * c**4 * e - 4 * a * c**3 * d**2
+        - 27 * b**4 * e**2 + 18 * b**3 * c * d * e - 4 * b**3 * d**3
+        - 4 * b**2 * c**3 * e + b**2 * c**2 * d**2
+    )
 
 
 def resolvent_cubic(coefficients):
@@ -367,18 +374,26 @@ def quadratic_subfield(weil, analysis=None):
 
 def tate_condition(weil_or_coefficients):
     """True when the Frobenius quartic has no repeated root, so its
-    eigenvalue structure is fully separable."""
+    eigenvalue structure is fully separable.
+
+    Accepts a Weil polynomial or 5 ascending integer coefficients; a zero
+    leading or constant coefficient raises ValueError.
+    """
     coeffs = _frobenius_coefficients(weil_or_coefficients)
-    poly = UniPoly([Fraction(c) for c in coeffs])
-    return bool(discriminant(poly))
+    return bool(_quartic_discriminant(coeffs))
 
 
 def _frobenius_coefficients(source):
     if hasattr(source, "frobenius_coefficients"):
-        return tuple(int(c) for c in source.frobenius_coefficients)
-    coeffs = tuple(int(c) for c in source)
-    if len(coeffs) != 5:
-        raise ValueError("need 5 ascending quartic coefficients")
+        coeffs = tuple(int(c) for c in source.frobenius_coefficients)
+    else:
+        coeffs = tuple(int(c) for c in source)
+        if len(coeffs) != 5:
+            raise ValueError("need 5 ascending quartic coefficients")
+    if not coeffs[0] or not coeffs[4]:
+        raise ValueError(
+            "need a quartic with nonzero leading and constant coefficients"
+        )
     return coeffs
 
 
@@ -453,6 +468,44 @@ class RootRatioReport:
         return f"RootRatioReport(orders={list(self.orders)!r})"
 
 
+def _power_sums(coefficients, count):
+    """Power sums s_0..s_count of the roots of a monic integer quartic
+    (ascending coefficients), by Newton's identities."""
+    e, d, c, b, _ = coefficients
+    elementary = (b, c, d, e)
+    sums = [4]
+    for k in range(1, count + 1):
+        total = -k * elementary[k - 1] if k <= 4 else 0
+        for i in range(1, min(k, 5)):
+            total -= elementary[i - 1] * sums[k - i]
+        sums.append(total)
+    return sums
+
+
+@lru_cache(maxsize=32)
+def _scanned_cyclotomics(max_order, phi_bound):
+    """(n, cyclotomic(n)) for every n <= max_order with phi(n) <=
+    phi_bound."""
+    return tuple(
+        (n, cyclotomic(n))
+        for n in range(1, max_order + 1)
+        if euler_phi(n) <= phi_bound
+    )
+
+
+def _divisible_by_monic(poly, divisor):
+    """Whether a monic integer polynomial divides an integer polynomial
+    (both ascending)."""
+    rem = list(poly)
+    m = len(divisor) - 1
+    for top in range(len(rem) - 1, m - 1, -1):
+        q = rem[top]
+        if q:
+            for i, c in enumerate(divisor):
+                rem[top - m + i] -= q * c
+    return not any(rem[:m])
+
+
 def root_ratio_orders(weil_or_coefficients, *, max_order=90, phi_bound=24):
     """Scan the ratio polynomial of a separable quartic for cyclotomic
     factors.
@@ -460,7 +513,22 @@ def root_ratio_orders(weil_or_coefficients, *, max_order=90, phi_bound=24):
     The ratio polynomial is Res_t(P(t), P(u t)) with the forced (u - 1)^4
     factor removed; its roots are exactly the ratios of distinct
     eigenvalues. Returns the orders n <= max_order with phi(n) <=
-    phi_bound whose cyclotomic polynomial divides it.
+    phi_bound whose cyclotomic polynomial divides it. A zero leading or
+    constant coefficient raises ValueError.
+
+    For P = a t^4 + b t^3 + c t^2 + d t + e with roots r_i the resultant
+    is a^8 prod_{i,j} (u r_i - r_j), so the ratio polynomial is
+    a^4 e^4 prod_{i != j} (u - r_j / r_i). It is built from power sums,
+    without the resultant. The roots a r_i of the monic quartic
+    t^4 + b t^3 + ac t^2 + a^2 d t + a^3 e =: t^4 + ... + E have the same
+    ratios; beta_i = E / (a r_i) are the roots of the integer quartic
+    t^4 + (a^2 d) t^3 + (ac) E t^2 + b E^2 t + E^3, and the 12 algebraic
+    integers gamma_ij = (a r_j) beta_i = E r_j / r_i (i != j) have power
+    sums s_k T_k - 4 E^k, where s_k and T_k are the power sums of the two
+    quartics. Newton's identities turn those into the integer
+    coefficients h_k of prod (x - gamma_ij) = sum_k h_k x^(12 - k), and
+    the coefficient of u^(12 - k) in the ratio polynomial is
+    h_k a^4 e^4 / E^k, which must be an integer.
     """
     coeffs = _frobenius_coefficients(weil_or_coefficients)
     if not tate_condition(coeffs):
@@ -468,31 +536,27 @@ def root_ratio_orders(weil_or_coefficients, *, max_order=90, phi_bound=24):
             "repeated Frobenius eigenvalues: the ratio polynomial "
             "degenerates"
         )
-    names = ("u",)
-    u = MultiPoly.variable("u", names)
-    p_fixed = UniPoly([MultiPoly.constant(names, c) for c in coeffs])
-    p_scaled = UniPoly(
-        [MultiPoly.constant(names, c) * u ** k for k, c in enumerate(coeffs)]
-    )
-    res = resultant(p_fixed, p_scaled)
-    shifted = (u - 1) ** 4
-    ratio = res / shifted
-    degree = ratio.degree_in("u")
+    e, d, c, b, a = coeffs
+    big_e = a**3 * e
+    s = _power_sums((big_e, a * a * d, a * c, b, 1), 12)
+    t = _power_sums((big_e**3, b * big_e**2, a * c * big_e, a * a * d, 1), 12)
+    h = [1]
+    for k in range(1, 13):
+        total = sum(
+            h[k - i] * (s[i] * t[i] - 4 * big_e**i) for i in range(1, k + 1)
+        )
+        h.append(-total // k)  # exact: the h_k are integers
+    scale = a**4 * e**4
     ratio_coeffs = []
-    for k in range(degree + 1):
-        c = ratio.coefficient_of("u", k).constant_value()
-        if c.denominator != 1:
+    for k in range(12, -1, -1):
+        q, r = divmod(h[k] * scale, big_e**k)
+        if r:
             raise ArithmeticError("ratio polynomial must have integer entries")
-        ratio_coeffs.append(c.numerator)
-    ratio_poly = UniPoly([Fraction(c) for c in ratio_coeffs])
-    orders = []
-    for n in range(1, max_order + 1):
-        if euler_phi(n) > phi_bound:
-            continue
-        phi_n = UniPoly([Fraction(c) for c in cyclotomic(n)])
-        if ratio_poly.degree < phi_n.degree:
-            continue
-        _, rem = ratio_poly.divmod(phi_n)
-        if rem.is_zero():
-            orders.append(n)
+        ratio_coeffs.append(q)
+    orders = [
+        n
+        for n, phi_n in _scanned_cyclotomics(int(max_order), int(phi_bound))
+        if len(phi_n) <= len(ratio_coeffs)
+        and _divisible_by_monic(ratio_coeffs, phi_n)
+    ]
     return RootRatioReport(orders, ratio_coeffs, max_order, phi_bound)

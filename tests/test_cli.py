@@ -5,7 +5,9 @@ and rejection of counts no genus-2 curve can have.
 The certificate and count goldens were recorded with the counting code
 that scanned all of F_{p^2} with a table of square roots; the invariant,
 independence and divisor goldens with the exact-algebra kernel that
-validated every arithmetic result in the public constructor.
+validated every arithmetic result in the public constructor; the
+`frobenius` goldens with the ratio polynomial taken from a symbolic
+resultant and the quartic discriminant from a generic one.
 """
 
 import json
@@ -33,6 +35,8 @@ def run(argv, capsys):
         "verify_divisor_gar92",
         "invariants_kfs_12_17_29",
         "independence_gar92_seed7",
+        "frobenius_37_36_1442",
+        "frobenius_3_4_10",
     ],
 )
 def test_golden_envelopes(name, capsys):

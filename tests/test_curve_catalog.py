@@ -5,7 +5,10 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from spectral_torelli import curve_catalog
 from spectral_torelli.curve_catalog import (
     CurveFamily,
     HyperellipticCurve,
@@ -37,6 +40,7 @@ from spectral_torelli.errors import (
 )
 from spectral_torelli.exact_algebra import MultiPoly
 from spectral_torelli.finite_arithmetic import Fp
+from spectral_torelli.igusa_invariants import binary_sextic_discriminant
 
 KFS_POINT = {"h1": 12, "h2": 17, "s": 29}
 KFS_RATIONAL = (173, 408, 110, 10, 25, -2, 1)
@@ -123,6 +127,64 @@ def test_reduction_mod_p():
     tall = HyperellipticCurve([1, 1, 0, 0, 0, 37])
     with pytest.raises(BadReductionError):
         reduce_mod_p(tall, 37)
+
+
+def test_reduction_evaluates_one_discriminant(monkeypatch):
+    curve = catalog_get("KFS").specialize(KFS_POINT)
+    # x(x - 1)(x - 2)(x - 3)(x - 8) is squarefree, but 8 = 3 modulo 5
+    singular = HyperellipticCurve([0, 48, -94, 59, -14, 1])
+    calls = []
+
+    def counted(coefficients):
+        calls.append(coefficients)
+        return binary_sextic_discriminant(coefficients)
+
+    monkeypatch.setattr(curve_catalog, "binary_sextic_discriminant", counted)
+    reduce_mod_p(curve, 37)
+    assert len(calls) == 1
+    calls.clear()
+    with pytest.raises(BadReductionError) as info:
+        reduce_mod_p(singular, 5)
+    assert str(info.value) == (
+        "the reduction modulo 5 is singular (discriminant is 0)"
+    )
+    assert len(calls) == 1
+
+
+def _expect_discriminant(coefficients, zero):
+    """The curve's discriminant against the table evaluated on the
+    coefficient objects themselves; a zero one must be refused."""
+    padded = list(coefficients) + [zero] * (7 - len(coefficients))
+    expected = binary_sextic_discriminant(padded)
+    if not expected:
+        with pytest.raises(DegenerateCurveError):
+            HyperellipticCurve(coefficients)
+        return
+    got = HyperellipticCurve(coefficients).discriminant()
+    assert type(got) is type(expected)
+    assert got == expected
+
+
+@given(
+    st.lists(
+        st.fractions(min_value=-50, max_value=50, max_denominator=30),
+        min_size=6,
+        max_size=7,
+    )
+)
+def test_rational_discriminant_matches_the_generic_table(coefficients):
+    assume(coefficients[-1] != 0)
+    _expect_discriminant(coefficients, Fraction(0))
+
+
+@given(
+    st.sampled_from([3, 5, 7, 11, 37, 101, 547]),
+    st.lists(st.integers(0, 10**4), min_size=6, max_size=7),
+)
+def test_prime_field_discriminant_matches_the_generic_table(p, values):
+    coefficients = [Fp(v, p) for v in values]
+    assume(coefficients[-1])
+    _expect_discriminant(coefficients, Fp(0, p))
 
 
 def test_curve_validation():

@@ -8,6 +8,8 @@ import random
 import numpy
 import pytest
 import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 from sympy.abc import t
 from sympy.polys.numberfields.galoisgroups import galois_group as sympy_galois
 
@@ -20,6 +22,7 @@ from spectral_torelli.errors import (
 )
 from spectral_torelli.finite_arithmetic import PointCount, WeilPolynomial, weil_polynomial
 from spectral_torelli.galois_certificates import (
+    _quartic_discriminant,
     cyclotomic,
     euler_phi,
     factor_quartic,
@@ -332,7 +335,8 @@ class TestRootRatioOrders:
 
     def test_ratio_polynomial_matches_the_resultant_construction(self):
         u = sympy.symbols("u")
-        for ascending in ((1369, -74, 38, -2, 1), (9, 0, 0, 0, 1)):
+        # a non-monic quartic keeps the resultant's scale a^4 e^4 = 2^4 9^4
+        for ascending in ((1369, -74, 38, -2, 1), (9, 0, 0, 0, 1), (9, 0, 0, 0, 2)):
             report = root_ratio_orders(ascending)
             fixed = as_expr(ascending)
             scaled = sum(c * u**i * t**i for i, c in enumerate(ascending))
@@ -366,3 +370,70 @@ class TestRootRatioOrders:
         report = root_ratio_orders(WeilPolynomial(3, 0, 0))
         with pytest.raises(AttributeError):
             report.orders = ()
+
+
+class TestIntegerArithmeticAgainstSympy:
+    """The integer constructions against sympy's resultant, factorization
+    and discriminant."""
+
+    U = sympy.symbols("u")
+    # n <= 90 with phi(n) <= 24 whose cyclotomic polynomial fits degree 12
+    SMALL_ORDERS = [n for n in range(1, 91) if sympy.totient(n) <= 12]
+
+    def oracle(self, ascending):
+        u = self.U
+        fixed = as_expr(ascending)
+        scaled = sum(c * u**i * t**i for i, c in enumerate(ascending))
+        ratio = sympy.Poly(
+            sympy.cancel(sympy.resultant(fixed, scaled, t) / (u - 1) ** 4), u
+        )
+        factors = {f for f, _ in ratio.factor_list()[1]}
+        orders = tuple(
+            n for n in self.SMALL_ORDERS
+            if sympy.Poly(sympy.cyclotomic_poly(n, u), u) in factors
+        )
+        return tuple(reversed(ratio.all_coeffs())), orders
+
+    def check_ratio_report(self, ascending):
+        disc = sympy.discriminant(as_expr(ascending), t)
+        if disc == 0:
+            with pytest.raises(StructureError):
+                root_ratio_orders(ascending)
+            return
+        report = root_ratio_orders(ascending)
+        coefficients, orders = self.oracle(ascending)
+        assert report.ratio_coefficients == coefficients
+        assert report.orders == orders
+
+    @given(st.data())
+    def test_weil_triples(self, data):
+        p = data.draw(st.sampled_from([3, 5, 7, 11, 13, 37, 53, 101, 1009]))
+        bound = math.isqrt(16 * p)
+        a1 = data.draw(st.integers(-bound, bound))
+        a2 = data.draw(st.integers(-2 * p, 6 * p))
+        self.check_ratio_report(WeilPolynomial(p, a1, a2).frobenius_coefficients)
+
+    @given(
+        st.integers(-12, 12).filter(bool),
+        st.lists(st.integers(-12, 12), min_size=3, max_size=3),
+        st.integers(-12, 12).filter(bool),
+    )
+    def test_integer_quartics(self, constant, middle, lead):
+        self.check_ratio_report((constant, *middle, lead))
+
+    def test_zero_lead_or_constant_is_rejected(self):
+        for ascending in ((6, 1, 3, 2, 0), (0, 1, 3, 2, 1), (0, 0, 0, 0, 1)):
+            with pytest.raises(ValueError):
+                root_ratio_orders(ascending)
+            with pytest.raises(ValueError):
+                tate_condition(ascending)
+
+    @given(
+        st.integers(-10**6, 10**6).filter(bool),
+        st.lists(st.integers(-10**6, 10**6), min_size=4, max_size=4),
+    )
+    def test_quartic_discriminant(self, lead, rest):
+        ascending = (*rest, lead)
+        assert _quartic_discriminant(ascending) == sympy.discriminant(
+            as_expr(ascending), t
+        )
