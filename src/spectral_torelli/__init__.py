@@ -30,7 +30,6 @@ from .curve_catalog import (
     mat_i_weierstrass_family,
     mat_iii_quartic,
     quadratic_resolvent_curve,
-    quintic_normal_form_family,
     reduce_mod_p,
     GAR52_32,
     GAR92,

@@ -9,6 +9,7 @@ came back false, 2 input errors, 3 degenerate curve or bad reduction,
 """
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -268,7 +269,10 @@ def _add_curve_source(parser):
     )
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process and reused by every
+    `main` call."""
     parser = argparse.ArgumentParser(
         prog="spectral-torelli",
         description=(

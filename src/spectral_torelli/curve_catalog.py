@@ -14,6 +14,7 @@ import os
 from fractions import Fraction
 from functools import lru_cache
 
+from ._record import Frozen, Record
 from .errors import (
     AlignmentError,
     BadReductionError,
@@ -45,7 +46,7 @@ LAX_PHASE = ("q1", "p1", "q2", "p2")
 _LAX_VARS = LAX_PHASE + ("s1", "s2")
 
 
-class HyperellipticCurve:
+class HyperellipticCurve(Frozen):
     """y^2 = f(x) with f squarefree of degree 5 or 6, over Q or F_p."""
 
     __slots__ = ("coefficients", "degree", "characteristic")
@@ -77,9 +78,6 @@ class HyperellipticCurve:
             raise DegenerateCurveError(
                 "f has a repeated root: the model is singular"
             )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HyperellipticCurve is immutable")
 
     def sextic_coefficients(self):
         zero = self.coefficients[0] * 0
@@ -117,7 +115,7 @@ class HyperellipticCurve:
         )
 
 
-class CurveFamily:
+class CurveFamily(Frozen):
     """A parameterized genus-2 model: ascending coefficients of f(x) as
     polynomials in the family parameters. Validity (a squarefree f) is
     generic; specialization checks it at each chosen parameter point."""
@@ -153,9 +151,6 @@ class CurveFamily:
         object.__setattr__(self, "coefficients", tuple(lifted))
         object.__setattr__(self, "degree", len(lifted) - 1)
         object.__setattr__(self, "metadata", dict(metadata or {}))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CurveFamily is immutable")
 
     def with_identifier(self, identifier, **extra_metadata):
         meta = dict(self.metadata)
@@ -203,7 +198,7 @@ class CurveFamily:
         )
 
 
-class PlaneSpectralCurve:
+class PlaneSpectralCurve(Frozen):
     """Affine plane model F(x, y; parameters) = 0 of a spectral curve."""
 
     __slots__ = ("polynomial", "x_name", "y_name")
@@ -217,9 +212,6 @@ class PlaneSpectralCurve:
         object.__setattr__(self, "polynomial", polynomial)
         object.__setattr__(self, "x_name", x_name)
         object.__setattr__(self, "y_name", y_name)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PlaneSpectralCurve is immutable")
 
     @property
     def parameters(self):
@@ -436,18 +428,6 @@ def catalog_entries():
     return out
 
 
-def quintic_normal_form_family():
-    """x^5 + s1 x^3 + s2 x^2 + h1 x + h2: the depressed quintic whose
-    coefficient slots are the reference frame for invariant formulas."""
-    return _family_from_strings(
-        None,
-        ("h1", "h2", "s1", "s2"),
-        ["h2", "h1", "s2", "s1", "0", "1"],
-        5,
-        {"description": "depressed quintic normal form"},
-    )
-
-
 def reduce_mod_p(curve, p):
     """Reduce a rational curve modulo an odd prime, requiring good
     reduction: denominators coprime to p, degree preserved, and the
@@ -628,21 +608,11 @@ def lax_spectral_curve(convention="hamiltonian"):
     return PlaneSpectralCurve(det, "x", "y")
 
 
-class SpectralIdentityReport:
+class SpectralIdentityReport(Record):
     """Comparison of det(y*I - A(x)) against the spectral quintic written
     through the commuting Hamiltonians."""
 
     __slots__ = ("convention", "characteristic_polynomial", "expected")
-
-    def __init__(self, convention, characteristic_polynomial, expected):
-        object.__setattr__(self, "convention", convention)
-        object.__setattr__(
-            self, "characteristic_polynomial", characteristic_polynomial
-        )
-        object.__setattr__(self, "expected", expected)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SpectralIdentityReport is immutable")
 
     @property
     def difference(self):

@@ -17,6 +17,7 @@ geometrically.
 
 from fractions import Fraction
 
+from ._record import Record
 from .curve_catalog import (
     CurveFamily,
     HyperellipticCurve,
@@ -100,7 +101,7 @@ def rational_json(value):
     return {"num": str(frac.numerator), "den": str(frac.denominator)}
 
 
-class EndoCertificate:
+class EndoCertificate(Record):
     """Outcome of the two-prime endomorphism check, with the full
     per-prime evidence trail."""
 
@@ -109,16 +110,8 @@ class EndoCertificate:
 
     def __init__(self, source, point, primes, geometric, records,
                  verdict, reasons):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "primes", tuple(primes))
-        object.__setattr__(self, "geometric", bool(geometric))
-        object.__setattr__(self, "records", tuple(records))
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "reasons", tuple(reasons))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EndoCertificate is immutable")
+        super().__init__(source, point, tuple(primes), bool(geometric),
+                         tuple(records), verdict, tuple(reasons))
 
     @property
     def trivial(self):
@@ -139,12 +132,6 @@ class EndoCertificate:
             "verdict": self.verdict,
             "reasons": list(self.reasons),
         }
-
-    def __repr__(self):
-        return (
-            f"EndoCertificate(source={self.source!r}, "
-            f"primes={list(self.primes)!r}, verdict={self.verdict!r})"
-        )
 
 
 def frobenius_verdict(weil, *, ratios=True):
@@ -354,7 +341,7 @@ def degeneration_note(family_from, family_to):
     }
 
 
-class DivisorIdentityReport:
+class DivisorIdentityReport(Record):
     """Staged comparison between the Laurent divisor data of the
     rank-9/2 flow and its spectral quintic."""
 
@@ -363,15 +350,8 @@ class DivisorIdentityReport:
 
     def __init__(self, stages, flow_reports, eliminated, transformed,
                  spectral, difference):
-        object.__setattr__(self, "stages", tuple(stages))
-        object.__setattr__(self, "flow_reports", dict(flow_reports))
-        object.__setattr__(self, "eliminated", eliminated)
-        object.__setattr__(self, "transformed", transformed)
-        object.__setattr__(self, "spectral", spectral)
-        object.__setattr__(self, "difference", difference)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DivisorIdentityReport is immutable")
+        super().__init__(tuple(stages), dict(flow_reports), eliminated,
+                         transformed, spectral, difference)
 
     @property
     def identical(self):

@@ -11,6 +11,7 @@ is what the resultant and discriminant routines rely on.
 import operator
 from fractions import Fraction
 
+from ._record import Frozen
 from .errors import (
     AlignmentError,
     DegreeBoundError,
@@ -43,7 +44,7 @@ def _check_distinct(variables):
 _add = operator.add
 
 
-class MultiPoly:
+class MultiPoly(Frozen):
     """Sparse multivariate polynomial over Q.
 
     Terms are stored as a map from exponent tuples to nonzero Fractions.
@@ -77,9 +78,6 @@ class MultiPoly:
             clean[exponents] = coeff
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiPoly is immutable")
 
     @classmethod
     def _trusted(cls, variables, terms):
@@ -590,7 +588,7 @@ def _domain_zero(sample):
     return sample * 0
 
 
-class UniPoly:
+class UniPoly(Frozen):
     """Dense univariate polynomial over a generic coefficient domain.
 
     Coefficients are stored ascending (index = degree). The zero polynomial
@@ -611,9 +609,6 @@ class UniPoly:
                 f"degree {len(coeffs) - 1} exceeds bound {MAX_UNIPOLY_DEGREE}"
             )
         object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UniPoly is immutable")
 
     @property
     def degree(self):
@@ -881,7 +876,7 @@ def discriminant(f):
     return value / lead
 
 
-class Jet1:
+class Jet1(Frozen):
     """First-order jet: a value plus exact first partials with respect to
     a fixed tuple of tracked parameters. Arithmetic follows the product
     and quotient rules exactly.
@@ -899,9 +894,6 @@ class Jet1:
         object.__setattr__(
             self, "partials", tuple(_as_fraction(p) for p in partials)
         )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Jet1 is immutable")
 
     @classmethod
     def _trusted(cls, value, partials):

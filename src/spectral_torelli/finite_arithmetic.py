@@ -12,6 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
+from ._record import Frozen, Record
 from .errors import BadReductionError, InconsistentCountsError
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -71,7 +72,7 @@ def smallest_nonresidue(p):
     raise ValueError(f"no quadratic non-residue modulo {p}")
 
 
-class Fp:
+class Fp(Frozen):
     """Element of the prime field Z/pZ, p an odd prime.
 
     Mixed arithmetic with int and Fraction is supported; a Fraction whose
@@ -84,9 +85,6 @@ class Fp:
         p = _validated_odd_prime(p)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "value", _to_residue(value, p))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Fp is immutable")
 
     def _coerce(self, other):
         if isinstance(other, Fp):
@@ -186,7 +184,7 @@ def _to_residue(value, p):
     raise TypeError(f"cannot reduce {type(value).__name__} modulo {p}")
 
 
-class Fp2:
+class Fp2(Frozen):
     """Element a + b*z of F_{p^2}, where z^2 equals the smallest
     positive quadratic non-residue modulo p."""
 
@@ -198,9 +196,6 @@ class Fp2:
         object.__setattr__(self, "nonresidue", smallest_nonresidue(p))
         object.__setattr__(self, "a", _to_residue(a, p))
         object.__setattr__(self, "b", _to_residue(b, p))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Fp2 is immutable")
 
     @classmethod
     def embed(cls, value, p):
@@ -412,26 +407,13 @@ def _count_quadratic(coeffs, degree, p):
     return affine + 2
 
 
-class PointCount:
+class PointCount(Record):
     """Counts of a reduction over F_p and F_{p^2}."""
 
     __slots__ = ("p", "n1", "n2")
 
     def __init__(self, p, n1, n2):
-        object.__setattr__(self, "p", int(p))
-        object.__setattr__(self, "n1", int(n1))
-        object.__setattr__(self, "n2", int(n2))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PointCount is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, PointCount):
-            return NotImplemented
-        return (self.p, self.n1, self.n2) == (other.p, other.n1, other.n2)
-
-    def __repr__(self):
-        return f"PointCount(p={self.p}, n1={self.n1}, n2={self.n2})"
+        super().__init__(int(p), int(n1), int(n2))
 
 
 def point_counts(source, p):
@@ -442,7 +424,7 @@ def point_counts(source, p):
     )
 
 
-class WeilPolynomial:
+class WeilPolynomial(Record):
     """Degree-4 Weil data of a genus-2 reduction at p.
 
     l_coefficients: ascending numerator of the zeta function,
@@ -454,12 +436,7 @@ class WeilPolynomial:
     __slots__ = ("p", "a1", "a2")
 
     def __init__(self, p, a1, a2):
-        object.__setattr__(self, "p", int(p))
-        object.__setattr__(self, "a1", int(a1))
-        object.__setattr__(self, "a2", int(a2))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeilPolynomial is immutable")
+        super().__init__(int(p), int(a1), int(a2))
 
     @property
     def l_coefficients(self):
@@ -470,14 +447,6 @@ class WeilPolynomial:
     def frobenius_coefficients(self):
         p, a1, a2 = self.p, self.a1, self.a2
         return (p * p, -a1 * p, a2, -a1, 1)
-
-    def __eq__(self, other):
-        if not isinstance(other, WeilPolynomial):
-            return NotImplemented
-        return (self.p, self.a1, self.a2) == (other.p, other.a1, other.a2)
-
-    def __repr__(self):
-        return f"WeilPolynomial(p={self.p}, a1={self.a1}, a2={self.a2})"
 
 
 def weil_polynomial(counts):

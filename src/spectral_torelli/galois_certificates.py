@@ -14,6 +14,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from ._record import Record
 from .errors import (
     NonUniqueSubfieldError,
     NoQuadraticSubfieldError,
@@ -215,7 +216,7 @@ def resolvent_cubic(coefficients):
     )
 
 
-class QuarticAnalysis:
+class QuarticAnalysis(Record):
     """Galois classification of an irreducible monic integer quartic."""
 
     __slots__ = (
@@ -228,32 +229,11 @@ class QuarticAnalysis:
         "delta_pair",
     )
 
-    def __init__(
-        self,
-        coefficients,
-        group,
-        disc,
-        resolvent,
-        resolvent_roots,
-        distinguished_root,
-        delta_pair,
-    ):
-        object.__setattr__(self, "coefficients", tuple(coefficients))
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "discriminant", disc)
-        object.__setattr__(self, "resolvent", tuple(resolvent))
-        object.__setattr__(self, "resolvent_roots", tuple(resolvent_roots))
-        object.__setattr__(self, "distinguished_root", distinguished_root)
-        object.__setattr__(self, "delta_pair", delta_pair)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuarticAnalysis is immutable")
-
-    def __repr__(self):
-        return (
-            f"QuarticAnalysis(group={self.group!r}, "
-            f"coefficients={list(self.coefficients)!r})"
-        )
+    def __init__(self, coefficients, group, discriminant, resolvent,
+                 resolvent_roots, distinguished_root, delta_pair):
+        super().__init__(tuple(coefficients), group, discriminant,
+                         tuple(resolvent), tuple(resolvent_roots),
+                         distinguished_root, delta_pair)
 
 
 def galois_group(coefficients):
@@ -298,29 +278,16 @@ def galois_group(coefficients):
     )
 
 
-class QuadraticSubfield:
+class QuadraticSubfield(Record):
     """The unique quadratic subfield of a quartic Frobenius field,
     presented by the minimal polynomial of the sum of an eigenvalue and
     its companion p/eigenvalue."""
 
     __slots__ = ("p", "minimal_polynomial", "discriminant", "core")
 
-    def __init__(self, p, minimal_polynomial, disc, core):
-        object.__setattr__(self, "p", int(p))
-        object.__setattr__(
-            self, "minimal_polynomial", tuple(int(c) for c in minimal_polynomial)
-        )
-        object.__setattr__(self, "discriminant", int(disc))
-        object.__setattr__(self, "core", int(core))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadraticSubfield is immutable")
-
-    def __repr__(self):
-        return (
-            f"QuadraticSubfield(p={self.p}, core={self.core}, "
-            f"minimal_polynomial={list(self.minimal_polynomial)!r})"
-        )
+    def __init__(self, p, minimal_polynomial, discriminant, core):
+        super().__init__(int(p), tuple(int(c) for c in minimal_polynomial),
+                         int(discriminant), int(core))
 
 
 def quadratic_subfield(weil, analysis=None):
@@ -439,7 +406,7 @@ def cyclotomic(n):
     return tuple(out)
 
 
-class RootRatioReport:
+class RootRatioReport(Record):
     """Cyclotomic structure of the ratios of Frobenius eigenvalues.
 
     `orders` lists every n (within the scanned window) such that some
@@ -450,22 +417,12 @@ class RootRatioReport:
     __slots__ = ("orders", "ratio_coefficients", "max_order", "phi_bound")
 
     def __init__(self, orders, ratio_coefficients, max_order, phi_bound):
-        object.__setattr__(self, "orders", tuple(orders))
-        object.__setattr__(
-            self, "ratio_coefficients", tuple(ratio_coefficients)
-        )
-        object.__setattr__(self, "max_order", int(max_order))
-        object.__setattr__(self, "phi_bound", int(phi_bound))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RootRatioReport is immutable")
+        super().__init__(tuple(orders), tuple(ratio_coefficients),
+                         int(max_order), int(phi_bound))
 
     @property
     def clean(self):
         return not self.orders
-
-    def __repr__(self):
-        return f"RootRatioReport(orders={list(self.orders)!r})"
 
 
 def _power_sums(coefficients, count):

@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
+from ._record import Frozen, Record
 from .errors import (
     AlignmentError,
     DegenerateCurveError,
@@ -112,7 +113,7 @@ def _lift_common(coeffs):
     return coeffs
 
 
-class _Form:
+class _Form(Frozen):
     """Homogeneous binary form, ascending powers of the first variable."""
 
     __slots__ = ("degree", "coefficients")
@@ -123,9 +124,6 @@ class _Form:
             raise DegreeBoundError("coefficient count does not match degree")
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coefficients", coefficients)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("_Form is immutable")
 
     def dx(self):
         c = self.coefficients
@@ -200,20 +198,10 @@ def _is_zero_value(x):
     return x == 0
 
 
-class IgusaInvariants:
+class IgusaInvariants(Record):
     """The tuple (J2, J4, J6, J8, J10), weighted by coefficient degree."""
 
     __slots__ = ("j2", "j4", "j6", "j8", "j10")
-
-    def __init__(self, j2, j4, j6, j8, j10):
-        object.__setattr__(self, "j2", j2)
-        object.__setattr__(self, "j4", j4)
-        object.__setattr__(self, "j6", j6)
-        object.__setattr__(self, "j8", j8)
-        object.__setattr__(self, "j10", j10)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IgusaInvariants is immutable")
 
     def as_tuple(self):
         return (self.j2, self.j4, self.j6, self.j8, self.j10)
@@ -237,17 +225,6 @@ class IgusaInvariants:
             self.j4 / (j2 * j2),
             self.j6 / (j2 * j2 * j2),
             self.j10 / (j2 ** 5),
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, IgusaInvariants):
-            return NotImplemented
-        return self.as_tuple() == other.as_tuple()
-
-    def __repr__(self):
-        return (
-            f"IgusaInvariants(j2={self.j2!r}, j4={self.j4!r}, j6={self.j6!r}, "
-            f"j8={self.j8!r}, j10={self.j10!r})"
         )
 
 
@@ -281,27 +258,14 @@ def igusa(source):
     return IgusaInvariants(j2, j4, j6, j8, j10)
 
 
-class RankReport:
+class RankReport(Record):
     """Outcome of a randomized invariant-independence search."""
 
     __slots__ = ("identifier", "rank", "witness", "trials", "rejected", "seed")
 
     def __init__(self, identifier, rank, witness, trials, rejected, seed):
-        object.__setattr__(self, "identifier", identifier)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "witness", dict(witness))
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "rejected", rejected)
-        object.__setattr__(self, "seed", seed)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RankReport is immutable")
-
-    def __repr__(self):
-        return (
-            f"RankReport(identifier={self.identifier!r}, rank={self.rank}, "
-            f"witness={self.witness!r})"
-        )
+        super().__init__(identifier, rank, dict(witness), trials, rejected,
+                         seed)
 
 
 def rank_at_point(family, point):

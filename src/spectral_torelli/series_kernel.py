@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
+from ._record import Frozen, Record
 from .errors import AlignmentError, TruncationError
 from .exact_algebra import MultiPoly
 
@@ -30,7 +31,7 @@ def _clamp(n):
     return EXACT if n >= EXACT else n
 
 
-class TruncatedSeries:
+class TruncatedSeries(Frozen):
     """Laurent series known modulo O(t^truncation).
 
     Coefficients are MultiPoly over a fixed variable list; exponents absent
@@ -61,9 +62,6 @@ class TruncatedSeries:
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "coefficients", clean)
         object.__setattr__(self, "truncation", truncation)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
 
     @classmethod
     def exact_constant(cls, variables, value):
@@ -234,7 +232,7 @@ class TruncatedSeries:
         return f"TruncatedSeries({self})"
 
 
-class LaurentSolution:
+class LaurentSolution(Record):
     """The four phase series q1, p1, q2, p2 of one Laurent solution."""
 
     __slots__ = ("q1", "p1", "q2", "p2")
@@ -243,13 +241,7 @@ class LaurentSolution:
         for s in (q1, p1, q2, p2):
             if s.variables != q1.variables:
                 raise AlignmentError("phase series over mixed variable lists")
-        object.__setattr__(self, "q1", q1)
-        object.__setattr__(self, "p1", p1)
-        object.__setattr__(self, "q2", q2)
-        object.__setattr__(self, "p2", p2)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentSolution is immutable")
+        super().__init__(q1, p1, q2, p2)
 
     @property
     def variables(self):
@@ -264,6 +256,9 @@ class LaurentSolution:
         parts = {name: getattr(self, name) for name in PHASE_VARIABLES}
         parts.update(kwargs)
         return LaurentSolution(**parts)
+
+    def __repr__(self):
+        return f"LaurentSolution(variables={list(self.variables)!r})"
 
 
 @lru_cache(maxsize=1)
@@ -444,15 +439,14 @@ def substitute_hamiltonian(H, sol, max_order=4):
     return result
 
 
-class ResidualCheck:
+class ResidualCheck(Record):
     """One flow-equation residual and what could be checked about it."""
 
-    __slots__ = ("label", "residual", "unchecked_from")
+    __slots__ = ("label", "residual")
 
-    def __init__(self, label, residual):
-        self.label = label
-        self.residual = residual
-        self.unchecked_from = residual.truncation
+    @property
+    def unchecked_from(self):
+        return self.residual.truncation
 
     @property
     def vanishes(self):
@@ -477,13 +471,13 @@ class ResidualCheck:
         )
 
 
-class FlowResidualReport:
+class FlowResidualReport(Record):
     """All four Hamilton-flow residuals for one Hamiltonian."""
 
     __slots__ = ("checks",)
 
     def __init__(self, checks):
-        self.checks = tuple(checks)
+        super().__init__(tuple(checks))
 
     @property
     def all_zero(self):

@@ -1,21 +1,27 @@
 """The command-line front end: golden JSON envelopes and exit codes for
-the certificate, count, invariant, independence and divisor commands,
-and rejection of counts no genus-2 curve can have.
+the certificate, count, invariant, independence, divisor, catalog and
+Galois commands, and rejection of counts no genus-2 curve can have.
 
-The certificate and count goldens were recorded with the counting code
-that scanned all of F_{p^2} with a table of square roots; the invariant,
-independence and divisor goldens with the exact-algebra kernel that
-validated every arithmetic result in the public constructor; the
-`frobenius` goldens with the ratio polynomial taken from a symbolic
-resultant and the quartic discriminant from a generic one.
+The `catalog` and `galois` goldens were recorded before the record types
+moved onto a shared immutable-record base; the certificate and count
+goldens with the counting code that scanned all of F_{p^2} with a
+table of square roots; the invariant, independence and divisor goldens
+with the exact-algebra kernel that validated every arithmetic result in
+the public constructor; the `frobenius` goldens with the ratio
+polynomial taken from a symbolic resultant and the quartic discriminant
+from a generic one.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from spectral_torelli.cli import main
+import spectral_torelli
+from spectral_torelli.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -37,6 +43,9 @@ def run(argv, capsys):
         "independence_gar92_seed7",
         "frobenius_37_36_1442",
         "frobenius_3_4_10",
+        "catalog",
+        "galois_d4",
+        "galois_reducible",
     ],
 )
 def test_golden_envelopes(name, capsys):
@@ -44,6 +53,46 @@ def test_golden_envelopes(name, capsys):
     code, envelope = run(golden["argv"], capsys)
     assert code == golden["exit_code"]
     assert envelope == golden["envelope"]
+
+
+def test_consecutive_commands_reuse_one_parser(capsys):
+    # The parser is built once per process; options of one call (here
+    # --geometric) must not leak into the next.
+    for name in ("certify_kfs_37_53", "frobenius_37_36_1442",
+                 "certify_gar92_101_103"):
+        golden = json.loads((GOLDEN / f"{name}.json").read_text())
+        assert run(golden["argv"], capsys) == (
+            golden["exit_code"], golden["envelope"]
+        )
+    assert build_parser() is build_parser()
+
+
+_IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+import spectral_torelli, spectral_torelli.cli
+after = set(sys.modules)
+import json
+print(json.dumps({"new": sorted(after - before), "all": sorted(after)}))
+"""
+
+
+def test_import_loads_only_the_standard_library():
+    # The package has no runtime dependencies, and stays clear of
+    # dataclasses and inspect, whose import adds several milliseconds to
+    # the start-up of every process.
+    src = str(Path(spectral_torelli.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True,
+        text=True, check=True,
+    ).stdout
+    modules = json.loads(out)
+    foreign = {
+        name.split(".")[0] for name in modules["new"]
+    } - set(sys.stdlib_module_names) - {"spectral_torelli"}
+    assert not foreign
+    assert not {"dataclasses", "inspect"} & set(modules["all"])
 
 
 def test_certify_rejects_equal_primes(capsys):

@@ -1,16 +1,22 @@
 """Two-prime endomorphism certificates through the library API: input
-rejection, symmetry in the two primes, and the degeneration audit note.
+rejection, symmetry in the two primes (on the golden inputs and as a
+property over random curves), and the degeneration audit note.
 """
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spectral_torelli import endo_pipeline
+from spectral_torelli.curve_catalog import HyperellipticCurve
 from spectral_torelli.endo_pipeline import (
     INCONCLUSIVE,
     TRIVIAL_GEOMETRIC_END,
     certify_endomorphisms,
     degeneration_note,
 )
+from spectral_torelli.errors import DegenerateCurveError
+from spectral_torelli.finite_arithmetic import is_prime
 from spectral_torelli.igusa_invariants import frozen_rank_witnesses
 
 KFS_POINT = {"h1": 12, "h2": 17, "s": 29}
@@ -42,6 +48,31 @@ def test_verdict_is_symmetric_in_the_primes(family, point, primes, geometric, ve
         family, point, *reversed(primes), geometric=geometric
     )
     assert forward.verdict == backward.verdict == verdict
+    assert forward.records == tuple(reversed(backward.records))
+
+
+ODD_PRIMES = [p for p in range(29, 111) if is_prime(p)]
+
+
+# Each certificate takes a few milliseconds; 60 examples stay under 1 s.
+@settings(max_examples=60)
+@given(
+    coefficients=st.lists(st.integers(-6, 6), min_size=6, max_size=7),
+    primes=st.lists(st.sampled_from(ODD_PRIMES), min_size=2, max_size=2,
+                    unique=True),
+    geometric=st.booleans(),
+)
+def test_verdict_is_symmetric_over_random_curves(coefficients, primes,
+                                                 geometric):
+    try:
+        curve = HyperellipticCurve(coefficients)
+    except DegenerateCurveError:
+        assume(False)
+    forward = certify_endomorphisms(curve, None, *primes, geometric=geometric)
+    backward = certify_endomorphisms(
+        curve, None, *reversed(primes), geometric=geometric
+    )
+    assert forward.verdict == backward.verdict
     assert forward.records == tuple(reversed(backward.records))
 
 

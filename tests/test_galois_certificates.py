@@ -202,8 +202,6 @@ class TestGaloisGroup:
         assert analysis.resolvent_roots == (0,)
         assert analysis.distinguished_root == 0
         assert analysis.delta_pair == (0, 12)
-        with pytest.raises(AttributeError):
-            analysis.group = "C4"
 
     def test_reducible_quartic_carries_its_factors(self):
         with pytest.raises(ReducibleQuarticError) as info:
@@ -225,8 +223,6 @@ class TestQuadraticSubfield:
         assert sub53.core == 33
         assert sub53.minimal_polynomial == (-6, 3, 1)
         assert sub53.discriminant == 33
-        with pytest.raises(AttributeError):
-            sub.core = 0
 
     def test_minimal_polynomial_annihilates_the_trace_sum(self):
         # alpha + p/alpha must satisfy the printed quadratic
@@ -365,11 +361,6 @@ class TestRootRatioOrders:
     def test_repeated_eigenvalues_are_rejected(self):
         with pytest.raises(StructureError):
             root_ratio_orders((25, 0, -10, 0, 1))
-
-    def test_report_is_immutable(self):
-        report = root_ratio_orders(WeilPolynomial(3, 0, 0))
-        with pytest.raises(AttributeError):
-            report.orders = ()
 
 
 class TestIntegerArithmeticAgainstSympy:
