@@ -357,13 +357,6 @@ class DivisorIdentityReport(Record):
     def identical(self):
         return all(ok for _, ok, _ in self.stages)
 
-    def summary(self):
-        lines = []
-        for name, ok, note in self.stages:
-            status = "ok" if ok else "FAIL"
-            lines.append(f"{name}: {status}" + (f" ({note})" if note else ""))
-        return "\n".join(lines)
-
     def __repr__(self):
         status = "identical" if self.identical else "broken"
         return f"DivisorIdentityReport({status}, stages={len(self.stages)})"

@@ -106,14 +106,6 @@ class MultiPoly(Frozen):
         exps = tuple(1 if v == name else 0 for v in variables)
         return cls(variables, {exps: Fraction(1)})
 
-    @classmethod
-    def from_terms(cls, variables, terms):
-        merged = {}
-        for exponents, coeff in terms:
-            exponents = tuple(exponents)
-            merged[exponents] = merged.get(exponents, Fraction(0)) + _as_fraction(coeff)
-        return cls(variables, merged)
-
     # predicates and accessors
 
     def is_zero(self):
@@ -711,9 +703,6 @@ class UniPoly(Frozen):
             acc = c if acc is None else acc * x + c
         return acc
 
-    def map_coefficients(self, fn):
-        return UniPoly([fn(c) for c in self.coeffs])
-
     def shifted(self, k):
         """Multiply by x^k."""
         if k < 0:
@@ -753,12 +742,6 @@ class UniPoly(Frozen):
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
-
-    def exact_quotient(self, other):
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise ExactDivisionError("univariate division left a remainder")
-        return q
 
     def __str__(self, var="x"):
         if self.is_zero():

@@ -6,6 +6,18 @@ whether the discriminant is a square), three give V4, and exactly one
 leaves D4 versus C4, decided by whether the two auxiliary quadratics
 split over the discriminant field.
 
+Why a V4 prime is not evidence of a trivial endomorphism ring. At a
+prime with an irreducible Weil quartic, End^0(J_p) = Q(pi) is a quartic
+CM field, and End^0_Q(J) embeds in it. Under D4 or C4 the only quadratic
+subfield is the real K0 = Q(sqrt(a1^2 - 4 a2 + 8p)), so an imaginary
+quadratic End^0_Q(J) cannot embed, and a real quadratic one must equal
+K0; two such primes with different real cores leave only Q. Under V4,
+Q(pi) = K0(sqrt(-d)) is biquadratic and also has the two imaginary
+quadratic subfields Q(sqrt(-d)) and Q(sqrt(-d * disc K0)). An imaginary
+quadratic End^0_Q(J) would embed in the fields of two V4 primes whatever
+their real cores are, so comparing real cores does not exclude it, and
+`quadratic_subfield` reports the V4 candidates without choosing one.
+
 Everything is exact integer/rational arithmetic; nothing here needs the
 curve modules.
 """

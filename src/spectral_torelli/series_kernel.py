@@ -99,19 +99,28 @@ class TruncatedSeries(Frozen):
                 f"{other.variables!r}"
             )
 
+    def _coerce(self, other):
+        """An aligned series; int, Fraction and MultiPoly scalars become
+        exact constants."""
+        if isinstance(other, (int, Fraction, MultiPoly)):
+            return TruncatedSeries.exact_constant(self.variables, other)
+        if isinstance(other, TruncatedSeries):
+            self._check(other)
+            return other
+        return NotImplemented
+
     def __add__(self, other):
-        if not isinstance(other, TruncatedSeries):
+        other = self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
-        self._check(other)
         trunc = min(self.truncation, other.truncation)
-        out = {}
-        for exp in set(self.coefficients) | set(other.coefficients):
-            if exp >= trunc:
-                continue
-            c = self.coefficients.get(exp)
-            d = other.coefficients.get(exp)
-            out[exp] = c + d if c is not None and d is not None else (c or d)
+        out = {e: c for e, c in self.coefficients.items() if e < trunc}
+        for e, d in other.coefficients.items():
+            if e < trunc:
+                out[e] = out[e] + d if e in out else d
         return TruncatedSeries(self.variables, out, trunc)
+
+    __radd__ = __add__
 
     def __neg__(self):
         return TruncatedSeries(
@@ -121,29 +130,19 @@ class TruncatedSeries(Frozen):
         )
 
     def __sub__(self, other):
-        if not isinstance(other, TruncatedSeries):
+        other = self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, MultiPoly)):
-            if isinstance(other, MultiPoly):
-                if other.variables != self.variables:
-                    raise AlignmentError("scalar over a different variable list")
-                scalar_zero = other.is_zero()
-            else:
-                scalar_zero = other == 0
-            if scalar_zero:
-                # zero times an unknown tail is still exactly zero
-                return TruncatedSeries.exact_zero(self.variables)
-            return TruncatedSeries(
-                self.variables,
-                {e: c * other for e, c in self.coefficients.items()},
-                self.truncation,
-            )
-        if not isinstance(other, TruncatedSeries):
+        other = self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
-        self._check(other)
+        for factor in (self, other):
+            if factor.truncation >= EXACT and not factor.coefficients:
+                # zero times an unknown tail is still exactly zero
+                return factor
         # the unknown tail of one factor meets the valuation of the other;
         # an exactly known factor has no tail and imposes no bound
         bounds = []
@@ -156,13 +155,8 @@ class TruncatedSeries(Frozen):
         for e1, c1 in self.coefficients.items():
             for e2, c2 in other.coefficients.items():
                 e = e1 + e2
-                if e >= trunc:
-                    continue
-                prod = c1 * c2
-                if e in out:
-                    out[e] = out[e] + prod
-                else:
-                    out[e] = prod
+                if e < trunc:
+                    out[e] = out[e] + c1 * c2 if e in out else c1 * c2
         return TruncatedSeries(self.variables, out, trunc)
 
     __rmul__ = __mul__
@@ -203,12 +197,11 @@ class TruncatedSeries(Frozen):
         """Equality of all coefficients on the shared known window."""
         self._check(other)
         trunc = min(self.truncation, other.truncation)
-        for exp in set(self.coefficients) | set(other.coefficients):
-            if exp >= trunc:
-                continue
-            if not self.coefficient(exp) == other.coefficient(exp):
-                return False
-        return True
+        return all(
+            self.coefficient(e) == other.coefficient(e)
+            for e in set(self.coefficients) | set(other.coefficients)
+            if e < trunc
+        )
 
     def __str__(self):
         parts = []
@@ -318,22 +311,6 @@ def _tail_symbol(name, exp):
     return f"_tail_{name}_{tag}"
 
 
-def _monomial_factors(poly):
-    """Phase-variable factor multiset per term of a Hamiltonian, with the
-    term's coefficient polynomial part kept aside."""
-    factors = []
-    for exps, coeff in poly.sorted_terms():
-        phase = []
-        passive = {}
-        for var, e in zip(poly.variables, exps):
-            if var in PHASE_VARIABLES:
-                phase.extend([var] * e)
-            elif e:
-                passive[var] = e
-        factors.append((coeff, passive, tuple(phase)))
-    return factors
-
-
 def substitute_hamiltonian(H, sol, max_order=4):
     """Compose a phase-space polynomial with a Laurent solution.
 
@@ -355,83 +332,61 @@ def substitute_hamiltonian(H, sol, max_order=4):
         )
     valuations = {name: sol.series(name).valuation() for name in PHASE_VARIABLES}
 
-    # Soundness window: a tail coefficient of factor i in a monomial enters
-    # the composition at order >= (its exponent) + sum of the other factors'
-    # valuations. Placeholders must cover every exponent that could reach
-    # below max_order.
-    lo_rest_min = None
-    uses_phase = False
-    for _, _, phase in _monomial_factors(H):
-        if not phase:
-            continue
-        uses_phase = True
-        total = sum(valuations[v] for v in phase)
-        for v in set(phase):
-            rest = total - valuations[v]
-            if lo_rest_min is None or rest < lo_rest_min:
-                lo_rest_min = rest
-    if not uses_phase:
+    # Soundness window: a tail coefficient of factor v in a monomial enters
+    # the composition at order >= (its exponent) + the valuation of the
+    # rest of the monomial. Placeholders must cover every exponent that
+    # could reach below max_order.
+    rests = []
+    for exps in H.terms:
+        phase = [
+            (valuations[v], e) for v, e in zip(H.variables, exps)
+            if e and v in valuations
+        ]
+        if phase:
+            rests.append(sum(o * e for o, e in phase) - max(o for o, _ in phase))
+    if not rests:
         value = H.with_variables(tuple(sorted(set(base) | set(H.variables))))
         value = value.drop_to_variables(base)
         return TruncatedSeries(base, {0: value}, EXACT)
 
-    tail_top = max_order - lo_rest_min
-    tail_names = []
-    extended_window = {}
+    tail_top = max_order - min(rests)
+    tails = {
+        name: range(sol.series(name).truncation, tail_top)
+        for name in PHASE_VARIABLES
+    }
+    ext = base + tuple(
+        _tail_symbol(name, exp) for name in PHASE_VARIABLES for exp in tails[name]
+    )
+    # declared but unused variables outside base still need a value
+    values = {
+        v: TruncatedSeries.exact_constant(
+            ext, MultiPoly.variable(v, ext) if v in base else 0
+        )
+        for v in H.variables
+    }
     for name in PHASE_VARIABLES:
         s = sol.series(name)
-        for exp in range(s.truncation, tail_top):
-            tail_names.append(_tail_symbol(name, exp))
-    ext = base + tuple(tail_names)
-    for name in PHASE_VARIABLES:
-        s = sol.series(name)
-        window = {
-            exp: c.with_variables(ext) for exp, c in s.coefficients.items()
-        }
-        for exp in range(s.truncation, tail_top):
+        window = {e: c.with_variables(ext) for e, c in s.coefficients.items()}
+        for exp in tails[name]:
             window[exp] = MultiPoly.variable(_tail_symbol(name, exp), ext)
-        extended_window[name] = window
+        values[name] = TruncatedSeries(ext, window, max(tail_top, s.truncation))
+    composed = H.evaluate(values)
 
-    composite = {}
-    for coeff, passive, phase in _monomial_factors(H):
-        scalar = MultiPoly.constant(ext, coeff)
-        for var, e in passive.items():
-            scalar = scalar * (MultiPoly.variable(var, ext) ** e)
-        term = {0: scalar}
-        # no pruning inside the product: a high intermediate exponent can
-        # drop back below max_order against a pole of a later factor
-        for var in phase:
-            window = extended_window[var]
-            new = {}
-            for e1, c1 in term.items():
-                for e2, c2 in window.items():
-                    e = e1 + e2
-                    prod = c1 * c2
-                    if e in new:
-                        new[e] = new[e] + prod
-                    else:
-                        new[e] = prod
-            term = new
-        for e, c in term.items():
-            if e >= max_order:
-                continue
-            if e in composite:
-                composite[e] = composite[e] + c
-            else:
-                composite[e] = c
-
-    tail_set = set(tail_names)
-    determined = {}
-    truncation = max_order
-    for exp in sorted(composite):
-        poly = composite[exp]
-        if poly.used_variables() & tail_set:
+    placeholders = set(ext[len(base):])
+    truncation = min(max_order, composed.truncation)
+    for exp in composed.known_exponents():
+        if exp >= truncation:
+            break
+        if composed.coefficients[exp].used_variables() & placeholders:
             truncation = exp
             break
-        determined[exp] = poly.drop_to_variables(base)
-    determined = {e: c for e, c in determined.items() if e < truncation}
+    determined = {
+        e: c.drop_to_variables(base)
+        for e, c in composed.coefficients.items()
+        if e < truncation
+    }
     result = TruncatedSeries(base, determined, truncation)
-    if result.truncation <= result.valuation() and result.is_known_zero():
+    if result.is_known_zero():
         raise TruncationError(
             "series truncations are too short to determine any coefficient "
             "of the composition"
@@ -451,9 +406,6 @@ class ResidualCheck(Record):
     @property
     def vanishes(self):
         return self.residual.is_known_zero()
-
-    def checked_orders(self):
-        return self.residual.known_exponents()
 
     def first_nonzero(self):
         exps = self.residual.known_exponents()
@@ -482,9 +434,6 @@ class FlowResidualReport(Record):
     @property
     def all_zero(self):
         return all(c.vanishes for c in self.checks)
-
-    def summary(self):
-        return "\n".join(c.describe() for c in self.checks)
 
     def check(self, label):
         for c in self.checks:

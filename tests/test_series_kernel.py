@@ -5,11 +5,15 @@ bookkeeping and the composition machinery are checked on hand-built cases
 with known answers.
 """
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectral_torelli.errors import AlignmentError, TruncationError
 from spectral_torelli.exact_algebra import MultiPoly
@@ -293,3 +297,140 @@ def test_free_parameter_shift_preserves_flow_not_values():
     assert verify_hamilton_flow(H1, sol, max_order=4).all_zero
     assert substitute_hamiltonian(H1, sol, max_order=2).coefficient(0) != h1_stored
     assert substitute_hamiltonian(H2, sol, max_order=2).coefficient(0) != h2_stored
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+_DIVISOR_COMPOSITIONS = (("H1", 4), ("H2", 4)) + tuple(
+    (f"dH1/d{v}", 8) for v in ("p1", "q1", "p2", "q2")
+)
+
+
+def _divisor_composition(label):
+    H1, H2 = garnier92_hamiltonians()
+    if label == "H1":
+        return H1
+    if label == "H2":
+        return H2
+    return H1.derivative(label[len("dH1/d"):])
+
+
+def test_divisor_replay_compositions_golden():
+    """The six compositions of the `verify-divisor gar92` replay, as
+    recorded before composition moved onto TruncatedSeries arithmetic."""
+    sol = garnier92_solution()
+    table = {}
+    for label, order in _DIVISOR_COMPOSITIONS:
+        comp = substitute_hamiltonian(
+            _divisor_composition(label), sol, max_order=order
+        )
+        table[label] = {
+            "max_order": order,
+            "truncation": comp.truncation,
+            "coefficients": {
+                str(e): str(comp.coefficients[e])
+                for e in comp.known_exponents()
+            },
+        }
+    text = (GOLDEN / "compositions_gar92.json").read_text()
+    assert json.dumps(table, indent=1) + "\n" == text
+
+
+def test_placeholders_extend_the_determined_window():
+    # plain evaluation over the transcribed windows only knows H2 below
+    # t^-1; the placeholder tails prove the constant term determined
+    sol = garnier92_solution()
+    _, H2 = garnier92_hamiltonians()
+    assert substitute_hamiltonian(H2, sol, max_order=4).truncation == 1
+    values = {name: sol.series(name) for name in PHASE}
+    for name in ("s1", "s2"):
+        values[name] = TruncatedSeries.exact_constant(
+            sol.variables, MultiPoly.variable(name, sol.variables)
+        )
+    assert H2.evaluate(values).truncation == -1
+
+
+@pytest.mark.parametrize(
+    "scalar", [3, Fraction(-1, 2), MultiPoly.parse("u + 1", VARS)]
+)
+def test_scalars_coerce_to_exact_constants_on_both_sides(scalar):
+    a = series({-1: 2, 1: 1}, truncation=3)
+    exact = TruncatedSeries.exact_constant(VARS, scalar)
+    assert a + scalar == scalar + a == a + exact
+    assert a * scalar == scalar * a == a * exact
+    assert (a * scalar).coefficient(1) == const(1) * scalar
+    # a constant at t^0 lands inside the window only below the truncation
+    assert (series({}, truncation=0) + scalar).is_known_zero()
+
+
+def test_zero_scalars_are_exact_zeros():
+    a = series({-2: 1}, truncation=-1)
+    for zero in (0, Fraction(0), MultiPoly.zero(VARS)):
+        for prod in (a * zero, zero * a):
+            assert prod.is_known_zero() and prod.truncation == EXACT
+
+
+def test_scalar_over_other_variables_is_rejected():
+    a = series({0: 1}, truncation=2)
+    other = MultiPoly.constant(("v",), 2)
+    for op in (
+        lambda: a + other,
+        lambda: other + a,
+        lambda: a * other,
+        lambda: other * a,
+        lambda: a * MultiPoly.zero(("v",)),
+    ):
+        with pytest.raises(AlignmentError):
+            op()
+
+
+PASSIVE = ("s1", "s2")
+HVARS = PHASE + PASSIVE
+
+_windows = st.tuples(
+    st.integers(-3, 1),
+    st.lists(st.integers(-3, 3), min_size=0, max_size=3),
+    st.integers(0, 3),
+)
+_monomials = st.tuples(
+    st.integers(-3, 3),
+    st.lists(st.sampled_from(PHASE), max_size=3),
+    st.lists(st.sampled_from(PASSIVE), max_size=1),
+)
+
+
+def _window_series(window):
+    low, coeffs, unknown_gap = window
+    known = {low + k: MultiPoly.constant(PASSIVE, c) for k, c in enumerate(coeffs)}
+    return TruncatedSeries(PASSIVE, known, low + len(coeffs) + unknown_gap)
+
+
+@settings(max_examples=80)
+@given(
+    windows=st.tuples(_windows, _windows, _windows, _windows),
+    monomials=st.lists(_monomials, min_size=1, max_size=4),
+    max_order=st.integers(-2, 4),
+)
+def test_composition_refines_plain_evaluation(windows, monomials, max_order):
+    sol = LaurentSolution(*map(_window_series, windows))
+    H = MultiPoly.zero(HVARS)
+    for coeff, phase, passive in monomials:
+        term = MultiPoly.constant(HVARS, coeff)
+        for name in phase + passive:
+            term = term * MultiPoly.variable(name, HVARS)
+        H = H + term
+    try:
+        comp = substitute_hamiltonian(H, sol, max_order=max_order)
+    except TruncationError:
+        return
+    values = {name: sol.series(name) for name in PHASE}
+    for name in PASSIVE:
+        values[name] = TruncatedSeries.exact_constant(
+            PASSIVE, MultiPoly.variable(name, PASSIVE)
+        )
+    plain = TruncatedSeries.exact_zero(PASSIVE) + H.evaluate(values)
+    assert comp.agrees_with(plain)
+    if H.used_variables() & set(PHASE):
+        assert min(plain.truncation, max_order) <= comp.truncation <= max_order
+    else:
+        assert comp.truncation == EXACT
