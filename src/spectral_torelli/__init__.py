@@ -1,19 +1,19 @@
 """Exact computer algebra for genus-2 spectral curves.
 
 Everything here works over exact domains (arbitrary-precision
-rationals, multivariate polynomials, truncated Laurent series, small
-prime fields); no floating point enters any verdict. The package
-mechanizes three computations about Jacobians of spectral curves of
-4-dimensional integrable flows:
+rationals, multivariate polynomials, truncated Laurent series, prime
+fields, first-order jets mod the prime 2^61 - 1); no floating point
+enters any verdict. The package mechanizes three computations about
+Jacobians of spectral curves of 4-dimensional integrable flows:
 
 * the identity between the Laurent divisor data of the rank-9/2 flow
   and its spectral quintic (`verify_painleve_divisor_gar92`),
 * algebraic independence of the absolute Igusa invariants along each
-  catalog family (`independence_rank`),
+  catalog family, certified by a rank mod 2^61 - 1 that bounds the
+  rank over Q from below (`independence_rank`),
 * two-prime endomorphism-triviality certificates from point counts
   over F_p and F_{p^2} (`certify_endomorphisms`).
 """
-
 from .curve_catalog import (
     CurveFamily,
     HyperellipticCurve,

@@ -1,13 +1,20 @@
-"""Exact polynomial arithmetic: rationals, sparse multivariate polynomials,
-dense univariate polynomials over a pluggable coefficient domain, resultants
-via fraction-free elimination, and first-order jets.
+"""Exact polynomial arithmetic: sparse multivariate polynomials over Q,
+dense univariate polynomials over a pluggable coefficient domain,
+resultants via fraction-free elimination, and first-order jets and
+matrix ranks modulo the prime q = 2^61 - 1.
 
 Coefficients are `fractions.Fraction` throughout the multivariate layer.
 The univariate layer is domain-generic: anything with ring arithmetic works
 as a coefficient (Fraction, MultiPoly, Jet1, finite-field elements), which
 is what the resultant and discriminant routines rely on.
+
+`Jet1` and `rational_matrix_rank` work mod q instead of over Q. That is
+sound for lower bounds on ranks, because a minor that is nonzero mod q is
+nonzero over Q; what reduction cannot decide raises ZeroDivisionError,
+for callers to settle over Q (see `Jet1`).
 """
 
+import math
 import operator
 from fractions import Fraction
 
@@ -859,23 +866,52 @@ def discriminant(f):
     return value / lead
 
 
-class Jet1(Frozen):
-    """First-order jet: a value plus exact first partials with respect to
-    a fixed tuple of tracked parameters. Arithmetic follows the product
-    and quotient rules exactly.
+def _residue(value, q):
+    """The image of an exact rational in Z/qZ, as an int in range(q)."""
+    if isinstance(value, int):
+        return value % q
+    if isinstance(value, Fraction):
+        den = value.denominator % q
+        if not den:
+            raise ZeroDivisionError(f"denominator of {value} vanishes mod {q}")
+        return value.numerator * pow(den, -1, q) % q
+    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
-    Canonical form: `value` is a `Fraction` and `partials` a tuple of
-    `Fraction`s. The public constructor coerces any exact rationals to
-    it; the class's own arithmetic preserves it and hands its results to
-    `_trusted`, which skips the coercion.
+
+class Jet1(Frozen):
+    """First-order jet over Z/qZ, q = MODULUS = 2^61 - 1 (prime): a value
+    plus its first partials with respect to a fixed tuple of tracked
+    parameters, all reduced mod q. Arithmetic follows the product and
+    quotient rules exactly in Z/qZ.
+
+    Why reduction is sound. Evaluate a rational function with jets at a
+    rational point whose denominators, and the denominators met on the
+    way (divisors, scalars), are units mod q. Then every rational number
+    involved lies in the local ring Z_(q), and reduction mod q is a ring
+    map from Z_(q) onto Z/qZ that commutes with +, -, *, / and with
+    differentiation. So the jet's value and partials are the images mod q
+    of the exact rational value and partials. A division by a jet whose
+    value is 0 mod q, or a rational whose denominator is a multiple of q,
+    raises ZeroDivisionError even if the exact quotient exists; callers
+    settle such points over Q.
+
+    Canonical form: `value` is an int in range(q) and `partials` a tuple
+    of such ints. The public constructor reduces int and Fraction input
+    mod q (a denominator divisible by q raises ZeroDivisionError) and
+    refuses anything else with TypeError; the class's own arithmetic
+    preserves the form and hands its results to `_trusted`, which skips
+    the reduction. Every operation reads MODULUS when it runs.
     """
+
+    MODULUS = (1 << 61) - 1
 
     __slots__ = ("value", "partials")
 
     def __init__(self, value, partials):
-        object.__setattr__(self, "value", _as_fraction(value))
+        q = self.MODULUS
+        object.__setattr__(self, "value", _residue(value, q))
         object.__setattr__(
-            self, "partials", tuple(_as_fraction(p) for p in partials)
+            self, "partials", tuple(_residue(p, q) for p in partials)
         )
 
     @classmethod
@@ -888,12 +924,12 @@ class Jet1(Frozen):
 
     @classmethod
     def constant(cls, value, n_tracked):
-        return cls(value, (Fraction(0),) * n_tracked)
+        return cls(value, (0,) * n_tracked)
 
     @classmethod
     def tracked(cls, value, index, n_tracked):
-        partials = [Fraction(0)] * n_tracked
-        partials[index] = Fraction(1)
+        partials = [0] * n_tracked
+        partials[index] = 1
         return cls(value, partials)
 
     def _coerce(self, other):
@@ -903,7 +939,7 @@ class Jet1(Frozen):
             return other
         if isinstance(other, (int, Fraction)):
             return Jet1._trusted(
-                _as_fraction(other), (Fraction(0),) * len(self.partials)
+                _residue(other, self.MODULUS), (0,) * len(self.partials)
             )
         return NotImplemented
 
@@ -911,15 +947,19 @@ class Jet1(Frozen):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        q = self.MODULUS
         return Jet1._trusted(
-            self.value + other.value,
-            tuple(map(_add, self.partials, other.partials)),
+            (self.value + other.value) % q,
+            tuple((a + b) % q for a, b in zip(self.partials, other.partials)),
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet1._trusted(-self.value, tuple(-p for p in self.partials))
+        q = self.MODULUS
+        return Jet1._trusted(
+            -self.value % q, tuple(-p % q for p in self.partials)
+        )
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -931,17 +971,20 @@ class Jet1(Frozen):
         return (-self) + other
 
     def __mul__(self, other):
+        q = self.MODULUS
         if isinstance(other, (int, Fraction)):
+            k = _residue(other, q)
             return Jet1._trusted(
-                self.value * other, tuple(p * other for p in self.partials)
+                self.value * k % q, tuple(p * k % q for p in self.partials)
             )
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        a, b = self.value, other.value
         return Jet1._trusted(
-            self.value * other.value,
+            a * b % q,
             tuple(
-                self.value * db + da * other.value
+                (a * db + da * b) % q
                 for da, db in zip(self.partials, other.partials)
             ),
         )
@@ -953,12 +996,14 @@ class Jet1(Frozen):
         if other is NotImplemented:
             return NotImplemented
         if not other.value:
-            raise ZeroDivisionError("jet division by zero value")
-        v = self.value / other.value
+            raise ZeroDivisionError("jet division by a value that is 0 mod q")
+        q = self.MODULUS
+        inv = pow(other.value, -1, q)
+        v = self.value * inv % q
         return Jet1._trusted(
             v,
             tuple(
-                (da - v * db) / other.value
+                (da - v * db) * inv % q
                 for da, db in zip(self.partials, other.partials)
             ),
         )
@@ -984,7 +1029,9 @@ class Jet1(Frozen):
         if isinstance(other, Jet1):
             return self.value == other.value and self.partials == other.partials
         if isinstance(other, (int, Fraction)):
-            return self.value == other and not any(self.partials)
+            return self.value == _residue(other, self.MODULUS) and not any(
+                self.partials
+            )
         return NotImplemented
 
     __hash__ = None
@@ -1008,8 +1055,8 @@ def jet_point(point, tracked):
 
 
 def jet_eval(p, point, tracked):
-    """Evaluate a MultiPoly to a Jet1: value plus exact partials with
-    respect to the tracked symbols."""
+    """Evaluate a MultiPoly to a Jet1: value plus partials with respect to
+    the tracked symbols, all mod Jet1.MODULUS."""
     for name in tracked:
         if name not in point:
             raise AlignmentError(f"tracked symbol {name!r} has no assignment")
@@ -1020,31 +1067,47 @@ def jet_eval(p, point, tracked):
     return result
 
 
+def _integral_row(row, q):
+    """A row of exact rationals scaled by the lcm of its denominators
+    (which keeps its span over Q), then reduced mod q."""
+    for c in row:
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(
+                f"expected an exact rational, got {type(c).__name__}"
+            )
+    den = math.lcm(*(c.denominator for c in row))
+    return [c.numerator * (den // c.denominator) % q for c in row]
+
+
 def rational_matrix_rank(rows):
-    """Rank of a matrix of Fractions by exact Gaussian elimination."""
-    work = [[_as_fraction(c) for c in row] for row in rows]
+    """Rank over Z/qZ, q = Jet1.MODULUS, of a matrix of ints and
+    Fractions, by Gaussian elimination mod q.
+
+    Each row is first scaled to integers by the lcm of its denominators,
+    which leaves the rank over Q unchanged. A minor of the integer matrix
+    that is nonzero mod q is a nonzero integer, so the result is a lower
+    bound on the rank over Q, and equal to it unless q divides every
+    nonzero minor of that size. In particular it is exact whenever the
+    nonzero minors are smaller than q in absolute value. Jet partials,
+    which are already residues mod q, pass through unchanged.
+    """
+    q = Jet1.MODULUS
+    work = [_integral_row(row, q) for row in rows]
     if not work:
         return 0
-    n_cols = len(work[0])
     rank = 0
-    row = 0
-    for col in range(n_cols):
-        pivot = None
-        for r in range(row, len(work)):
-            if work[r][col]:
-                pivot = r
-                break
+    for col in range(len(work[0])):
+        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
         if pivot is None:
             continue
-        work[row], work[pivot] = work[pivot], work[row]
-        inv = Fraction(1) / work[row][col]
-        work[row] = [c * inv for c in work[row]]
-        for r in range(len(work)):
-            if r != row and work[r][col]:
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[row])]
+        work[rank], work[pivot] = work[pivot], work[rank]
+        inv = pow(work[rank][col], -1, q)
+        top = [c * inv % q for c in work[rank]]
+        for r in range(rank + 1, len(work)):
+            factor = work[r][col]
+            if factor:
+                work[r] = [(a - factor * b) % q for a, b in zip(work[r], top)]
         rank += 1
-        row += 1
-        if row == len(work):
+        if rank == len(work):
             break
     return rank

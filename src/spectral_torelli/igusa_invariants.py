@@ -1,11 +1,20 @@
 """Igusa invariants of genus-2 hyperelliptic models y^2 = f(x).
 
-Everything here works over a generic exact coefficient domain: Fraction,
-Jet1 (forward derivatives), MultiPoly (symbolic parameters), or a prime
-field element type that tolerates int/Fraction scalars. The discriminant
-of the binary sextic is evaluated from a frozen integer term table rather
-than recomputed, so the same 246 monomials back both characteristic-zero
-and finite-field checks.
+`igusa` takes coefficients from any commutative ring in which the small
+integers it divides by (4 and factorials up to 6!^2) are invertible:
+Fraction and MultiPoly (exact, over Q and over symbolic parameters), a
+prime-field element type that tolerates int/Fraction scalars, or Jet1
+(first-order jets mod q = 2^61 - 1). The discriminant of the binary
+sextic is evaluated from a frozen integer term table rather than
+recomputed, so the same 246 monomials back both characteristic-zero and
+finite-field checks.
+
+The independence rank evaluates the invariants with jets mod q and takes
+the rank of their Jacobian mod q. A minor that is nonzero mod q is
+nonzero over Q, so the rank found is a certified lower bound on the rank
+over Q. Rejections stay exact: a point is degenerate only when J10 or J2
+is 0 over Q, and wherever one of them, or a denominator, is 0 mod q the
+point is settled with Fraction arithmetic (see `rank_at_point`).
 """
 
 import json
@@ -23,7 +32,7 @@ from .errors import (
     InconclusiveError,
     UndefinedChartError,
 )
-from .exact_algebra import Jet1, MultiPoly, jet_point, rational_matrix_rank
+from .exact_algebra import Jet1, MultiPoly, jet_eval, rational_matrix_rank
 
 DEFAULT_SEED = 20260819
 
@@ -268,26 +277,60 @@ class RankReport(Record):
                          seed)
 
 
+def _reject_exactly(family, values):
+    """Raise DegenerateCurveError if J10 or J2 of the family member at the
+    rational point `values` is 0 over Q."""
+    inv = igusa([p.evaluate(values) for p in family.sextic_coefficients()])
+    if inv.j10 == 0:
+        raise DegenerateCurveError("sample hits the discriminant locus")
+    if inv.j2 == 0:
+        raise DegenerateCurveError("sample hits the J2 = 0 locus")
+
+
 def rank_at_point(family, point):
     """Rank of the Jacobian of the absolute invariants with respect to
-    the family parameters, at one rational parameter point.
+    the family parameters, at one rational parameter point, certified by
+    its reduction mod q = Jet1.MODULUS.
 
-    Rejects points where J10 or J2 vanishes (the absolute chart breaks
-    down there) by raising DegenerateCurveError.
+    Point coordinates must be ints or Fractions (TypeError otherwise).
+    The Jacobian is evaluated with jets mod q, and its rank is taken mod
+    q (`rational_matrix_rank`). A minor that is nonzero mod q is nonzero
+    over Q, so the result is a lower bound on the rank over Q at the
+    point; `independence_rank` reports it as an observed rank.
+
+    Rejections are exact. Points where J10 or J2 vanishes over Q (the
+    absolute chart breaks down there) raise DegenerateCurveError. When
+    J10 or J2 is 0 mod q, or a denominator of the point or of the
+    family's coefficients is divisible by q, the point is settled over Q
+    with Fraction arithmetic before anything is reported. A point that
+    passes that exact check but has J2 or a denominator 0 mod q has no
+    certificate mod q: it counts as rank 0, which is still a true lower
+    bound.
     """
     params = tuple(family.parameters)
     values = {}
     for name in params:
         if name not in point:
             raise AlignmentError(f"no value for parameter {name!r}")
-        values[name] = Fraction(point[name])
-    lifted = jet_point(values, params)
-    coeffs = [p.evaluate(lifted) for p in family.sextic_coefficients()]
-    inv = igusa(coeffs)
-    if _is_zero_value(inv.j10):
-        raise DegenerateCurveError("sample hits the discriminant locus")
-    if _is_zero_value(inv.j2):
-        raise DegenerateCurveError("sample hits the J2 = 0 locus")
+        value = point[name]
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(
+                f"parameter {name!r}: expected an exact rational, "
+                f"got {type(value).__name__}"
+            )
+        values[name] = Fraction(value)
+    try:
+        coeffs = [
+            jet_eval(p, values, params) for p in family.sextic_coefficients()
+        ]
+    except ZeroDivisionError:
+        inv = None
+    else:
+        inv = igusa(coeffs)
+    if inv is None or not (inv.j10.value and inv.j2.value):
+        _reject_exactly(family, values)
+        if inv is None or not inv.j2.value:
+            return 0
     rows = [list(coord.partials) for coord in inv.absolute()]
     return rational_matrix_rank(rows)
 
@@ -295,7 +338,13 @@ def rank_at_point(family, point):
 def independence_rank(family, *, trials=16, seed=DEFAULT_SEED, bound=100):
     """Maximal observed rank of the absolute-invariant Jacobian over
     random rational parameter points with numerator and denominator
-    bounded by `bound`. Deterministic for a fixed seed."""
+    bounded by `bound`. Deterministic for a fixed seed. Each point's rank
+    is a lower bound on the rank there (see `rank_at_point`), so the
+    result is a lower bound on the generic rank.
+
+    `trials` below 1 raises ValueError."""
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     params = tuple(family.parameters)
     if not params:
         raise AlignmentError("family has no parameters")

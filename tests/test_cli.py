@@ -9,7 +9,8 @@ table of square roots; the invariant, independence and divisor goldens
 with the exact-algebra kernel that validated every arithmetic result in
 the public constructor; the `frobenius` goldens with the ratio
 polynomial taken from a symbolic resultant and the quartic discriminant
-from a generic one.
+from a generic one; the independence goldens other than Gar9/2's with
+jets over Q, before the rank was taken mod 2^61 - 1.
 """
 
 import json
@@ -41,6 +42,10 @@ def run(argv, capsys):
         "verify_divisor_gar92",
         "invariants_kfs_12_17_29",
         "independence_gar92_seed7",
+        "independence_gar52_32_seed7",
+        "independence_mati_seed7",
+        "independence_matiii_d8_seed7",
+        "independence_kfs_seed7",
         "frobenius_37_36_1442",
         "frobenius_3_4_10",
         "catalog",
@@ -122,6 +127,15 @@ def test_zeta_from_counts(capsys):
     assert code == 0
     assert envelope["inputs"] == {"p": 53, "n1": 57, "n2": 3001}
     assert envelope["outputs"]["zeta"]["numerator"] == [1, 3, 100, 159, 2809]
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_independence_without_trials_exits_2(trials, capsys):
+    code, envelope = run(
+        ["independence", "--family", "Gar9/2", "--trials", trials, "--json"],
+        capsys,
+    )
+    assert (code, envelope) == (2, None)
 
 
 @pytest.mark.parametrize("command", ["frobenius", "zeta"])

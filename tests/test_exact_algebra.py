@@ -243,6 +243,19 @@ def test_discriminant_matches_sympy():
         assert discriminant(f) == Fraction(int(ref.p), int(ref.q))
 
 
+Q = Jet1.MODULUS
+
+
+def mod_q(x):
+    """Image of an exact rational in Z/QZ, computed apart from the kernel."""
+    x = Fraction(x)
+    return x.numerator * pow(x.denominator, -1, Q) % Q
+
+
+def test_jet_modulus_is_the_mersenne_prime():
+    assert Q == 2**61 - 1 and sympy.isprime(Q)
+
+
 def test_jet_partials_match_sympy():
     rng = random.Random(53)
     tracked = ("a", "b")
@@ -256,22 +269,29 @@ def test_jet_partials_match_sympy():
             s: sympy.Rational(point[v].numerator, point[v].denominator)
             for v, s in zip(VARS, SYMS)
         }
-        assert jet.value == Fraction(str(to_sympy(p).subs(subs)))
+        assert jet.value == mod_q(Fraction(str(to_sympy(p).subs(subs))))
         for i, name in enumerate(tracked):
             sym = SYMS[VARS.index(name)]
             ref = sympy.diff(to_sympy(p), sym).subs(subs)
-            assert jet.partials[i] == Fraction(str(ref))
+            assert jet.partials[i] == mod_q(Fraction(str(ref)))
 
 
 def test_jet_quotient_rule():
     num = Jet1(Fraction(3), (Fraction(1), Fraction(0)))
     den = Jet1(Fraction(2), (Fraction(0), Fraction(1)))
     q = num / den
-    assert q.value == Fraction(3, 2)
-    assert q.partials == (Fraction(1, 2), Fraction(-3, 4))
+    assert q.value == mod_q(Fraction(3, 2))
+    assert q.partials == (mod_q(Fraction(1, 2)), mod_q(Fraction(-3, 4)))
     with pytest.raises(ZeroDivisionError):
         num / Jet1(Fraction(0), (Fraction(1), Fraction(0)))
-    assert (den ** -2).value == Fraction(1, 4)
+    # Q is nonzero over Q but 0 mod Q: the quotient has no image mod Q.
+    with pytest.raises(ZeroDivisionError):
+        num / Jet1(Q, (Fraction(1), Fraction(0)))
+    with pytest.raises(ZeroDivisionError):
+        Jet1(Fraction(1, Q), (0, 0))
+    inverse_square = den ** -2
+    assert inverse_square.value == mod_q(Fraction(1, 4))
+    assert inverse_square.partials == (0, mod_q(Fraction(-1, 4)))
 
 
 def test_matrix_rank_matches_sympy():
@@ -337,16 +357,65 @@ jet_parts = st.tuples(small_fractions, small_fractions)
 
 @given(small_fractions, jet_parts, small_fractions, jet_parts, small_fractions)
 def test_jet_results_match_the_validated_constructor(v, dv, w, dw, k):
+    """Every jet result is canonical (ints in range(Q)), passes the
+    validating constructor unchanged, and equals the product and quotient
+    rules worked in Fractions, reduced mod Q."""
     a, b = Jet1(v, dv), Jet1(w, dw)
-    results = [a + b, a - b, a * b, -a, a * k, k * a, a * 2, a + 1, 1 - a]
+    cases = [
+        (a + b, v + w, [x + y for x, y in zip(dv, dw)]),
+        (a - b, v - w, [x - y for x, y in zip(dv, dw)]),
+        (a * b, v * w, [v * y + x * w for x, y in zip(dv, dw)]),
+        (-a, -v, [-x for x in dv]),
+        (a * k, v * k, [x * k for x in dv]),
+        (k * a, v * k, [x * k for x in dv]),
+        (a * 2, v * 2, [x * 2 for x in dv]),
+        (a + 1, v + 1, list(dv)),
+        (1 - a, 1 - v, [-x for x in dv]),
+    ]
     if w:
-        results += [a / b, a / w]
-    for r in results:
-        assert type(r.value) is Fraction and type(r.partials) is tuple
-        assert all(type(p) is Fraction for p in r.partials)
-        assert len(r.partials) == 2
+        cases += [
+            (a / b, v / w, [(x * w - v * y) / w**2 for x, y in zip(dv, dw)]),
+            (a / w, v / w, [x / w for x in dv]),
+        ]
+    for r, value, partials in cases:
+        assert type(r.value) is int and 0 <= r.value < Q
+        assert type(r.partials) is tuple and len(r.partials) == 2
+        assert all(type(p) is int and 0 <= p < Q for p in r.partials)
         assert r == Jet1(r.value, r.partials)
+        assert r.value == mod_q(value)
+        assert r.partials == tuple(mod_q(p) for p in partials)
     assert a * k == a * Jet1.constant(k, 2)
+
+
+@st.composite
+def planted_rank_matrices(draw):
+    """Small rational matrices whose later rows are often rational
+    combinations of the earlier ones."""
+    n_cols = draw(st.integers(1, 5))
+    n_free = draw(st.integers(1, 4))
+    rows = [draw(st.lists(small_fractions, min_size=n_cols, max_size=n_cols))
+            for _ in range(n_free)]
+    for _ in range(draw(st.integers(0, 3))):
+        weights = draw(st.lists(small_fractions, min_size=len(rows),
+                                max_size=len(rows)))
+        rows.append([sum(wt * row[j] for wt, row in zip(weights, rows))
+                     for j in range(n_cols)])
+    return draw(st.permutations(rows))
+
+
+@given(planted_rank_matrices())
+def test_modular_rank_matches_sympy_on_planted_dependencies(m):
+    assert rational_matrix_rank(m) == sympy.Matrix(m).rank()
+
+
+def test_matrix_rank_is_a_lower_bound_when_q_divides_the_minors():
+    # det [[Q, 0], [0, 1]] = Q: full rank over Q, rank 1 mod Q.
+    assert rational_matrix_rank([[Q, 0], [0, 1]]) == 1
+    assert rational_matrix_rank([[Fraction(Q, 2), 0], [0, 1]]) == 1
+    # A denominator divisible by Q is cleared with its row, not inverted.
+    assert rational_matrix_rank([[Fraction(1, Q), 1], [0, 1]]) == 2
+    with pytest.raises(TypeError, match="exact rational"):
+        rational_matrix_rank([[1, 0.5]])
 
 
 def test_arithmetic_skips_validation(monkeypatch):

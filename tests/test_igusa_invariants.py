@@ -22,7 +22,7 @@ from spectral_torelli.errors import (
     InconclusiveError,
     UndefinedChartError,
 )
-from spectral_torelli.exact_algebra import MultiPoly
+from spectral_torelli.exact_algebra import Jet1, MultiPoly
 from spectral_torelli.igusa_invariants import (
     IgusaInvariants,
     binary_sextic_discriminant,
@@ -235,6 +235,69 @@ def test_rank_at_point_rejections():
         rank_at_point(fam, {"h1": 0, "h2": 0, "s1": 0, "s2": 0})
     with pytest.raises(DegenerateCurveError):
         rank_at_point(fam, {"h1": -15, "h2": 1, "s1": 10, "s2": 1})
+
+
+@pytest.mark.parametrize("inexact", [0.1, "1/10"])
+def test_rank_at_point_refuses_inexact_coordinates(inexact):
+    fam = catalog_get("Gar9/2")
+    point = {"h1": inexact, "h2": 1, "s1": 2, "s2": 3}
+    with pytest.raises(TypeError, match="exact rational"):
+        rank_at_point(fam, point)
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_independence_rank_needs_a_trial(trials):
+    with pytest.raises(ValueError, match="at least one trial"):
+        independence_rank(catalog_get("Gar9/2"), trials=trials)
+
+
+FAMILIES = ("Gar9/2", "Gar5/2+3/2", "MatI", "MatIII(D8)", "KFS4/3+4/3")
+
+
+def degenerate_over_q(fam, point):
+    values = {name: Fraction(v) for name, v in point.items()}
+    inv = igusa([p.evaluate(values) for p in fam.sextic_coefficients()])
+    return inv.j10 == 0 or inv.j2 == 0
+
+
+def rank_or_none(fam, point):
+    try:
+        return rank_at_point(fam, point)
+    except DegenerateCurveError:
+        return None
+
+
+def test_small_modulus_keeps_rejections_exact_and_ranks_below(monkeypatch):
+    """With the jet modulus forced down to 11, many points have a
+    denominator, J2 or J10 that vanishes mod 11 without vanishing over Q.
+    `rank_at_point` must still raise exactly at the points that are
+    degenerate over Q, and elsewhere report no more than the rank at
+    2^61 - 1."""
+    rng = random.Random(11)
+    seen = set()
+    for ident in FAMILIES:
+        fam = catalog_get(ident)
+        points = [dict.fromkeys(fam.parameters, 0)]
+        if ident == "Gar9/2":
+            points.append({"h1": -15, "h2": 1, "s1": 10, "s2": 1})
+        points += [
+            {n: Fraction(rng.randint(-12, 12), rng.randint(1, 12))
+             for n in fam.parameters}
+            for _ in range(10)
+        ]
+        full = [rank_or_none(fam, p) for p in points]
+        with monkeypatch.context() as patch:
+            patch.setattr(Jet1, "MODULUS", 11)
+            small = [rank_or_none(fam, p) for p in points]
+        for point, r_full, r_small in zip(points, full, small):
+            degenerate = degenerate_over_q(fam, point)
+            assert (r_small is None) == (r_full is None) == degenerate
+            if degenerate:
+                seen.add("degenerate")
+            else:
+                assert r_small <= r_full
+                seen.add("no certificate" if r_small == 0 < r_full else "rank")
+    assert seen == {"degenerate", "no certificate", "rank"}
 
 
 def test_independence_rank_determinism_and_bounds():
