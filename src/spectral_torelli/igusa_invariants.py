@@ -5,9 +5,9 @@ integers it divides by (4 and factorials up to 6!^2) are invertible:
 Fraction and MultiPoly (exact, over Q and over symbolic parameters), a
 prime-field element type that tolerates int/Fraction scalars, or Jet1
 (first-order jets mod q = 2^61 - 1). The discriminant of the binary
-sextic is evaluated from a frozen integer term table rather than
-recomputed, so the same 246 monomials back both characteristic-zero and
-finite-field checks.
+sextic comes from a frozen table of 246 integer terms, run as one nested
+Horner program (grouped by the exponent of b0, then b1, ..., b6) that
+every coefficient ring shares, in characteristic zero and mod p alike.
 
 The independence rank evaluates the invariants with jets mod q and takes
 the rank of their Jacobian mod q. A minor that is nonzero mod q is
@@ -57,31 +57,58 @@ def _discriminant_terms():
     return terms
 
 
+@lru_cache(maxsize=1)
+def _discriminant_program():
+    """The table as nested Horner in b0, then b1, ..., b6, in postorder:
+    the powers (i, g) = b_i^g it uses, and ops (c, None) that push the int
+    c, (k, False) that multiply the top by power k, and (k, True) that pop
+    v and replace the top t by t * (power k) + v."""
+    powers, program = {}, []
+
+    def emit(terms, i):
+        if i == 7:
+            program.append((terms[0][1], None))
+            return
+        groups = {}
+        for term in terms:
+            groups.setdefault(term[0][i], []).append(term)
+        above = None
+        for e in sorted(groups, reverse=True):
+            emit(groups[e], i + 1)
+            if above is not None:
+                key = powers.setdefault((i, above - e), len(powers))
+                program.append((key, True))
+            above = e
+        if above:
+            program.append((powers.setdefault((i, above), len(powers)), False))
+
+    emit(_discriminant_terms(), 0)
+    return tuple(powers), tuple(program)
+
+
 def binary_sextic_discriminant(coefficients):
     """Discriminant of b0 + b1*x + ... + b6*x^6 from the frozen table.
 
-    `coefficients` is an ascending length-7 sequence over any commutative
-    ring whose elements support +, *, ** and multiplication by int.
+    `coefficients` is an ascending length-7 sequence over a commutative
+    ring whose elements support x + y, x * y, x ** g (g >= 2), and + and *
+    with an int on either side. Each power is computed once, the Horner
+    program runs on one stack, and `+ b0 * 0` keeps a zero in the ring.
     """
     b = tuple(coefficients)
     if len(b) != 7:
         raise DegreeBoundError("expected 7 ascending sextic coefficients")
-    powers = []
-    for elt in b:
-        powers.append({0: None, 1: elt})
-    total = b[0] * 0
-    for exps, c in _discriminant_terms():
-        factor = None
-        for i, e in enumerate(exps):
-            if e == 0:
-                continue
-            cache = powers[i]
-            if e not in cache:
-                cache[e] = b[i] ** e
-            p = cache[e]
-            factor = p if factor is None else factor * p
-        total = total + (factor * c)
-    return total
+    pairs, program = _discriminant_program()
+    powers = [b[i] ** g if g > 1 else b[i] for i, g in pairs]
+    stack = []
+    for x, fma in program:
+        if fma is None:
+            stack.append(x)
+        elif fma:
+            v = stack.pop()
+            stack[-1] = powers[x] * stack[-1] + v
+        else:
+            stack[-1] = powers[x] * stack[-1]
+    return stack.pop() + b[0] * 0
 
 
 def _lift_common(coeffs):

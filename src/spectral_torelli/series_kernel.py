@@ -319,7 +319,8 @@ def substitute_hamiltonian(H, sol, max_order=4):
     determined by the known windows of the input series. Orders that would
     feel the unknown tails are cut off, which is detected by extending each
     input series with placeholder symbols for its unknown coefficients and
-    checking that none survives.
+    checking that none survives. TruncationError means the input windows
+    determine no order at or above the lowest one the composition can reach.
     """
     if not isinstance(H, MultiPoly):
         raise TypeError("substitute_hamiltonian expects a MultiPoly")
@@ -336,14 +337,15 @@ def substitute_hamiltonian(H, sol, max_order=4):
     # the composition at order >= (its exponent) + the valuation of the
     # rest of the monomial. Placeholders must cover every exponent that
     # could reach below max_order.
-    rests = []
+    rests, lowest = [], []
     for exps in H.terms:
         phase = [
             (valuations[v], e) for v, e in zip(H.variables, exps)
             if e and v in valuations
         ]
+        lowest.append(sum(o * e for o, e in phase))
         if phase:
-            rests.append(sum(o * e for o, e in phase) - max(o for o, _ in phase))
+            rests.append(lowest[-1] - max(o for o, _ in phase))
     if not rests:
         value = H.with_variables(tuple(sorted(set(base) | set(H.variables))))
         value = value.drop_to_variables(base)
@@ -386,7 +388,7 @@ def substitute_hamiltonian(H, sol, max_order=4):
         if e < truncation
     }
     result = TruncatedSeries(base, determined, truncation)
-    if result.is_known_zero():
+    if result.is_known_zero() and max_order > truncation <= min(lowest):
         raise TruncationError(
             "series truncations are too short to determine any coefficient "
             "of the composition"

@@ -354,3 +354,14 @@ def test_symbolic_invariants_golden(family):
     inv = igusa(catalog_get(family))
     names = ("J2", "J4", "J6", "J8", "J10")
     assert {n: str(j) for n, j in zip(names, inv.as_tuple())} == golden
+
+
+@pytest.mark.parametrize("family", ["MatI", "Gar5/2+3/2"])
+def test_symbolic_invariants_golden_mati_gar52_32(family):
+    """MatI, where J10 dominates symbolic `igusa`, and Gar5/2+3/2 print
+    J2..J10 exactly as the term-by-term discriminant loop printed them."""
+    path = GOLDEN / "igusa_symbolic_mati_gar52_32.json"
+    golden = json.loads(path.read_text())[family]
+    inv = igusa(catalog_get(family))
+    names = ("J2", "J4", "J6", "J8", "J10")
+    assert {n: str(j) for n, j in zip(names, inv.as_tuple())} == golden

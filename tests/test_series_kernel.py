@@ -209,6 +209,31 @@ def test_composition_with_undetermined_window():
         substitute_hamiltonian(phase_poly("q1"), sol, max_order=4)
 
 
+def test_composition_returns_a_determined_zero_window():
+    # q1 = t exactly: every coefficient below t^1 is known to vanish, so
+    # max_order=1 cuts a determined all-zero window, which is an answer
+    sol = trivial_solution(q1=series({1: 1}))
+    comp = substitute_hamiltonian(phase_poly("q1"), sol, max_order=1)
+    assert comp.is_known_zero()
+    assert comp.truncation == 1
+    comp = substitute_hamiltonian(phase_poly("q1"), sol, max_order=2)
+    assert comp.truncation == 2
+    assert comp.known_exponents() == [1]
+
+
+def test_composition_returns_zero_when_windows_cut_above_its_lowest_order():
+    # q1^2 - q2 with q1 = t and q2 = t^2 + O(t^3): orders 2 and below are
+    # determined and vanish, the window of q2 cuts at t^3 < max_order
+    sol = trivial_solution(q1=series({1: 1}), q2=series({2: 1}, truncation=3))
+    comp = substitute_hamiltonian(phase_poly("q1^2 - q2"), sol, max_order=4)
+    assert comp.is_known_zero()
+    assert comp.truncation == 3
+    # q2 = O(t^2) alone: its window cuts at its own lowest order
+    sol = trivial_solution(q2=series({}, truncation=2))
+    with pytest.raises(TruncationError):
+        substitute_hamiltonian(phase_poly("q2"), sol, max_order=4)
+
+
 def test_composition_input_validation():
     sol = trivial_solution()
     with pytest.raises(TypeError):
