@@ -39,6 +39,19 @@ def _as_fraction(value):
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def _power(base, n):
+    """base ** n for n >= 1 by squaring, starting from base itself, so
+    no product is spent on 1 * base."""
+    result = None
+    while True:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if not n:
+            return result
+        base = base * base
+
+
 def _grlex_key(exponents):
     return (sum(exponents), exponents)
 
@@ -240,14 +253,7 @@ class MultiPoly(Frozen):
         n = int(n)
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = self._coerce(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return _power(self, n) if n else self._coerce(1)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -685,19 +691,7 @@ class UniPoly(Frozen):
         n = int(n)
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = None
-        base = self
-        while True:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if not n:
-                break
-            base = base * base
-        if result is None:
-            one = self.coeffs[0] ** 0
-            return UniPoly([one])
-        return result
+        return _power(self, n) if n else UniPoly([self.coeffs[0] ** 0])
 
     def derivative(self):
         if len(self.coeffs) == 1:
@@ -1015,15 +1009,7 @@ class Jet1(Frozen):
         n = int(n)
         if n < 0:
             return (1 / self) ** (-n)
-        result = Jet1.constant(1, len(self.partials))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n) if n else Jet1.constant(1, len(self.partials))
 
     def __eq__(self, other):
         if isinstance(other, Jet1):

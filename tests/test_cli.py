@@ -10,7 +10,9 @@ with the exact-algebra kernel that validated every arithmetic result in
 the public constructor; the `frobenius` goldens with the ratio
 polynomial taken from a symbolic resultant and the quartic discriminant
 from a generic one; the independence goldens other than Gar9/2's with
-jets over Q, before the rank was taken mod 2^61 - 1.
+jets over Q, before the rank was taken mod 2^61 - 1; the MatI count at
+p = 1009 with the direct O(p^2) F_{p^2} count, before N2 came from the
+Hasse-Witt matrix and a Jacobian order test.
 """
 
 import json
@@ -39,6 +41,7 @@ def run(argv, capsys):
         "certify_kfs_37_53",
         "certify_gar92_101_103",
         "count_points_kfs_137",
+        "count_points_mati_1009",
         "verify_divisor_gar92",
         "invariants_kfs_12_17_29",
         "independence_gar92_seed7",

@@ -465,3 +465,30 @@ def test_public_constructors_still_validate():
         Jet1(1, (0, 1.5))
     with pytest.raises(TypeError, match="unsupported operand"):
         Jet1(1, (0, 0)) * 0.5
+
+
+def test_powers_start_from_the_base(monkeypatch):
+    """Square-and-multiply starts from the base itself, so x ** 6 makes
+    three products (x^2, x^4, x^2 * x^4) and x ** 1 none."""
+    poly = MultiPoly.parse("3*a^2*b - 1/2*c + 7", VARS)
+    jet = Jet1(Fraction(3), (Fraction(1), Fraction(2, 3)))
+    for x in (poly, jet):
+        cls = type(x)
+        sixth = x * x * x * x * x * x
+        one = cls.__pow__(x, 0)
+        products = []
+        original = cls.__mul__
+
+        def counting(self, other, _original=original):
+            products.append(1)
+            return _original(self, other)
+
+        monkeypatch.setattr(cls, "__mul__", counting)
+        assert x ** 6 == sixth and len(products) == 3
+        products.clear()
+        assert x ** 1 == x and not products
+        assert x ** 0 == one == 1 and not products
+        monkeypatch.setattr(cls, "__mul__", original)
+    assert jet ** -2 == (1 / jet) * (1 / jet)
+    with pytest.raises(ValueError, match="negative power"):
+        poly ** -1

@@ -17,6 +17,7 @@ import pytest
 import sympy
 from hypothesis import assume, given, strategies as st
 
+from spectral_torelli import finite_arithmetic
 from spectral_torelli.curve_catalog import catalog_get, reduce_mod_p
 from spectral_torelli.errors import BadReductionError, InconsistentCountsError
 from spectral_torelli.finite_arithmetic import (
@@ -142,6 +143,22 @@ def hasse_witt_matrix(residues, p):
     for _ in range((p - 1) // 2):
         power = numpy.convolve(power, f)[: 2 * p] % p
     return [[int(power[i * p - j]) for j in (1, 2)] for i in (1, 2)]
+
+
+def rootless_sextic(p, lead, bs, ss):
+    """lead * prod (x^2 + b*x + c) over distinct b, with c chosen so that
+    the discriminant b^2 - 4c = n*s^2 (n a non-residue, s != 0) makes
+    each factor irreducible: a squarefree sextic without roots mod p."""
+    n = smallest_nonresidue(p)
+    poly = [lead % p]
+    for b, s in zip(bs, ss):
+        c = (b * b - n * s * s) * pow(4, -1, p) % p
+        shifted = [0] + poly
+        poly = [
+            (c * x + b * y + z) % p
+            for x, y, z in zip(poly + [0, 0], shifted + [0], [0] + shifted)
+        ]
+    return tuple(poly)
 
 
 # (N1, N2) of each family at a fixed point, recorded with the counting
@@ -342,6 +359,10 @@ class TestPointCounts:
         squared = (1, 2, 1, 2, 2, 0, 1)
         with pytest.raises(InconsistentCountsError):
             count_points(squared, 37)
+        # over F_{37^2} it reaches the direct count, which breaks the
+        # bound as well
+        with pytest.raises(InconsistentCountsError):
+            count_points(squared, 37, extension=2)
 
     def test_input_validation(self):
         with pytest.raises(BadReductionError):
@@ -403,6 +424,152 @@ class TestPointCounts:
             assert (counts.n1, counts.n2) == (row["n1"], row["n2"]), p
 
 
+PRIMES_TO_300 = [q for q in range(3, 300) if sympy.isprime(q)]
+
+
+def draw_model(data, p):
+    """A squarefree quintic, sextic or rootless sextic model mod p as
+    (7 ascending residues, degree)."""
+    kind = data.draw(st.sampled_from(("quintic", "sextic", "rootless")))
+    if kind == "rootless":
+        bs = data.draw(
+            st.lists(st.integers(0, p - 1), min_size=3, max_size=3, unique=True)
+        )
+        ss = data.draw(st.lists(st.integers(1, p - 1), min_size=3, max_size=3))
+        coeffs = rootless_sextic(p, data.draw(st.integers(1, p - 1)), bs, ss)
+        assert all(sum(c * x**i for i, c in enumerate(coeffs)) % p for x in range(p))
+        return coeffs, 6
+    degree = 5 if kind == "quintic" else 6
+    coeffs = data.draw(
+        st.lists(st.integers(0, p - 1), min_size=degree, max_size=degree)
+    ) + [data.draw(st.integers(1, p - 1))]
+    assume(squarefree_mod_p(coeffs, p))
+    return tuple(coeffs + [0] * (6 - degree)), degree
+
+
+class TestFrobeniusCount:
+    """N2 from a1, det W and the Jacobian order test, against the direct
+    F_{p^2} count that stays as its fallback."""
+
+    @given(data=st.data())
+    def test_matches_the_direct_count(self, data):
+        p = data.draw(
+            st.one_of(st.sampled_from((3, 5, 7)), st.sampled_from(PRIMES_TO_300))
+        )
+        coeffs, degree = draw_model(data, p)
+        direct = finite_arithmetic._count_quadratic(coeffs, degree, p)
+        fast = finite_arithmetic._count_quadratic_frobenius(coeffs, degree, p)
+        assert fast in (None, direct)
+        assert count_points(coeffs, p, extension=2) == direct
+
+    @given(data=st.data())
+    def test_hasse_witt_matrix_matches_the_numpy_oracle(self, data):
+        p = data.draw(st.sampled_from(PRIMES_TO_300))
+        ends = st.integers(1, p - 1)
+        middle = st.lists(st.integers(0, p - 1), min_size=5, max_size=5)
+        coeffs = [data.draw(ends)] + data.draw(middle) + [data.draw(ends)]
+        w = finite_arithmetic._hasse_witt(tuple(coeffs), p)
+        assert [list(row) for row in w] == hasse_witt_matrix(coeffs, p)
+
+    def test_golden_counts_come_from_the_frobenius_path(self):
+        # every good row of the table, from p = 29 up, without a fallback
+        rows = 0
+        for family, point in GOLDEN["points"].items():
+            curve = catalog_get(family).specialize(point)
+            for row in GOLDEN["counts"]:
+                p = row["p"]
+                if row["family"] != family or row["n1"] is None:
+                    continue
+                reduction = reduce_mod_p(curve, p)
+                coeffs = tuple(c.value for c in reduction.coefficients)
+                coeffs += (0,) * (7 - len(coeffs))
+                n2 = finite_arithmetic._count_quadratic_frobenius(
+                    coeffs, 6 if coeffs[6] else 5, p
+                )
+                assert n2 == row["n2"], (family, p)
+                rows += 1
+        assert rows == 38
+
+    @given(data=st.data())
+    def test_explicit_group_law_matches_cantor(self, data):
+        p = data.draw(st.sampled_from([q for q in PRIMES_TO_300 if q > 7]))
+        lead = data.draw(st.integers(1, p - 1))
+        assume(quadratic_character(lead, p) == -1)
+        f = tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=6, max_size=6)))
+        f += (lead,)
+        assume(squarefree_mod_p(f, p))
+        points = list(finite_arithmetic._points(f, p))
+        assume(len(points) >= 4)
+        for x, y in points:
+            assert (y * y - sum(c * x**i for i, c in enumerate(f))) % p == 0
+
+        def pair(a, b):
+            return finite_arithmetic._cantor(
+                *(((-x % p, 1), (y,)) for x, y in (a, b)), f, p
+            )
+
+        d, e = pair(*points[:2]), pair(*points[2:4])
+        for _ in range(8):
+            total = finite_arithmetic._jac_add(d, e, f, p)
+            double = finite_arithmetic._jac_double(d, f, p)
+            assert total == finite_arithmetic._cantor(d, e, f, p)
+            assert double == finite_arithmetic._cantor(d, d, f, p)
+            d, e = double, total
+        # #J(F_p) = P(1) from the direct counts annihilates every class
+        w = weil_polynomial(
+            PointCount(
+                p,
+                count_points(f, p),
+                finite_arithmetic._count_quadratic(f, 6, p),
+            )
+        )
+        order = sum(w.frobenius_coefficients)
+        assert finite_arithmetic._jac_mul(d, order, f, p) == ((1,), ())
+
+    def test_undecided_order_test_falls_back_to_the_direct_count(self, monkeypatch):
+        # x^5 + x leaves several candidates at p = 101; with every
+        # divisor annihilated by all of them the order test cannot decide
+        coeffs, degree, p = (0, 1, 0, 0, 0, 1, 0), 5, 101
+        expected = finite_arithmetic._count_quadratic(coeffs, degree, p)
+        direct = []
+        monkeypatch.setattr(
+            finite_arithmetic, "_jac_mul", lambda divisor, n, f, p: ((1,), ())
+        )
+        monkeypatch.setattr(
+            finite_arithmetic,
+            "_count_quadratic",
+            lambda *args: direct.append(args) or expected,
+        )
+        assert finite_arithmetic._count_quadratic_frobenius(coeffs, degree, p) is None
+        assert count_points(coeffs, p, extension=2) == expected == 10606
+        assert direct == [(coeffs, degree, p)]
+
+    def test_rootless_sextics_need_no_fallback(self):
+        # no rational Weierstrass point: the order test still decides
+        for p in (41, 101, 547):
+            coeffs = rootless_sextic(p, 3, (1, 2, 3), (1, 1, 1))
+            n2 = finite_arithmetic._count_quadratic_frobenius(coeffs, 6, p)
+            assert n2 == finite_arithmetic._count_quadratic(coeffs, 6, p)
+
+    def test_hasse_witt_trace_mismatch_raises(self, monkeypatch):
+        real = finite_arithmetic._hasse_witt
+
+        def off_by_one(model, p):
+            (h11, h12), row = real(model, p)
+            return ((h11 + 1) % p, h12), row
+
+        monkeypatch.setattr(finite_arithmetic, "_hasse_witt", off_by_one)
+        with pytest.raises(InconsistentCountsError, match="Hasse-Witt trace"):
+            count_points(SYMMETRIC_QUINTIC, 101, extension=2)
+
+    def test_order_no_candidate_annihilates_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            finite_arithmetic, "_jac_mul", lambda divisor, n, f, p: divisor
+        )
+        with pytest.raises(InconsistentCountsError, match="Jacobian order"):
+            count_points(SYMMETRIC_QUINTIC, 101, extension=2)
+
+
 class TestWeilData:
     def test_reference_weil_coefficients(self):
         w37 = weil_polynomial(PointCount(37, 36, 1442))
@@ -435,7 +602,7 @@ class TestWeilData:
 
         with pytest.raises(InconsistentCountsError):
             weil_polynomial(PointCount(p, 100, 0))  # a1 = -62, |a1| > 4 sqrt(p)
-        for a1, a2 in [(25, 0), (0, 2 * p + 1), (12, -2 * p)]:
+        for a1, a2 in [(25, 0), (0, 2 * p + 1), (12, -2 * p), (0, -3 * p)]:
             with pytest.raises(InconsistentCountsError):
                 weil_polynomial(counts(a1, a2))
         # a1^2 = 16p - 16 with a double root of the real Weil polynomial
