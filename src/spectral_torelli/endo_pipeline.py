@@ -408,8 +408,7 @@ def _eliminate_tail(h1_value, h2_value):
     return eliminated
 
 
-def verify_painleve_divisor_gar92(*, flow_order=8, value_order=4,
-                                  solution=None):
+def verify_painleve_divisor_gar92():
     """Check, stage by stage, that the transcribed Laurent solution of
     the rank-9/2 flow lies on the spectral quintic of the flow, written
     through the conserved Hamiltonian values:
@@ -424,21 +423,21 @@ def verify_painleve_divisor_gar92(*, flow_order=8, value_order=4,
     5.   rescaling that relation by x = (3/2) alpha, y = 9 beta turns it
          into y^2 - f(x) with f exactly that spectral quintic.
 
-    `solution` substitutes another LaurentSolution for the transcribed
-    one (the stage checks then report what breaks).
+    The flow check runs with max_order 8 and the two constants with
+    max_order 4 (see `verify_hamilton_flow`, `substitute_hamiltonian`).
     """
-    sol = garnier92_solution() if solution is None else solution
+    sol = garnier92_solution()
     h1_phase, h2_phase = garnier92_hamiltonians()
     h1_value, h2_value = garnier92_hamiltonian_values()
     stages = []
-    report = verify_hamilton_flow(h1_phase, sol, max_order=flow_order)
+    report = verify_hamilton_flow(h1_phase, sol, max_order=8)
     flow_reports = {"H1": report}
     stages.append(("flow-H1", report.all_zero, ""))
     for name, ham, value in (
         ("H1", h1_phase, h1_value),
         ("H2", h2_phase, h2_value),
     ):
-        series = substitute_hamiltonian(ham, sol, max_order=value_order)
+        series = substitute_hamiltonian(ham, sol, max_order=4)
         ok = _constant_agrees(series, value)
         stages.append(
             (

@@ -23,20 +23,21 @@ curve modules.
 """
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from ._record import Record
 from .errors import (
+    DegreeBoundError,
     NonUniqueSubfieldError,
     NoQuadraticSubfieldError,
     ReducibleQuarticError,
     StructureError,
 )
-from .exact_algebra import UniPoly
 
 _TRIAL_LIMIT = 10 ** 6
 _CERTIFIED_COFACTOR_BOUND = 10 ** 18
+_SCAN_MAX_ORDER = 90
+_SCAN_PHI_BOUND = 24
 
 
 def _is_square(n):
@@ -396,26 +397,21 @@ def euler_phi(n):
 
 @lru_cache(maxsize=None)
 def cyclotomic(n):
-    """Ascending integer coefficients of the n-th cyclotomic polynomial."""
+    """Ascending integer coefficients of the n-th cyclotomic polynomial:
+    x^n - 1 divided exactly by cyclotomic(d) for every proper divisor d
+    of n. Orders above 128 raise DegreeBoundError."""
     n = int(n)
     if n < 1:
         raise ValueError("positive integers only")
-    power = [Fraction(0)] * (n + 1)
-    power[0] = Fraction(-1)
-    power[n] = Fraction(1)
-    poly = UniPoly(power)
+    if n > 128:
+        raise DegreeBoundError(f"degree {n} exceeds bound 128")
+    poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            q, r = poly.divmod(UniPoly([Fraction(c) for c in cyclotomic(d)]))
-            if not r.is_zero():
+            poly, rem = _divmod_monic(poly, cyclotomic(d))
+            if any(rem):
                 raise ArithmeticError("cyclotomic division left a remainder")
-            poly = q
-    out = []
-    for c in poly.coeffs:
-        if c.denominator != 1:
-            raise ArithmeticError("cyclotomic coefficients must be integers")
-        out.append(c.numerator)
-    return tuple(out)
+    return tuple(poly)
 
 
 class RootRatioReport(Record):
@@ -451,39 +447,40 @@ def _power_sums(coefficients, count):
     return sums
 
 
-@lru_cache(maxsize=32)
-def _scanned_cyclotomics(max_order, phi_bound):
-    """(n, cyclotomic(n)) for every n <= max_order with phi(n) <=
-    phi_bound."""
+@lru_cache(maxsize=1)
+def _scanned_cyclotomics():
+    """(n, cyclotomic(n)) for every scanned order n."""
     return tuple(
         (n, cyclotomic(n))
-        for n in range(1, max_order + 1)
-        if euler_phi(n) <= phi_bound
+        for n in range(1, _SCAN_MAX_ORDER + 1)
+        if euler_phi(n) <= _SCAN_PHI_BOUND
     )
 
 
-def _divisible_by_monic(poly, divisor):
-    """Whether a monic integer polynomial divides an integer polynomial
-    (both ascending)."""
+def _divmod_monic(poly, divisor):
+    """Quotient and remainder of an integer polynomial by a monic integer
+    polynomial (all ascending)."""
     rem = list(poly)
     m = len(divisor) - 1
+    quotient = [0] * (len(rem) - m)
     for top in range(len(rem) - 1, m - 1, -1):
         q = rem[top]
         if q:
+            quotient[top - m] = q
             for i, c in enumerate(divisor):
                 rem[top - m + i] -= q * c
-    return not any(rem[:m])
+    return quotient, rem[:m]
 
 
-def root_ratio_orders(weil_or_coefficients, *, max_order=90, phi_bound=24):
+def root_ratio_orders(weil_or_coefficients):
     """Scan the ratio polynomial of a separable quartic for cyclotomic
     factors.
 
     The ratio polynomial is Res_t(P(t), P(u t)) with the forced (u - 1)^4
     factor removed; its roots are exactly the ratios of distinct
-    eigenvalues. Returns the orders n <= max_order with phi(n) <=
-    phi_bound whose cyclotomic polynomial divides it. A zero leading or
-    constant coefficient raises ValueError.
+    eigenvalues. Returns the orders n <= 90 with phi(n) <= 24 whose
+    cyclotomic polynomial divides it. A zero leading or constant
+    coefficient raises ValueError.
 
     For P = a t^4 + b t^3 + c t^2 + d t + e with roots r_i the resultant
     is a^8 prod_{i,j} (u r_i - r_j), so the ratio polynomial is
@@ -524,8 +521,10 @@ def root_ratio_orders(weil_or_coefficients, *, max_order=90, phi_bound=24):
         ratio_coeffs.append(q)
     orders = [
         n
-        for n, phi_n in _scanned_cyclotomics(int(max_order), int(phi_bound))
+        for n, phi_n in _scanned_cyclotomics()
         if len(phi_n) <= len(ratio_coeffs)
-        and _divisible_by_monic(ratio_coeffs, phi_n)
+        and not any(_divmod_monic(ratio_coeffs, phi_n)[1])
     ]
-    return RootRatioReport(orders, ratio_coeffs, max_order, phi_bound)
+    return RootRatioReport(
+        orders, ratio_coeffs, _SCAN_MAX_ORDER, _SCAN_PHI_BOUND
+    )

@@ -4,10 +4,21 @@
 integers it divides by (4 and factorials up to 6!^2) are invertible:
 Fraction and MultiPoly (exact, over Q and over symbolic parameters), a
 prime-field element type that tolerates int/Fraction scalars, or Jet1
-(first-order jets mod q = 2^61 - 1). The discriminant of the binary
-sextic comes from a frozen table of 246 integer terms, run as one nested
-Horner program (grouped by the exponent of b0, then b1, ..., b6) that
-every coefficient ring shares, in characteristic zero and mod p alike.
+(first-order jets mod q = 2^61 - 1). Adding the ring's zero to every
+coefficient first turns ints into Fractions and lifts scalars into the
+ring of the others.
+
+J2, J4 and J6 come from the transvectants of Mestre ("Construction de
+courbes de genre 2 à partir de leurs modules", 1991): a = (f, f)_6, the
+quartic i = (f, f)_4, b = (i, i)_4, the Hessian (i, i)_2 and
+c = (i, (i, i)_2)_4. A transvectant works straight on ascending
+coefficient lists: each partial derivative it needs is one integer
+factor per coefficient (with the weight (-1)^i C(k, i) folded in), the
+products are summed, and the Fraction prefactor is applied once. The
+discriminant J10 comes from a frozen table of 246 integer terms, run as
+one nested Horner program (grouped by the exponent of b0, then b1, ...,
+b6) that every coefficient ring shares, in characteristic zero and mod p
+alike.
 
 The independence rank evaluates the invariants with jets mod q and takes
 the rank of their Jacobian mod q. A minor that is nonzero mod q is
@@ -24,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
-from ._record import Frozen, Record
+from ._record import Record
 from .errors import (
     AlignmentError,
     DegenerateCurveError,
@@ -112,118 +123,56 @@ def binary_sextic_discriminant(coefficients):
 
 
 def _lift_common(coeffs):
-    """Coerce a mixed scalar/struct coefficient list onto one domain."""
-    coeffs = list(coeffs)
-    polys = [c for c in coeffs if isinstance(c, MultiPoly)]
-    if polys:
-        variables = polys[0].variables
-        for p in polys[1:]:
-            if p.variables != variables:
-                raise AlignmentError("coefficients over different variable lists")
-        out = []
-        for c in coeffs:
-            if isinstance(c, MultiPoly):
-                out.append(c)
-            elif isinstance(c, (int, Fraction)):
-                out.append(MultiPoly.constant(variables, Fraction(c)))
-            else:
-                raise AlignmentError("cannot mix symbolic and foreign coefficients")
-        return out
-    jets = [c for c in coeffs if isinstance(c, Jet1)]
-    if jets:
-        n = len(jets[0].partials)
-        for j in jets[1:]:
-            if len(j.partials) != n:
-                raise AlignmentError("jets track different parameter lists")
-        out = []
-        for c in coeffs:
-            if isinstance(c, Jet1):
-                out.append(c)
-            elif isinstance(c, (int, Fraction)):
-                out.append(Jet1.constant(c, n))
-            else:
-                raise AlignmentError("cannot mix jet and foreign coefficients")
-        return out
-    if all(isinstance(c, (int, Fraction)) for c in coeffs):
-        return [Fraction(c) for c in coeffs]
-    return coeffs
+    """Put every coefficient into one ring by adding that ring's zero:
+    ints become Fractions, and int/Fraction scalars join the MultiPoly or
+    Jet1 ring of the others. Rings that do not add raise AlignmentError."""
+    try:
+        zero = sum((c * 0 for c in coeffs), Fraction(0))
+    except TypeError:
+        raise AlignmentError("coefficients from different rings") from None
+    return [c + zero for c in coeffs]
 
 
-class _Form(Frozen):
-    """Homogeneous binary form, ascending powers of the first variable."""
-
-    __slots__ = ("degree", "coefficients")
-
-    def __init__(self, coefficients, degree):
-        coefficients = tuple(coefficients)
-        if len(coefficients) != degree + 1:
-            raise DegreeBoundError("coefficient count does not match degree")
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coefficients", coefficients)
-
-    def dx(self):
-        c = self.coefficients
-        return _Form([c[i] * i for i in range(1, self.degree + 1)], self.degree - 1)
-
-    def dz(self):
-        c = self.coefficients
-        d = self.degree
-        return _Form([c[i] * (d - i) for i in range(d)], d - 1)
-
-    def __mul__(self, other):
-        d = self.degree + other.degree
-        zero = self.coefficients[0] * 0
-        out = [zero] * (d + 1)
-        for i, a in enumerate(self.coefficients):
-            for j, b in enumerate(other.coefficients):
-                out[i + j] = out[i + j] + a * b
-        return _Form(out, d)
-
-    def scaled(self, q):
-        return _Form([c * q for c in self.coefficients], self.degree)
-
-    def plus(self, other):
-        if other.degree != self.degree:
-            raise DegreeBoundError("form degrees differ")
-        return _Form(
-            [a + b for a, b in zip(self.coefficients, other.coefficients)],
-            self.degree,
-        )
+def _partial(c, a, b, w):
+    """w * d^a/dx^a d^b/dz^b of the binary form sum c_j x^j z^(d-j), as
+    ascending coefficients: one integer factor per coefficient."""
+    d = len(c) - 1
+    return [
+        c[j] * (w * math.perm(j, a) * math.perm(d - j, b))
+        for j in range(a, d - b + 1)
+    ]
 
 
-def _deriv(form, nx, nz):
-    out = form
-    for _ in range(nx):
-        out = out.dx()
-    for _ in range(nz):
-        out = out.dz()
-    return out
-
-
-def _transvectant_form(f, g, k):
-    m, n = f.degree, g.degree
+def _transvectant(f, g, k):
+    """(f, g)_k of two forms given by ascending coefficient lists over one
+    ring: (m-k)! (n-k)! / (m! n!) times the sum over i of (-1)^i C(k, i)
+    d^k f/dx^(k-i) dz^i * d^k g/dx^i dz^(k-i)."""
+    m, n = len(f) - 1, len(g) - 1
     if k < 0 or k > min(m, n):
         raise DegreeBoundError("transvectant index exceeds a form degree")
+    out = [None] * (m + n - 2 * k + 1)
+    for i in range(k + 1):
+        pf = _partial(f, k - i, i, (-1) ** i * math.comb(k, i))
+        pg = _partial(g, i, k - i, 1)
+        for s, p in enumerate(pf):
+            for t, q in enumerate(pg):
+                pq = p * q
+                out[s + t] = pq if out[s + t] is None else out[s + t] + pq
     pref = Fraction(
         math.factorial(m - k) * math.factorial(n - k),
         math.factorial(m) * math.factorial(n),
     )
-    total = None
-    for i in range(k + 1):
-        sign = -1 if i % 2 else 1
-        weight = sign * math.comb(k, i)
-        term = (_deriv(f, k - i, i) * _deriv(g, i, k - i)).scaled(weight)
-        total = term if total is None else total.plus(term)
-    return total.scaled(pref)
+    return tuple(c * pref for c in out)
 
 
 def transvectant(f_coefficients, g_coefficients, k):
     """k-th transvectant of two binary forms given by ascending
     coefficient sequences (degree = length - 1). Returns the ascending
-    coefficient tuple of the resulting form."""
-    f = _Form(_lift_common(f_coefficients), len(tuple(f_coefficients)) - 1)
-    g = _Form(_lift_common(g_coefficients), len(tuple(g_coefficients)) - 1)
-    return _transvectant_form(f, g, k).coefficients
+    coefficient tuple of the resulting form. Both forms are lifted into
+    one ring."""
+    f = list(f_coefficients)
+    lifted = _lift_common(f + list(g_coefficients))
+    return _transvectant(lifted[:len(f)], lifted[len(f):], k)
 
 
 def _is_zero_value(x):
@@ -280,12 +229,11 @@ def igusa(source):
     if len(coeffs) != 7:
         raise DegreeBoundError("need 6 or 7 ascending coefficients")
     coeffs = _lift_common(coeffs)
-    f = _Form(coeffs, 6)
-    a = _transvectant_form(f, f, 6).coefficients[0]
-    quartic = _transvectant_form(f, f, 4)
-    b = _transvectant_form(quartic, quartic, 4).coefficients[0]
-    hessian = _transvectant_form(quartic, quartic, 2)
-    c = _transvectant_form(quartic, hessian, 4).coefficients[0]
+    (a,) = _transvectant(coeffs, coeffs, 6)
+    quartic = _transvectant(coeffs, coeffs, 4)
+    (b,) = _transvectant(quartic, quartic, 4)
+    hessian = _transvectant(quartic, quartic, 2)
+    (c,) = _transvectant(quartic, hessian, 4)
     j2 = a * (-240)
     j4 = (a * a) * 4320 + b * (-18000)
     j6 = (a * a * a) * 34560 + (a * b) * (-432000) + c * (-1440000)

@@ -347,3 +347,25 @@ def test_resolvent_structure_errors():
     flat = _cover("y^4 - 1")
     with pytest.raises(StructureError):
         quadratic_resolvent_curve(flat)
+
+
+@pytest.mark.parametrize(
+    "poly_text, sheet",
+    [
+        ("y^4 - x^3*y^2 + s*x", "2*y"),
+        ("y^4 + 2*x*y^3 + (x^2 - x^3)*y^2 - x^4*y + s*x", "2*y + x"),
+    ],
+)
+def test_resolvent_direct_branch_radical(poly_text, sheet):
+    # q = x^3 and c = s*x give r = q^2 - 4c = x^6 - 4*s*x: a sextic that
+    # is not of the shape x^(2m) (A x + B), so it is the model itself
+    res = quadratic_resolvent_curve(_cover(poly_text, ("x", "y", "s")))
+    assert res.parameters == ("s",)
+    s = MultiPoly.variable("s", ("s",))
+    zero = MultiPoly.zero(("s",))
+    one = MultiPoly.constant(("s",), 1)
+    assert list(res.coefficients) == [zero, s * -4, zero, zero, zero, zero, one]
+    assert res.metadata == {
+        "construction": "direct branch radical",
+        "cover_image": f"w = {sheet}",
+    }

@@ -2,6 +2,7 @@
 oracles, and the randomized independence machinery."""
 
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -23,6 +24,7 @@ from spectral_torelli.errors import (
     UndefinedChartError,
 )
 from spectral_torelli.exact_algebra import Jet1, MultiPoly
+from spectral_torelli.finite_arithmetic import Fp
 from spectral_torelli.igusa_invariants import (
     IgusaInvariants,
     binary_sextic_discriminant,
@@ -225,6 +227,83 @@ def test_transvectant_basics():
         assert all(c == 0 for c in transvectant(f, f, k))
     with pytest.raises(DegreeBoundError):
         transvectant(f, g, 5)
+
+
+def sympy_transvectant(f, g, k):
+    """(f, g)_k from its definition on the homogenized forms F(x, z),
+    G(x, z): the sum over i of (-1)^i C(k, i) d^k F/dx^(k-i) dz^i times
+    d^k G/dx^i dz^(k-i), scaled by (m-k)! (n-k)! / (m! n!). Returns the
+    ascending coefficients in x."""
+    x, z = sympy.symbols("x z")
+    m, n = len(f) - 1, len(g) - 1
+
+    def form(coefficients, d):
+        terms = {(j, d - j): sympy.Rational(c.numerator, c.denominator)
+                 for j, c in enumerate(coefficients)}
+        return sympy.Poly.from_dict(terms, x, z, domain="QQ")
+
+    big_f, big_g = form(f, m), form(g, n)
+    total = sympy.Poly(0, x, z, domain="QQ")
+    for i in range(k + 1):
+        df = big_f.diff((x, k - i), (z, i))
+        dg = big_g.diff((x, i), (z, k - i))
+        total += df * dg * ((-1) ** i * math.comb(k, i))
+    scale = sympy.Rational(
+        math.factorial(m - k) * math.factorial(n - k),
+        math.factorial(m) * math.factorial(n),
+    )
+    d = m + n - 2 * k
+    return [Fraction(int(c.p), int(c.q))
+            for c in (total.coeff_monomial(x**j * z ** (d - j)) * scale
+                      for j in range(d + 1))]
+
+
+def test_transvectant_matches_its_definition():
+    rng = random.Random(103)
+    for m in range(2, 7):
+        for n in range(2, 7):
+            f = [Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                 for _ in range(m + 1)]
+            g = [Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                 for _ in range(n + 1)]
+            for k in range(min(m, n) + 1):
+                got = transvectant(f, g, k)
+                assert list(got) == sympy_transvectant(f, g, k), (m, n, k)
+
+
+def test_igusa_lifts_int_coefficients_into_the_ring():
+    coeffs = list(catalog_get("KFS4/3+4/3").sextic_coefficients())
+    # constant MultiPoly coefficients replaced by plain ints
+    mixed = [int(c.constant_value()) if c.is_constant() else c for c in coeffs]
+    assert any(isinstance(c, int) for c in mixed)
+    assert igusa(mixed) == igusa(coeffs)
+    # the same over jets: ints join the jet ring of the other coefficients
+    jets = [Jet1.tracked(3, 0, 2), Jet1.tracked(-5, 1, 2), 0, 2, 0, -1, 1]
+    lifted = [c if isinstance(c, Jet1) else Jet1.constant(c, 2) for c in jets]
+    assert igusa(jets) == igusa(lifted)
+
+
+def test_igusa_on_ints_gives_fractions():
+    inv = igusa([0, 1, 0, 0, 0, 1])
+    assert all(type(j) is Fraction for j in inv.as_tuple())
+    assert all(type(c) is Fraction for c in transvectant([1, 2, 3], [4, 5], 1))
+
+
+def test_igusa_refuses_mixed_rings():
+    one_var = MultiPoly.variable("a", ("a",))
+    two_var = MultiPoly.variable("a", ("a", "b"))
+    jet2 = Jet1.tracked(1, 0, 2)
+    jet3 = Jet1.tracked(1, 0, 3)
+    for coeffs in (
+        [one_var, 0, 0, 0, 0, 1, two_var],
+        [one_var, 0, 0, 0, 0, 1, jet2],
+        [one_var, 0, 0, 0, 0, 1, Fp(3, 7)],
+        [jet2, 0, 0, 0, 0, 1, jet3],
+    ):
+        with pytest.raises(AlignmentError):
+            igusa(coeffs)
+    with pytest.raises(AlignmentError):
+        transvectant([one_var, 1], [jet2, 1], 1)
 
 
 def test_rank_at_point_rejections():
