@@ -40,6 +40,10 @@ def run(argv, capsys):
     [
         "certify_kfs_37_53",
         "certify_gar92_101_103",
+        "certify_gar92_29_31",
+        "certify_gar52_32_37_43",
+        "certify_mati_29_31",
+        "certify_matiii_d8_29_43",
         "count_points_kfs_137",
         "count_points_mati_1009",
         "verify_divisor_gar92",
