@@ -59,8 +59,6 @@ from .errors import (
     ExactDivisionError,
     InconclusiveError,
     InconsistentCountsError,
-    NonUniqueSubfieldError,
-    NoQuadraticSubfieldError,
     PolyParseError,
     ReducibleQuarticError,
     SpectralTorelliError,

@@ -4,15 +4,21 @@ spectral quintic.
 
 Certificate logic: for each chosen odd prime of good reduction, count
 points over F_p and F_{p^2} and form the Frobenius quartic. When that
-quartic is separable and irreducible, the endomorphism algebra of the
-reduced Jacobian is the quartic field it cuts out, whose unique
-quadratic subfield is recorded by its squarefree discriminant core.
-Any endomorphism of the original Jacobian survives reduction, so two
-primes with different cores leave no room for a common quadratic
-subfield and force the rational endomorphism ring down to Z. If,
-additionally, no ratio of Frobenius eigenvalues is a root of unity at
-either prime, the same holds over every finite extension, hence
-geometrically.
+quartic is irreducible, the endomorphism algebra of the reduced
+Jacobian is the quartic CM field Q(pi) it cuts out (Tate, Invent. Math.
+1966), whose real quadratic subfield Q(sqrt(a1^2 - 4 a2 + 8p)) is
+recorded by its squarefree discriminant core. Any endomorphism of the
+original Jacobian survives reduction, so End^0_Q(J) embeds in the field
+of each prime. Two primes with different real cores leave no room for a
+real quadratic or a quartic End^0_Q(J). An imaginary quadratic one
+embeds only in a biquadratic (V4) field, so the rule also needs one of
+the two primes to have group D4 or C4; then the rational endomorphism
+ring is Z, and two V4 primes stay INCONCLUSIVE. If, additionally, no
+ratio of Frobenius eigenvalues is a root of unity at either prime, the
+same holds over every finite extension, hence geometrically. The
+argument is laid out in `galois_certificates`; Lombardo (Math. Comp.
+2019) and Costa, Mascot, Sijsling and Voight (Math. Comp. 2019) bound
+endomorphism algebras from reductions the same way.
 """
 
 from fractions import Fraction
@@ -30,8 +36,6 @@ from .errors import (
     AlignmentError,
     BadReductionError,
     BlockedOnDataError,
-    NonUniqueSubfieldError,
-    NoQuadraticSubfieldError,
     ReducibleQuarticError,
     StructureError,
     UnknownFamilyError,
@@ -134,20 +138,16 @@ class EndoCertificate(Record):
         }
 
 
+_VERDICT_FIELDS = ("tate", "irreducible", "galois_group", "subfield_core",
+                   "subfield_minimal_polynomial", "ratio_orders")
+
+
 def frobenius_verdict(weil, *, ratios=True):
     """Classify one Weil quartic: separability, irreducibility, Galois
-    class, quadratic subfield, and (optionally) root-of-unity ratios.
-    Failures are recorded in `notes`, never raised."""
-    verdict = {
-        "tate": None,
-        "irreducible": None,
-        "galois_group": None,
-        "subfield_core": None,
-        "subfield_minimal_polynomial": None,
-        "ratio_orders": None,
-        "notes": [],
-    }
-    verdict["tate"] = tate_condition(weil)
+    class, real quadratic subfield, and (optionally) root-of-unity
+    ratios. Failures are recorded in `notes`, never raised."""
+    verdict = dict.fromkeys(_VERDICT_FIELDS)
+    verdict.update(tate=tate_condition(weil), notes=[])
     if not verdict["tate"]:
         verdict["notes"].append(
             "Frobenius quartic has a repeated eigenvalue, so it does not "
@@ -156,25 +156,17 @@ def frobenius_verdict(weil, *, ratios=True):
         return verdict
     try:
         analysis = galois_group(weil.frobenius_coefficients)
-        verdict["irreducible"] = True
-        verdict["galois_group"] = analysis.group
     except ReducibleQuarticError as exc:
         verdict["irreducible"] = False
         verdict["notes"].append(str(exc))
-        analysis = None
-    if analysis is not None:
-        try:
-            subfield = quadratic_subfield(weil, analysis)
-            verdict["subfield_core"] = subfield.core
-            verdict["subfield_minimal_polynomial"] = list(
-                subfield.minimal_polynomial
-            )
-        except NonUniqueSubfieldError as exc:
-            verdict["notes"].append(
-                f"{exc}; candidate cores {list(exc.discriminants)!r}"
-            )
-        except NoQuadraticSubfieldError as exc:
-            verdict["notes"].append(str(exc))
+    else:
+        verdict["irreducible"] = True
+        verdict["galois_group"] = analysis.group
+        subfield = quadratic_subfield(weil)
+        verdict["subfield_core"] = subfield.core
+        verdict["subfield_minimal_polynomial"] = list(
+            subfield.minimal_polynomial
+        )
     if ratios:
         try:
             report = root_ratio_orders(weil)
@@ -188,24 +180,11 @@ def _prime_record(curve, p, geometric):
     """Evidence for one prime. Every failure past input validation is
     recorded in the `notes` list instead of raised, so a bad prime
     degrades the verdict rather than the run."""
-    record = {
-        "p": int(p),
-        "curve_mod_p": None,
-        "n1": None,
-        "n2": None,
-        "a1": None,
-        "a2": None,
-        "l_coefficients": None,
-        "frobenius_coefficients": None,
-        "tate": None,
-        "irreducible": None,
-        "galois_group": None,
-        "subfield_core": None,
-        "subfield_minimal_polynomial": None,
-        "ratio_orders": None,
-        "usable": False,
-        "notes": [],
-    }
+    record = dict.fromkeys(
+        ("p", "curve_mod_p", "n1", "n2", "a1", "a2", "l_coefficients",
+         "frobenius_coefficients") + _VERDICT_FIELDS
+    )
+    record.update(p=int(p), usable=False, notes=[])
     try:
         reduction = reduce_mod_p(curve, p)
     except BadReductionError as exc:
@@ -221,12 +200,59 @@ def _prime_record(curve, p, geometric):
     record["l_coefficients"] = list(weil.l_coefficients)
     record["frobenius_coefficients"] = list(weil.frobenius_coefficients)
     record.update(frobenius_verdict(weil, ratios=geometric))
-    record["usable"] = (
-        record["tate"]
-        and record["irreducible"] is True
-        and record["subfield_core"] is not None
-    )
+    record["usable"] = record["tate"] and record["irreducible"]
     return record
+
+
+def _pair_verdict(first, second, geometric):
+    """The two-prime rule on two prime records: (verdict, reasons).
+
+    TRIVIAL needs two usable records with different real cores, at least
+    one of them with group D4 or C4 (see the module docstring).
+    """
+    (p1, core1), (p2, core2) = (
+        (r["p"], r["subfield_core"]) for r in (first, second)
+    )
+    differ = first["usable"] and second["usable"] and core1 != core2
+    both_v4 = first["galois_group"] == second["galois_group"] == "V4"
+    if differ and not both_v4:
+        reasons = [
+            f"subfield cores {core1} (p={p1}) and {core2} (p={p2}) differ: "
+            "the two reduced endomorphism fields share no quadratic "
+            "subfield, so the rational endomorphism ring is Z"
+        ]
+        if not geometric:
+            return TRIVIAL_END, reasons
+        dirty = [r for r in (first, second) if r["ratio_orders"] != []]
+        if not dirty:
+            return TRIVIAL_GEOMETRIC_END, reasons + [
+                "no eigenvalue ratio is a root of unity at either prime, so "
+                "the conclusion holds over every field extension"
+            ]
+        return TRIVIAL_END, reasons + [
+            f"p={r['p']}: eigenvalue ratios of orders "
+            f"{r['ratio_orders']!r} block the geometric upgrade"
+            for r in dirty
+        ]
+    reasons = [
+        f"p={r['p']}: {note}" for r in (first, second) for note in r["notes"]
+    ]
+    if differ:
+        reasons.append(
+            f"subfield cores {core1} (p={p1}) and {core2} (p={p2}) differ, "
+            "but both primes have group V4: each Frobenius field also has "
+            "two imaginary quadratic subfields, so an imaginary quadratic "
+            "endomorphism algebra is not excluded; try other primes"
+        )
+    elif first["usable"] and second["usable"]:
+        reasons.append(
+            f"both primes give subfield core {core1}: the disjointness "
+            "test cannot distinguish the endomorphism fields; try other "
+            "primes"
+        )
+    elif not reasons:
+        reasons.append("fewer than two primes produced usable evidence")
+    return INCONCLUSIVE, reasons
 
 
 def certify_endomorphisms(source, point, p1, p2, *, geometric=False):
@@ -243,53 +269,10 @@ def certify_endomorphisms(source, point, p1, p2, *, geometric=False):
         raise ValueError(f"the two primes must differ, got p1 = p2 = {p1}")
     curve, label, point_used, family = resolve_curve(source, point)
     records = [_prime_record(curve, p, geometric) for p in primes]
-    first, second = records
-    reasons = []
-    verdict = INCONCLUSIVE
-    cores_ok = (
-        first["usable"]
-        and second["usable"]
-        and first["subfield_core"] != second["subfield_core"]
-    )
-    if cores_ok:
-        verdict = TRIVIAL_END
-        reasons.append(
-            f"subfield cores {first['subfield_core']} (p={primes[0]}) and "
-            f"{second['subfield_core']} (p={primes[1]}) differ: the two "
-            "reduced endomorphism fields share no quadratic subfield, so "
-            "the rational endomorphism ring is Z"
-        )
-        if geometric:
-            dirty = [r for r in records if r["ratio_orders"] != []]
-            if not dirty:
-                verdict = TRIVIAL_GEOMETRIC_END
-                reasons.append(
-                    "no eigenvalue ratio is a root of unity at either "
-                    "prime, so the conclusion holds over every field "
-                    "extension"
-                )
-            else:
-                for r in dirty:
-                    reasons.append(
-                        f"p={r['p']}: eigenvalue ratios of orders "
-                        f"{r['ratio_orders']!r} block the geometric upgrade"
-                    )
-    else:
-        for r in records:
-            for note in r["notes"]:
-                reasons.append(f"p={r['p']}: {note}")
-        if first["usable"] and second["usable"]:
-            reasons.append(
-                f"both primes give subfield core "
-                f"{first['subfield_core']}: the disjointness test cannot "
-                "distinguish the endomorphism fields; try other primes"
-            )
-        elif not reasons:
-            reasons.append("fewer than two primes produced usable evidence")
-        if family is not None:
-            note = family.metadata.get("degeneration")
-            if note:
-                reasons.append(note)
+    verdict, reasons = _pair_verdict(*records, geometric)
+    note = family and family.metadata.get("degeneration")
+    if verdict == INCONCLUSIVE and note:
+        reasons.append(note)
     return EndoCertificate(
         label, point_used, primes, geometric, records, verdict, reasons
     )

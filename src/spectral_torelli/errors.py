@@ -69,17 +69,5 @@ class InconclusiveError(SpectralTorelliError, RuntimeError):
 
 
 class ReducibleQuarticError(SpectralTorelliError, ValueError):
-    """Galois classification requested for a reducible quartic."""
-
-
-class NoQuadraticSubfieldError(SpectralTorelliError, ValueError):
-    """The quartic field has no quadratic subfield (group S4 or A4)."""
-
-
-class NonUniqueSubfieldError(SpectralTorelliError, ValueError):
-    """The quartic field has three quadratic subfields (group V4); the
-    offending discriminants ride along."""
-
-    def __init__(self, message, discriminants):
-        super().__init__(message)
-        self.discriminants = tuple(discriminants)
+    """A quartic that has to be irreducible (for a Galois class or a
+    real quadratic subfield) factors over Q."""

@@ -6,17 +6,23 @@ whether the discriminant is a square), three give V4, and exactly one
 leaves D4 versus C4, decided by whether the two auxiliary quadratics
 split over the discriminant field.
 
-Why a V4 prime is not evidence of a trivial endomorphism ring. At a
-prime with an irreducible Weil quartic, End^0(J_p) = Q(pi) is a quartic
-CM field, and End^0_Q(J) embeds in it. Under D4 or C4 the only quadratic
-subfield is the real K0 = Q(sqrt(a1^2 - 4 a2 + 8p)), so an imaginary
-quadratic End^0_Q(J) cannot embed, and a real quadratic one must equal
-K0; two such primes with different real cores leave only Q. Under V4,
-Q(pi) = K0(sqrt(-d)) is biquadratic and also has the two imaginary
-quadratic subfields Q(sqrt(-d)) and Q(sqrt(-d * disc K0)). An imaginary
-quadratic End^0_Q(J) would embed in the fields of two V4 primes whatever
-their real cores are, so comparing real cores does not exclude it, and
-`quadratic_subfield` reports the V4 candidates without choosing one.
+The real quadratic subfield. At a prime with an irreducible Weil
+quartic, End^0(J_p) = Q(pi) is a quartic CM field (Tate, Invent. Math.
+1966), and End^0_Q(J) embeds in it. A CM quartic field has exactly one
+real quadratic subfield, K0 = Q(pi + p/pi) = Q(sqrt(a1^2 - 4 a2 + 8p)),
+so its group is C4, V4 or D4, never S4 or A4; `quadratic_subfield` is
+that formula. Under D4 or C4, K0 is the only quadratic subfield. Under
+V4, Q(pi) = K0(sqrt(-d)) is biquadratic and also has the two imaginary
+quadratic subfields Q(sqrt(-d)) and Q(sqrt(-d * disc K0)).
+
+Hence the two-prime rule of `endo_pipeline`: two primes with different
+real cores leave no room for a real quadratic or a quartic End^0_Q(J),
+and an imaginary quadratic one cannot embed at a D4 or C4 prime, so a
+TRIVIAL verdict also needs one of the two primes to be D4 or C4. Two V4
+primes with different real cores do not exclude an imaginary quadratic
+End^0_Q(J). Reductions bound endomorphism algebras of genus-2 Jacobians
+in the same way in Lombardo (Math. Comp. 2019) and Costa, Mascot,
+Sijsling and Voight (Math. Comp. 2019).
 
 Everything is exact integer/rational arithmetic; nothing here needs the
 curve modules.
@@ -26,13 +32,7 @@ import math
 from functools import lru_cache
 
 from ._record import Record
-from .errors import (
-    DegreeBoundError,
-    NonUniqueSubfieldError,
-    NoQuadraticSubfieldError,
-    ReducibleQuarticError,
-    StructureError,
-)
+from .errors import DegreeBoundError, ReducibleQuarticError, StructureError
 
 _TRIAL_LIMIT = 10 ** 6
 _CERTIFIED_COFACTOR_BOUND = 10 ** 18
@@ -238,15 +238,12 @@ class QuarticAnalysis(Record):
         "discriminant",
         "resolvent",
         "resolvent_roots",
-        "distinguished_root",
-        "delta_pair",
     )
 
     def __init__(self, coefficients, group, discriminant, resolvent,
-                 resolvent_roots, distinguished_root, delta_pair):
+                 resolvent_roots):
         super().__init__(tuple(coefficients), group, discriminant,
-                         tuple(resolvent), tuple(resolvent_roots),
-                         distinguished_root, delta_pair)
+                         tuple(resolvent), tuple(resolvent_roots))
 
 
 def galois_group(coefficients):
@@ -267,89 +264,48 @@ def galois_group(coefficients):
     resolvent = resolvent_cubic(coeffs)
     roots, _ = _integer_roots_monic(resolvent)
     roots = sorted(roots)
-    e, d, c, b, _ = coeffs
+    e, _, c, b, _ = coeffs
     if not roots:
         group = "A4" if _is_square(disc) else "S4"
-        return QuarticAnalysis(
-            coeffs, group, disc, resolvent, roots, None, None
-        )
-    if len(roots) == 3:
-        return QuarticAnalysis(
-            coeffs, "V4", disc, resolvent, roots, None, None
-        )
-    y0 = roots[0]
-    delta1 = b * b - 4 * (c - y0)
-    delta2 = y0 * y0 - 4 * e
-    def splits_over_disc_field(delta):
-        return delta == 0 or _is_square(delta) or _is_square(delta * disc)
-    if splits_over_disc_field(delta1) and splits_over_disc_field(delta2):
-        group = "C4"
+    elif len(roots) == 3:
+        group = "V4"
     else:
-        group = "D4"
-    return QuarticAnalysis(
-        coeffs, group, disc, resolvent, roots, y0, (delta1, delta2)
-    )
+        y0 = roots[0]
+        cyclic = all(
+            _is_square(delta) or _is_square(delta * disc)
+            for delta in (b * b - 4 * (c - y0), y0 * y0 - 4 * e)
+        )
+        group = "C4" if cyclic else "D4"
+    return QuarticAnalysis(coeffs, group, disc, resolvent, roots)
 
 
 class QuadraticSubfield(Record):
-    """The unique quadratic subfield of a quartic Frobenius field,
+    """The real quadratic subfield of a quartic Frobenius field,
     presented by the minimal polynomial of the sum of an eigenvalue and
-    its companion p/eigenvalue."""
+    its companion p/eigenvalue, and by its squarefree discriminant core."""
 
-    __slots__ = ("p", "minimal_polynomial", "discriminant", "core")
+    __slots__ = ("minimal_polynomial", "core")
 
-    def __init__(self, p, minimal_polynomial, discriminant, core):
-        super().__init__(int(p), tuple(int(c) for c in minimal_polynomial),
-                         int(discriminant), int(core))
+    def __init__(self, minimal_polynomial, core):
+        super().__init__(tuple(int(c) for c in minimal_polynomial), int(core))
 
 
-def quadratic_subfield(weil, analysis=None):
-    """Quadratic subfield data for a Weil polynomial (p, a1, a2).
+def quadratic_subfield(weil):
+    """The real quadratic subfield Q(pi + p/pi) of the Frobenius field of
+    a Weil polynomial (p, a1, a2).
 
-    Requires the Frobenius quartic to be irreducible with group D4 or
-    C4; V4 raises NonUniqueSubfieldError carrying the three candidate
-    discriminant cores, S4/A4 raise NoQuadraticSubfieldError.
-
-    Under V4 each resolvent root y = r1*r2 + r3*r4 belongs to one pairing
-    of the roots, and the subfield fixed by that pairing's involution is
-    generated by r1*r2 - r3*r4, whose square is y^2 - 4e. When that is 0
-    (always for y = 2p, the pairing of each eigenvalue with its companion
-    p/eigenvalue) the subfield is generated by (r1 + r2) - (r3 + r4)
-    instead, whose square is b^2 - 4(c - y); for y = 2p that is the
-    a1^2 - 4(a2 - 2p) of the D4/C4 path. The two squares cannot both
-    vanish without a repeated root, so the error carries three cores,
-    whose product is a square.
+    pi + p/pi is a root of s^2 - a1 s + (a2 - 2p), of discriminant
+    a1^2 - 4 a2 + 8p. A square discriminant makes pi + p/pi rational, so
+    the quartic is reducible, and raises ReducibleQuarticError.
     """
-    if analysis is None:
-        analysis = galois_group(weil.frobenius_coefficients)
-    group = analysis.group
-    if group in ("S4", "A4"):
-        raise NoQuadraticSubfieldError(
-            f"group {group}: the quartic field has no quadratic subfield"
-        )
     p, a1, a2 = weil.p, weil.a1, weil.a2
-    if group == "V4":
-        cores = []
-        e, _, c, b, _ = analysis.coefficients
-        for y in analysis.resolvent_roots:
-            delta = y * y - 4 * e
-            if delta == 0:
-                delta = b * b - 4 * (c - y)
-            if not _is_square(delta):
-                cores.append(squarefree_part(delta))
-        raise NonUniqueSubfieldError(
-            "group V4: three quadratic subfields, none distinguished",
-            tuple(sorted(set(cores))),
+    disc = a1 * a1 - 4 * a2 + 8 * p
+    if _is_square(disc):
+        raise ReducibleQuarticError(
+            f"a1^2 - 4 a2 + 8p = {disc} is a square: pi + p/pi is "
+            "rational, so the Frobenius quartic is reducible"
         )
-    disc = a1 * a1 - 4 * (a2 - 2 * p)
-    if disc == 0 or _is_square(disc):
-        raise NoQuadraticSubfieldError(
-            "eigenvalue-plus-companion trace is rational; this contradicts "
-            "an irreducible quartic"
-        )
-    return QuadraticSubfield(
-        p, (a2 - 2 * p, -a1, 1), disc, squarefree_part(disc)
-    )
+    return QuadraticSubfield((a2 - 2 * p, -a1, 1), squarefree_part(disc))
 
 
 def tate_condition(weil_or_coefficients):

@@ -12,7 +12,11 @@ polynomial taken from a symbolic resultant and the quartic discriminant
 from a generic one; the independence goldens other than Gar9/2's with
 jets over Q, before the rank was taken mod 2^61 - 1; the MatI count at
 p = 1009 with the direct O(p^2) F_{p^2} count, before N2 came from the
-Hasse-Witt matrix and a Jacobian order test.
+Hasse-Witt matrix and a Jacobian order test; the four frozen-point
+`certify-endo --geometric` witnesses (one End = Z certificate per
+family, next to KFS 37/53) while V4 primes still had no subfield core.
+Giving V4 primes their real core changed only `certify_gar92_101_103`
+(now TRIVIAL_END through its D4 prime) and `frobenius_3_4_10`.
 """
 
 import json

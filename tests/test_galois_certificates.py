@@ -15,12 +15,16 @@ from sympy.polys.numberfields.galoisgroups import galois_group as sympy_galois
 
 from spectral_torelli.errors import (
     DegreeBoundError,
-    NonUniqueSubfieldError,
-    NoQuadraticSubfieldError,
     ReducibleQuarticError,
     StructureError,
 )
-from spectral_torelli.finite_arithmetic import PointCount, WeilPolynomial, weil_polynomial
+from spectral_torelli.finite_arithmetic import (
+    PointCount,
+    WeilPolynomial,
+    _within_weil_bounds,
+    is_prime,
+    weil_polynomial,
+)
 from spectral_torelli.galois_certificates import (
     _quartic_discriminant,
     cyclotomic,
@@ -200,8 +204,8 @@ class TestGaloisGroup:
         analysis = galois_group((-3, 0, 0, 0, 1))
         assert analysis.resolvent == (0, 12, 0, 1)
         assert analysis.resolvent_roots == (0,)
-        assert analysis.distinguished_root == 0
-        assert analysis.delta_pair == (0, 12)
+        assert analysis.coefficients == (-3, 0, 0, 0, 1)
+        assert analysis.discriminant == -6912
 
     def test_reducible_quartic_carries_its_factors(self):
         with pytest.raises(ReducibleQuarticError) as info:
@@ -211,18 +215,33 @@ class TestGaloisGroup:
             galois_group((1, 2, 3, 4))
 
 
+def irreducible_weil_triples(primes):
+    """(Weil polynomial, Galois group) for every triple (p, a1, a2) inside
+    the Weil bounds whose Frobenius quartic is irreducible."""
+    for p in primes:
+        bound = math.isqrt(16 * p)
+        for a1 in range(-bound, bound + 1):
+            for a2 in range(-2 * p, 6 * p + 1):
+                if not _within_weil_bounds(p, a1, a2):
+                    continue
+                weil = WeilPolynomial(p, a1, a2)
+                try:
+                    group = galois_group(weil.frobenius_coefficients).group
+                except ReducibleQuarticError:
+                    continue
+                yield weil, group
+
+
 class TestQuadraticSubfield:
     def test_reference_cores(self):
         w37 = weil_polynomial(PointCount(37, 36, 1442))
         sub = quadratic_subfield(w37)
         assert sub.core == 37
         assert sub.minimal_polynomial == (-36, -2, 1)
-        assert sub.discriminant == 148
         w53 = weil_polynomial(PointCount(53, 57, 3001))
         sub53 = quadratic_subfield(w53)
         assert sub53.core == 33
         assert sub53.minimal_polynomial == (-6, 3, 1)
-        assert sub53.discriminant == 33
 
     def test_minimal_polynomial_annihilates_the_trace_sum(self):
         # alpha + p/alpha must satisfy the printed quadratic
@@ -240,67 +259,54 @@ class TestQuadraticSubfield:
             )
             assert remainder == 0
 
-    def test_v4_has_three_subfields(self):
-        # x^4 + 9 = (x^2 + 3i)(x^2 - 3i) = (x^2 - sqrt(6) x + 3)(x^2 + sqrt(6) x + 3),
-        # so Q(i), Q(sqrt 6) and Q(sqrt -6); two resolvent roots (+-2p) give
-        # y^2 - 4e = 0 here.
-        with pytest.raises(NonUniqueSubfieldError) as info:
-            quadratic_subfield(WeilPolynomial(3, 0, 0))
-        assert info.value.discriminants == (-6, -1, 6)
-
-    def test_v4_keeps_the_companion_pairing_subfield(self):
-        # Gar9/2 at its first frozen rank witness, p = 103: the resolvent
-        # root 2p has y^2 - 4e = 0, and its subfield Q(sqrt 202) is the one
-        # a1^2 - 4(a2 - 2p) = 808 = 4 * 202 gives.
+    def test_v4_quartics_get_their_real_core(self):
+        # x^4 + 9 = (x^2 - sqrt(6) x + 3)(x^2 + sqrt(6) x + 3): its real
+        # subfield is Q(sqrt 6), next to the imaginary Q(i) and Q(sqrt -6)
+        sub = quadratic_subfield(WeilPolynomial(3, 0, 0))
+        assert (sub.core, sub.minimal_polynomial) == (6, (-6, 0, 1))
+        # Gar9/2 at its first frozen rank witness, p = 103
         weil = WeilPolynomial(103, -4, 8)
-        assert weil.frobenius_coefficients == (10609, 412, 8, 4, 1)
-        with pytest.raises(NonUniqueSubfieldError) as info:
-            quadratic_subfield(weil)
-        cores = info.value.discriminants
-        assert cores == (-202, -1, 202)
-        product = cores[0] * cores[1] * cores[2]
-        assert product > 0 and math.isqrt(product) ** 2 == product
+        assert galois_group(weil.frobenius_coefficients).group == "V4"
+        sub = quadratic_subfield(weil)
+        assert (sub.core, sub.minimal_polynomial) == (202, (-198, 4, 1))
 
-    def test_v4_cores_match_numeric_root_pairings(self):
-        # Every V4 quartic of Weil shape at small p: three distinct cores whose
-        # product is a square, equal to the cores of r1*r2 - r3*r4 (or of
-        # (r1 + r2) - (r3 + r4) when that vanishes) from numeric roots.
+    def test_square_discriminant_is_reducible(self):
+        # a1^2 - 4 a2 + 8p = 0 and 16: pi + p/pi is rational
+        for p, a1, a2 in ((5, 2, 11), (5, 2, 7)):
+            weil = WeilPolynomial(p, a1, a2)
+            with pytest.raises(ReducibleQuarticError):
+                quadratic_subfield(weil)
+            assert len(factor_quartic(weil.frobenius_coefficients)) > 1
+
+    def test_exhaustive_table_up_to_53(self):
+        # Every irreducible Weil quartic cuts out a CM field, so its group
+        # has a quadratic subfield (never S4/A4), and its real core is
+        # positive.
+        primes = [p for p in range(3, 54) if is_prime(p)]
+        groups = {}
+        for weil, group in irreducible_weil_triples(primes):
+            groups[group] = groups.get(group, 0) + 1
+            p, a1, a2 = weil.p, weil.a1, weil.a2
+            core = quadratic_subfield(weil).core
+            assert core == squarefree_part(a1 * a1 - 4 * a2 + 8 * p)
+            assert core > 0
+        assert groups == {"D4": 18364, "V4": 1868, "C4": 148}
+
+    def test_cores_match_numeric_eigenvalue_sums(self):
+        # The two values s, s' of r + p/r over the numeric eigenvalues r are
+        # real, and (s - s')^2 has the squarefree part of the core.
         checked = 0
-        for p in (3, 5, 7):
-            for a1 in range(-math.isqrt(16 * p), math.isqrt(16 * p) + 1):
-                for a2 in range(-2 * p, 6 * p + 1):
-                    weil = WeilPolynomial(p, a1, a2)
-                    try:
-                        analysis = galois_group(weil.frobenius_coefficients)
-                    except ReducibleQuarticError:
-                        continue
-                    if analysis.group != "V4":
-                        continue
-                    with pytest.raises(NonUniqueSubfieldError) as info:
-                        quadratic_subfield(weil, analysis)
-                    cores = info.value.discriminants
-                    product = cores[0] * cores[1] * cores[2]
-                    assert len(cores) == 3
-                    assert product > 0 and math.isqrt(product) ** 2 == product
-                    r = numpy.roots(weil.frobenius_coefficients[::-1])
-                    numeric = set()
-                    for i, j, k, l in ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2)):
-                        u = r[i] * r[j] - r[k] * r[l]
-                        if abs(u) < 1e-6:
-                            u = r[i] + r[j] - r[k] - r[l]
-                        square = u * u
-                        assert abs(square.imag) < 1e-6
-                        numeric.add(squarefree_part(round(square.real)))
-                    assert tuple(sorted(numeric)) == cores
-                    checked += 1
+        for weil, _ in irreducible_weil_triples((3, 5, 7)):
+            p = weil.p
+            roots = numpy.roots(weil.frobenius_coefficients[::-1])
+            sums = sorted((r + p / r for r in roots), key=lambda z: z.real)
+            assert all(abs(z.imag) < 1e-6 for z in sums)
+            assert abs(sums[1] - sums[0]) < 1e-6
+            assert abs(sums[3] - sums[2]) < 1e-6
+            square = round((sums[3].real - sums[0].real) ** 2)
+            assert squarefree_part(square) == quadratic_subfield(weil).core
+            checked += 1
         assert checked > 100
-
-    def test_generic_groups_have_none(self):
-        stub = WeilPolynomial(5, 1, 1)
-        with pytest.raises(NoQuadraticSubfieldError):
-            quadratic_subfield(stub, analysis=galois_group((1, 1, 0, 0, 1)))
-        with pytest.raises(NoQuadraticSubfieldError):
-            quadratic_subfield(stub, analysis=galois_group((12, 8, 0, 0, 1)))
 
 
 class TestTateCondition:
