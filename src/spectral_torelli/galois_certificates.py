@@ -295,8 +295,11 @@ def quadratic_subfield(weil):
     a Weil polynomial (p, a1, a2).
 
     pi + p/pi is a root of s^2 - a1 s + (a2 - 2p), of discriminant
-    a1^2 - 4 a2 + 8p. A square discriminant makes pi + p/pi rational, so
-    the quartic is reducible, and raises ReducibleQuarticError.
+    a1^2 - 4 a2 + 8p. The roots of any quartic of this shape pair as
+    r, p/r, so an irreducible one always has this quadratic subfield;
+    inside the Weil bounds it is real. A square discriminant makes
+    pi + p/pi rational, so the quartic is reducible, and raises
+    ReducibleQuarticError.
     """
     p, a1, a2 = weil.p, weil.a1, weil.a2
     disc = a1 * a1 - 4 * a2 + 8 * p
