@@ -259,12 +259,23 @@ class TestQuadraticSubfield:
             )
             assert remainder == 0
 
-    def test_v4_quartics_get_their_real_core(self):
-        # x^4 + 9 = (x^2 - sqrt(6) x + 3)(x^2 + sqrt(6) x + 3): its real
-        # subfield is Q(sqrt 6), next to the imaginary Q(i) and Q(sqrt -6)
-        sub = quadratic_subfield(WeilPolynomial(3, 0, 0))
+    def test_v4_has_three_subfields(self):
+        # x^4 + 9 = (x^2 - sqrt(6) x + 3)(x^2 + sqrt(6) x + 3): it splits into
+        # quadratics over each of Q(sqrt 6), Q(i) and Q(sqrt -6), and the
+        # certificate takes the real one, Q(sqrt 6)
+        weil = WeilPolynomial(3, 0, 0)
+        assert galois_group(weil.frobenius_coefficients).group == "V4"
+        t = sympy.symbols("t")
+        for d in (6, -1, -6):
+            _, factors = sympy.factor_list(t**4 + 9, extension=sympy.sqrt(d))
+            assert sorted(sympy.degree(f, t) for f, _ in factors) == [2, 2]
+        sub = quadratic_subfield(weil)
         assert (sub.core, sub.minimal_polynomial) == (6, (-6, 0, 1))
-        # Gar9/2 at its first frozen rank witness, p = 103
+
+    def test_v4_keeps_the_companion_pairing_subfield(self):
+        # Gar9/2 at its first frozen rank witness, p = 103: the subfield
+        # generated by pi + p/pi, which pairs each root with its complex
+        # conjugate p/pi, is the real one
         weil = WeilPolynomial(103, -4, 8)
         assert galois_group(weil.frobenius_coefficients).group == "V4"
         sub = quadratic_subfield(weil)
