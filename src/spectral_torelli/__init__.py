@@ -42,7 +42,6 @@ from .endo_pipeline import (
     EndoCertificate,
     DivisorIdentityReport,
     certify_endomorphisms,
-    degeneration_note,
     frobenius_verdict,
     resolve_curve,
     verify_painleve_divisor_gar92,

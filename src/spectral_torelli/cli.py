@@ -99,7 +99,7 @@ def _cmd_catalog(args):
 
 def _cmd_invariants(args):
     source, point = _curve_source(args)
-    curve, label, point_used, _ = resolve_curve(source, point)
+    curve, label, point_used = resolve_curve(source, point)
     inputs = _source_inputs(args, point_used)
     inv = igusa(curve)
     outputs = {
@@ -141,7 +141,7 @@ def _cmd_independence(args):
 
 def _cmd_count_points(args):
     source, point = _curve_source(args)
-    curve, label, point_used, _ = resolve_curve(source, point)
+    curve, label, point_used = resolve_curve(source, point)
     inputs = _source_inputs(args, point_used)
     inputs.update({"p": args.p, "ext": args.ext})
     reduction = reduce_mod_p(curve, args.p)

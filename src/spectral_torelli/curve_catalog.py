@@ -260,19 +260,25 @@ def _build_gar92():
 @lru_cache(maxsize=None)
 def gar92_hamiltonian_frame():
     """The same spectral quintic written through the conserved values
-    h1, h2 of the commuting Hamiltonian pair and the couplings s1, s2.
-
-    The two frames present one family of curves: substituting
-    h1 -> 2*s2^2 - h1, h2 -> h2 - s1*s2, s1 -> 3*s2, s2 -> -s1 into the
-    coefficient-slot frame gives this one, and the substitution is
-    invertible over Q.
+    h1, h2 of the commuting Hamiltonian pair and the couplings s1, s2:
+    the catalog family after the substitution h1 -> 2*s2^2 - h1,
+    h2 -> h2 - s1*s2, s1 -> 3*s2, s2 -> -s1, which is invertible over Q.
     """
-    return _family_from_strings(
+    slots = _build_gar92()
+    images = {
+        name: MultiPoly.parse(text, slots.parameters)
+        for name, text in (
+            ("h1", "2*s2^2 - h1"),
+            ("h2", "h2 - s1*s2"),
+            ("s1", "3*s2"),
+            ("s2", "-s1"),
+        )
+    }
+    return CurveFamily(
         None,
-        ("h1", "h2", "s1", "s2"),
-        ["h2 - s1*s2", "2*s2^2 - h1", "-s1", "3*s2", "0", "1"],
-        5,
-        {
+        slots.parameters,
+        [c.substitute(images) for c in slots.coefficients],
+        metadata={
             "description": (
                 "rank-9/2 spectral quintic in conserved-value coordinates"
             ),
@@ -531,59 +537,39 @@ def load_curve_file(source):
     return HyperellipticCurve(plain)
 
 
-# Lax data for the rank-9/2 flow. The two conventions differ by which
-# coupling slot each matrix entry reads: "tabulated" is the transcription
-# as listed, "hamiltonian" swaps s1 and s2 so that the characteristic
-# polynomial reproduces the spectral quintic of the commuting pair.
-
-_LAX_TABLES = {
-    "tabulated": (
-        (("0", "1"), ("0", "0")),
-        (("0", "p1"), ("1", "0")),
-        (("q2", "p1^2 + p2 + 2*s1"), ("-p1", "-q2")),
-        (
-            ("q1 - p1*q2", "p1^3 + 2*p1*p2 - q2^2 + s1*p1 - s2"),
-            ("-p2 + s1", "-q1 + p1*q2"),
-        ),
+# Lax data for the rank-9/2 flow. The source table has s1 and s2 swapped;
+# with them in these slots the characteristic polynomial reproduces the
+# spectral quintic of the commuting Hamiltonian pair.
+_LAX_TABLE = (
+    (("0", "1"), ("0", "0")),
+    (("0", "p1"), ("1", "0")),
+    (("q2", "p1^2 + p2 + 2*s2"), ("-p1", "-q2")),
+    (
+        ("q1 - p1*q2", "p1^3 + 2*p1*p2 - q2^2 + s2*p1 - s1"),
+        ("-p2 + s2", "-q1 + p1*q2"),
     ),
-    "hamiltonian": (
-        (("0", "1"), ("0", "0")),
-        (("0", "p1"), ("1", "0")),
-        (("q2", "p1^2 + p2 + 2*s2"), ("-p1", "-q2")),
-        (
-            ("q1 - p1*q2", "p1^3 + 2*p1*p2 - q2^2 + s2*p1 - s1"),
-            ("-p2 + s2", "-q1 + p1*q2"),
-        ),
-    ),
-}
+)
 
 
-def gar92_lax(convention="hamiltonian"):
+def gar92_lax():
     """The four 2x2 coefficient matrices (A0, A1, A2, A3) of the cubic
     Lax matrix A(x) = A0 x^3 + A1 x^2 + A2 x + A3, over the phase
     variables and couplings."""
-    try:
-        table = _LAX_TABLES[convention]
-    except KeyError:
-        raise ValueError(
-            f"unknown convention {convention!r}; "
-            "use 'hamiltonian' or 'tabulated'"
-        ) from None
     return tuple(
         tuple(
             tuple(MultiPoly.parse(text, _LAX_VARS) for text in row)
             for row in matrix
         )
-        for matrix in table
+        for matrix in _LAX_TABLE
     )
 
 
-def lax_matrix(convention="hamiltonian"):
+def lax_matrix():
     """A(x) as a 2x2 matrix of polynomials in x, phase variables, and
     couplings."""
     names = ("x",) + _LAX_VARS
     x = MultiPoly.variable("x", names)
-    matrices = gar92_lax(convention)
+    matrices = gar92_lax()
     out = []
     for i in range(2):
         row = []
@@ -596,13 +582,12 @@ def lax_matrix(convention="hamiltonian"):
     return tuple(out)
 
 
-def lax_spectral_curve(convention="hamiltonian"):
+def lax_spectral_curve():
     """det(y*I - A(x)) = 0 as a plane spectral model."""
     names = ("x", "y") + _LAX_VARS
     y = MultiPoly.variable("y", names)
     (a11, a12), (a21, a22) = (
-        tuple(e.with_variables(names) for e in row)
-        for row in lax_matrix(convention)
+        tuple(e.with_variables(names) for e in row) for row in lax_matrix()
     )
     det = (y - a11) * (y - a22) - a12 * a21
     return PlaneSpectralCurve(det, "x", "y")
@@ -612,7 +597,7 @@ class SpectralIdentityReport(Record):
     """Comparison of det(y*I - A(x)) against the spectral quintic written
     through the commuting Hamiltonians."""
 
-    __slots__ = ("convention", "characteristic_polynomial", "expected")
+    __slots__ = ("characteristic_polynomial", "expected")
 
     @property
     def difference(self):
@@ -624,34 +609,25 @@ class SpectralIdentityReport(Record):
 
     def __repr__(self):
         status = "identical" if self.identical else "different"
-        return (
-            f"SpectralIdentityReport(convention={self.convention!r}, "
-            f"{status})"
-        )
+        return f"SpectralIdentityReport({status})"
 
 
-def gar92_spectral_identity(convention="hamiltonian"):
-    """Check that the Lax characteristic polynomial equals
-    y^2 - x^5 - 3 s2 x^3 + s1 x^2 - (2 s2^2 - H1) x - (H2 - s1 s2),
-    with H1, H2 the commuting Hamiltonians as phase polynomials."""
-    curve = lax_spectral_curve(convention)
+def gar92_spectral_identity():
+    """Check that the Lax characteristic polynomial equals y^2 - f(x),
+    with f the conserved-value quintic (`gar92_hamiltonian_frame`) at
+    h1, h2 -> H1, H2, the commuting Hamiltonians as phase polynomials."""
+    curve = lax_spectral_curve()
     names = curve.polynomial.variables
     x = MultiPoly.variable("x", names)
     y = MultiPoly.variable("y", names)
-    s1 = MultiPoly.variable("s1", names)
-    s2 = MultiPoly.variable("s2", names)
-    h1_poly, h2_poly = (
-        h.with_variables(names) for h in garnier92_hamiltonians()
-    )
-    expected = (
-        y * y
-        - x ** 5
-        - s2 * x ** 3 * 3
-        + s1 * x ** 2
-        - (s2 * s2 * 2 - h1_poly) * x
-        - (h2_poly - s1 * s2)
-    )
-    return SpectralIdentityReport(convention, curve.polynomial, expected)
+    levels = {
+        name: h.with_variables(names)
+        for name, h in zip(("h1", "h2"), garnier92_hamiltonians())
+    }
+    expected = y * y
+    for k, c in enumerate(gar92_hamiltonian_frame().coefficients):
+        expected = expected - c.substitute(levels, variables=names) * x ** k
+    return SpectralIdentityReport(curve.polynomial, expected)
 
 
 def mat_i_quartic():

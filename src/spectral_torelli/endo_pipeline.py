@@ -3,7 +3,8 @@ identity tying the Laurent divisor data of the rank-9/2 flow to its
 spectral quintic.
 
 Certificate logic: for each chosen odd prime of good reduction, count
-points over F_p and F_{p^2} and form the Frobenius quartic. When that
+points over F_p and F_{p^2} and form the Frobenius quartic, which the
+Galois layer receives as its Weil triple (p, a1, a2). When that
 quartic is irreducible, the endomorphism algebra of the reduced
 Jacobian is the quartic CM field Q(pi) it cuts out (Tate, Invent. Math.
 1966), whose real quadratic subfield Q(sqrt(a1^2 - 4 a2 + 8p)) is
@@ -30,15 +31,12 @@ from .curve_catalog import (
     catalog_get,
     gar92_hamiltonian_frame,
     reduce_mod_p,
-    KSS,
 )
 from .errors import (
     AlignmentError,
     BadReductionError,
-    BlockedOnDataError,
     ReducibleQuarticError,
     StructureError,
-    UnknownFamilyError,
 )
 from .exact_algebra import MultiPoly
 from .finite_arithmetic import point_counts, weil_polynomial
@@ -68,16 +66,14 @@ def resolve_curve(source, point=None):
     `source` may be a catalog identifier, a CurveFamily, or a rational
     HyperellipticCurve; `point` assigns every family parameter a
     rational value and must be absent for a plain curve. Returns
-    (curve, label, point, family-or-None).
+    (curve, label, point).
     """
-    family = None
     if isinstance(source, str):
         label = source
         source = catalog_get(source)
     else:
         label = getattr(source, "identifier", None) or "curve"
     if isinstance(source, CurveFamily):
-        family = source
         if point is None:
             raise AlignmentError(
                 "a parameter point is needed to specialize the family"
@@ -86,14 +82,13 @@ def resolve_curve(source, point=None):
         missing = [p for p in source.parameters if p not in point]
         if missing:
             raise AlignmentError(f"missing parameter values: {missing!r}")
-        curve = source.specialize(point)
-        return curve, label, point, family
+        return source.specialize(point), label, point
     if isinstance(source, HyperellipticCurve):
         if point:
             raise AlignmentError("a plain curve takes no parameter point")
         if source.characteristic:
             raise AlignmentError("certification starts from a rational curve")
-        return source, label, None, None
+        return source, label, None
     raise AlignmentError(
         f"cannot interpret {type(source).__name__} as a curve source"
     )
@@ -168,11 +163,7 @@ def frobenius_verdict(weil, *, ratios=True):
             subfield.minimal_polynomial
         )
     if ratios:
-        try:
-            report = root_ratio_orders(weil)
-            verdict["ratio_orders"] = list(report.orders)
-        except StructureError as exc:
-            verdict["notes"].append(f"root-ratio scan failed: {exc}")
+        verdict["ratio_orders"] = list(root_ratio_orders(weil).orders)
     return verdict
 
 
@@ -267,61 +258,12 @@ def certify_endomorphisms(source, point, p1, p2, *, geometric=False):
     primes = (int(p1), int(p2))
     if primes[0] == primes[1]:
         raise ValueError(f"the two primes must differ, got p1 = p2 = {p1}")
-    curve, label, point_used, family = resolve_curve(source, point)
+    curve, label, point_used = resolve_curve(source, point)
     records = [_prime_record(curve, p, geometric) for p in primes]
     verdict, reasons = _pair_verdict(*records, geometric)
-    note = family and family.metadata.get("degeneration")
-    if verdict == INCONCLUSIVE and note:
-        reasons.append(note)
     return EndoCertificate(
         label, point_used, primes, geometric, records, verdict, reasons
     )
-
-
-def degeneration_note(family_from, family_to):
-    """Audit record for extending a certificate along a degeneration.
-
-    Documentation-grade output: it records, without verifying, that the
-    spectral family `family_from` degenerates to `family_to`, under
-    which the endomorphism ring of the former's Jacobian embeds into
-    the latter's, so triviality transfers backwards. Unknown
-    identifiers are flagged rather than rejected.
-    """
-    known = []
-    for name in (family_from, family_to):
-        try:
-            catalog_get(name)
-            known.append(True)
-        except (UnknownFamilyError, BlockedOnDataError):
-            known.append(name == KSS)
-    if family_from == family_to:
-        return {
-            "from": family_from,
-            "to": family_to,
-            "status": "identity",
-            "note": "identity degeneration; nothing to transfer",
-        }
-    status = "recorded" if all(known) else "unverified"
-    note = (
-        f"the spectral family {family_from} degenerates to {family_to}; "
-        "along such a limit the endomorphism ring of the degenerating "
-        "Jacobian embeds into that of the limit, so a trivial "
-        f"endomorphism ring for {family_to} forces the same for "
-        f"{family_from}"
-    )
-    if status == "unverified":
-        unknown = [
-            name
-            for name, ok in zip((family_from, family_to), known)
-            if not ok
-        ]
-        note += f"; unrecognized family id(s) {unknown!r}, not checked"
-    return {
-        "from": family_from,
-        "to": family_to,
-        "status": status,
-        "note": note,
-    }
 
 
 class DivisorIdentityReport(Record):

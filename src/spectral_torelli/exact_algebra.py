@@ -334,18 +334,21 @@ class MultiPoly(Frozen):
         `values` maps every variable name to a ring element supporting
         +, *, ** and multiplication by Fraction. Returns a ring element
         (a Fraction when the polynomial is constant and no value is
-        consulted).
+        consulted). Each power values[name] ** e is computed once.
         """
         missing = [v for v in self.variables if v not in values]
         if missing:
             raise AlignmentError(f"missing assignment for {missing!r}")
+        powers = {}
         total = None
-        for exps, c in self.sorted_terms():
+        for exps, c in self.terms.items():
             factor = None
-            for name, e in zip(self.variables, exps):
+            for i, e in enumerate(exps):
                 if e == 0:
                     continue
-                p = values[name] ** e
+                p = powers.get((i, e))
+                if p is None:
+                    p = powers[i, e] = values[self.variables[i]] ** e
                 factor = p if factor is None else factor * p
             contrib = c if factor is None else factor * c
             total = contrib if total is None else total + contrib

@@ -20,6 +20,7 @@ from math import comb
 
 from ._record import Frozen, Record
 from .errors import BadReductionError, InconsistentCountsError
+from .exact_algebra import MultiPoly, _power
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -269,15 +270,7 @@ class Fp2(Frozen):
         k = int(k)
         if k < 0:
             return (Fp2(1, 0, self.p) / self) ** (-k)
-        result = Fp2(1, 0, self.p)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return _power(self, k) if k else Fp2(1, 0, self.p)
 
     def frobenius(self):
         return Fp2(self.a, -self.b % self.p, self.p)
@@ -884,33 +877,15 @@ def weil_polynomial(counts):
     return WeilPolynomial(p, a1, a2)
 
 
-def _poly_string(coeffs_ascending, var="t"):
-    parts = []
-    for e in range(len(coeffs_ascending) - 1, -1, -1):
-        c = coeffs_ascending[e]
-        if c == 0:
-            continue
-        mag = abs(c)
-        if e == 0:
-            body = f"{mag}"
-        else:
-            stem = var if e == 1 else f"{var}^{e}"
-            body = stem if mag == 1 else f"{mag}*{stem}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts) if parts else "0"
-
-
 def zeta_rational_form(weil):
     """The zeta function of the reduction as numerator / (1-t)(1-pt)."""
     num = weil.l_coefficients
+    in_t = MultiPoly(("t",), {(e,): c for e, c in enumerate(num)})
     return {
         "p": weil.p,
         "numerator": list(num),
         "denominator_factors": [[1, -1], [1, -weil.p]],
         "display": (
-            f"({_poly_string(num)}) / ((1 - t)*(1 - {weil.p}*t))"
+            f"({in_t}) / ((1 - t)*(1 - {weil.p}*t))"
         ),
     }

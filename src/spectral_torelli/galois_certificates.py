@@ -24,8 +24,12 @@ End^0_Q(J). Reductions bound endomorphism algebras of genus-2 Jacobians
 in the same way in Lombardo (Math. Comp. 2019) and Costa, Mascot,
 Sijsling and Voight (Math. Comp. 2019).
 
-Everything is exact integer/rational arithmetic; nothing here needs the
-curve modules.
+The Frobenius entry points `quadratic_subfield`, `tate_condition` and
+`root_ratio_orders` take a `WeilPolynomial` (p, a1, a2), the only
+Frobenius data a genus-2 reduction yields, and raise TypeError on
+anything else; `factor_quartic` and `galois_group` classify any monic
+integer quartic. Everything is exact integer/rational arithmetic;
+nothing here needs the curve modules.
 """
 
 import math
@@ -33,6 +37,7 @@ from functools import lru_cache
 
 from ._record import Record
 from .errors import DegreeBoundError, ReducibleQuarticError, StructureError
+from .finite_arithmetic import WeilPolynomial
 
 _TRIAL_LIMIT = 10 ** 6
 _CERTIFIED_COFACTOR_BOUND = 10 ** 18
@@ -85,18 +90,14 @@ def squarefree_part(n):
 
 
 def _int_divisors(n):
+    """Lazily yield (d, |n| // d) for each divisor d <= sqrt|n| of n,
+    ascending, so a caller that stops early skips the rest of the scan."""
     n = abs(n)
-    small = []
-    large = []
     d = 1
     while d * d <= n:
         if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
+            yield d, n // d
         d += 1
-    out = small + large[::-1]
-    return [x for pair in ((v, -v) for v in out) for x in pair]
 
 
 def _eval_int_poly(coeffs, x):
@@ -116,11 +117,16 @@ def _integer_roots_monic(coeffs):
             roots.append(0)
             work = work[1:]
             continue
-        found = None
-        for r in _int_divisors(work[0]):
-            if _eval_int_poly(work, r) == 0:
-                found = r
-                break
+        found = next(
+            (
+                r
+                for pair in _int_divisors(work[0])
+                for v in pair
+                for r in (v, -v)
+                if _eval_int_poly(work, r) == 0
+            ),
+            None,
+        )
         if found is None:
             break
         # synthetic division by (t - found)
@@ -169,9 +175,8 @@ def _factor_monic(coeffs):
         return sorted(factors)
     # rootless quartic: look for a split into two integer quadratics
     a0, a1, a2, a3, _ = rest
-    for beta in _int_divisors(a0):
-        if a0 % beta:
-            continue
+    signed = (r for pair in _int_divisors(a0) for v in pair for r in (v, -v))
+    for beta in signed:
         delta = a0 // beta
         disc = a3 * a3 - 4 * (a2 - beta - delta)
         if not _is_square(disc):
@@ -290,6 +295,13 @@ class QuadraticSubfield(Record):
         super().__init__(tuple(int(c) for c in minimal_polynomial), int(core))
 
 
+def _check_weil(weil):
+    if not isinstance(weil, WeilPolynomial):
+        raise TypeError(
+            f"expected a WeilPolynomial, got {type(weil).__name__}"
+        )
+
+
 def quadratic_subfield(weil):
     """The real quadratic subfield Q(pi + p/pi) of the Frobenius field of
     a Weil polynomial (p, a1, a2).
@@ -301,6 +313,7 @@ def quadratic_subfield(weil):
     pi + p/pi rational, so the quartic is reducible, and raises
     ReducibleQuarticError.
     """
+    _check_weil(weil)
     p, a1, a2 = weil.p, weil.a1, weil.a2
     disc = a1 * a1 - 4 * a2 + 8 * p
     if _is_square(disc):
@@ -311,29 +324,11 @@ def quadratic_subfield(weil):
     return QuadraticSubfield((a2 - 2 * p, -a1, 1), squarefree_part(disc))
 
 
-def tate_condition(weil_or_coefficients):
-    """True when the Frobenius quartic has no repeated root, so its
-    eigenvalue structure is fully separable.
-
-    Accepts a Weil polynomial or 5 ascending integer coefficients; a zero
-    leading or constant coefficient raises ValueError.
-    """
-    coeffs = _frobenius_coefficients(weil_or_coefficients)
-    return bool(_quartic_discriminant(coeffs))
-
-
-def _frobenius_coefficients(source):
-    if hasattr(source, "frobenius_coefficients"):
-        coeffs = tuple(int(c) for c in source.frobenius_coefficients)
-    else:
-        coeffs = tuple(int(c) for c in source)
-        if len(coeffs) != 5:
-            raise ValueError("need 5 ascending quartic coefficients")
-    if not coeffs[0] or not coeffs[4]:
-        raise ValueError(
-            "need a quartic with nonzero leading and constant coefficients"
-        )
-    return coeffs
+def tate_condition(weil):
+    """True when the Frobenius quartic of a Weil polynomial has no
+    repeated root, so its eigenvalue structure is fully separable."""
+    _check_weil(weil)
+    return bool(_quartic_discriminant(weil.frobenius_coefficients))
 
 
 def euler_phi(n):
@@ -431,50 +426,46 @@ def _divmod_monic(poly, divisor):
     return quotient, rem[:m]
 
 
-def root_ratio_orders(weil_or_coefficients):
-    """Scan the ratio polynomial of a separable quartic for cyclotomic
-    factors.
+def root_ratio_orders(weil):
+    """Scan the ratio polynomial of a separable Frobenius quartic for
+    cyclotomic factors.
 
     The ratio polynomial is Res_t(P(t), P(u t)) with the forced (u - 1)^4
     factor removed; its roots are exactly the ratios of distinct
     eigenvalues. Returns the orders n <= 90 with phi(n) <= 24 whose
-    cyclotomic polynomial divides it. A zero leading or constant
-    coefficient raises ValueError.
+    cyclotomic polynomial divides it. Repeated eigenvalues raise
+    StructureError.
 
-    For P = a t^4 + b t^3 + c t^2 + d t + e with roots r_i the resultant
-    is a^8 prod_{i,j} (u r_i - r_j), so the ratio polynomial is
-    a^4 e^4 prod_{i != j} (u - r_j / r_i). It is built from power sums,
-    without the resultant. The roots a r_i of the monic quartic
-    t^4 + b t^3 + ac t^2 + a^2 d t + a^3 e =: t^4 + ... + E have the same
-    ratios; beta_i = E / (a r_i) are the roots of the integer quartic
-    t^4 + (a^2 d) t^3 + (ac) E t^2 + b E^2 t + E^3, and the 12 algebraic
-    integers gamma_ij = (a r_j) beta_i = E r_j / r_i (i != j) have power
-    sums s_k T_k - 4 E^k, where s_k and T_k are the power sums of the two
-    quartics. Newton's identities turn those into the integer
-    coefficients h_k of prod (x - gamma_ij) = sum_k h_k x^(12 - k), and
-    the coefficient of u^(12 - k) in the ratio polynomial is
-    h_k a^4 e^4 / E^k, which must be an integer.
+    For the Frobenius quartic P = t^4 + b t^3 + c t^2 + d t + e, e = p^2,
+    with roots r_i the resultant is prod_{i,j} (u r_i - r_j), so the
+    ratio polynomial is e^4 prod_{i != j} (u - r_j / r_i). It is built
+    from power sums, without the resultant. beta_i = e / r_i are the
+    roots of the integer quartic t^4 + d t^3 + c e t^2 + b e^2 t + e^3,
+    and the 12 algebraic integers gamma_ij = r_j beta_i = e r_j / r_i
+    (i != j) have power sums s_k T_k - 4 e^k, where s_k and T_k are the
+    power sums of the two quartics. Newton's identities turn those into
+    the integer coefficients h_k of prod (x - gamma_ij) =
+    sum_k h_k x^(12 - k), and the coefficient of u^(12 - k) in the ratio
+    polynomial is h_k e^4 / e^k = h_k p^8 / p^(2k), which must be an
+    integer.
     """
-    coeffs = _frobenius_coefficients(weil_or_coefficients)
-    if not tate_condition(coeffs):
+    if not tate_condition(weil):
         raise StructureError(
             "repeated Frobenius eigenvalues: the ratio polynomial "
             "degenerates"
         )
-    e, d, c, b, a = coeffs
-    big_e = a**3 * e
-    s = _power_sums((big_e, a * a * d, a * c, b, 1), 12)
-    t = _power_sums((big_e**3, b * big_e**2, a * c * big_e, a * a * d, 1), 12)
+    e, d, c, b, _ = weil.frobenius_coefficients
+    s = _power_sums((e, d, c, b, 1), 12)
+    t = _power_sums((e**3, b * e**2, c * e, d, 1), 12)
     h = [1]
     for k in range(1, 13):
         total = sum(
-            h[k - i] * (s[i] * t[i] - 4 * big_e**i) for i in range(1, k + 1)
+            h[k - i] * (s[i] * t[i] - 4 * e**i) for i in range(1, k + 1)
         )
         h.append(-total // k)  # exact: the h_k are integers
-    scale = a**4 * e**4
     ratio_coeffs = []
     for k in range(12, -1, -1):
-        q, r = divmod(h[k] * scale, big_e**k)
+        q, r = divmod(h[k] * e**4, e**k)
         if r:
             raise ArithmeticError("ratio polynomial must have integer entries")
         ratio_coeffs.append(q)

@@ -46,6 +46,7 @@ from .errors import (
 from .exact_algebra import Jet1, MultiPoly, jet_eval, rational_matrix_rank
 
 DEFAULT_SEED = 20260819
+_SAMPLE_BOUND = 100  # of |numerator| and denominator at sample points
 
 
 @lru_cache(maxsize=None)
@@ -310,10 +311,10 @@ def rank_at_point(family, point):
     return rational_matrix_rank(rows)
 
 
-def independence_rank(family, *, trials=16, seed=DEFAULT_SEED, bound=100):
+def independence_rank(family, *, trials=16, seed=DEFAULT_SEED):
     """Maximal observed rank of the absolute-invariant Jacobian over
     random rational parameter points with numerator and denominator
-    bounded by `bound`. Deterministic for a fixed seed. Each point's rank
+    bounded by 100. Deterministic for a fixed seed. Each point's rank
     is a lower bound on the rank there (see `rank_at_point`), so the
     result is a lower bound on the generic rank.
 
@@ -332,7 +333,10 @@ def independence_rank(family, *, trials=16, seed=DEFAULT_SEED, bound=100):
     for _ in range(trials):
         used += 1
         point = {
-            name: Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+            name: Fraction(
+                rng.randint(-_SAMPLE_BOUND, _SAMPLE_BOUND),
+                rng.randint(1, _SAMPLE_BOUND),
+            )
             for name in params
         }
         try:
@@ -347,7 +351,7 @@ def independence_rank(family, *, trials=16, seed=DEFAULT_SEED, bound=100):
             break
     if best_point is None:
         raise InconclusiveError(
-            f"all {trials} sample points were degenerate; grow the bound"
+            f"all {trials} sample points were degenerate; try another seed"
         )
     identifier = getattr(family, "identifier", None)
     return RankReport(identifier, best_rank, best_point, used, rejected, seed)

@@ -15,7 +15,7 @@ from importlib import resources
 
 from ._record import Frozen, Record
 from .errors import AlignmentError, TruncationError
-from .exact_algebra import MultiPoly
+from .exact_algebra import MultiPoly, _power
 
 # effectively +infinity for truncation bookkeeping of exactly-known series
 EXACT = 10 ** 9
@@ -167,10 +167,7 @@ class TruncatedSeries(Frozen):
             raise ValueError("negative series power is not supported")
         if n == 0:
             return TruncatedSeries.exact_constant(self.variables, 1)
-        result = self
-        for _ in range(n - 1):
-            result = result * self
-        return result
+        return _power(self, n)
 
     def differentiate(self):
         """d/dt: c*t^k maps to k*c*t^(k-1)."""

@@ -1,7 +1,7 @@
 """Two-prime endomorphism certificates through the library API: input
 rejection, symmetry in the two primes (on the golden inputs and as a
-property over random curves), the pair rule on random Weil data and on
-curves with known extra endomorphisms, and the degeneration audit note.
+property over random curves), and the pair rule on random Weil data and
+on curves with known extra endomorphisms.
 """
 
 import itertools
@@ -20,7 +20,6 @@ from spectral_torelli.endo_pipeline import (
     _pair_verdict,
     _prime_record,
     certify_endomorphisms,
-    degeneration_note,
     frobenius_verdict,
 )
 from spectral_torelli.errors import DegenerateCurveError
@@ -183,25 +182,3 @@ def test_negative_controls(coefficients, trivial_pairs):
         verdicts = [_pair_verdict(a, b, geometric)[0] for a, b in pairs]
         assert TRIVIAL_GEOMETRIC_END not in verdicts
         assert verdicts.count(TRIVIAL_END) == trivial_pairs
-
-
-def test_degeneration_note_flags_unknown_ids():
-    note = degeneration_note("no-such-family", "KFS4/3+4/3")
-    assert note["status"] == "unverified"
-    assert "no-such-family" in note["note"]
-
-
-def test_degeneration_note_accepts_the_data_blocked_family():
-    # KSs3/2+5/4 is registered but has no coefficients: catalog_get
-    # raises BlockedOnDataError, and the id still counts as known
-    assert degeneration_note("KSs3/2+5/4", "KFS4/3+4/3")["status"] == "recorded"
-    assert degeneration_note("Gar9/2", "Gar9/2")["status"] == "identity"
-
-
-def test_degeneration_note_lets_builder_bugs_surface(monkeypatch):
-    def broken(identifier):
-        raise ZeroDivisionError("bug in a family builder")
-
-    monkeypatch.setattr(endo_pipeline, "catalog_get", broken)
-    with pytest.raises(ZeroDivisionError):
-        degeneration_note("Gar9/2", "KFS4/3+4/3")

@@ -23,6 +23,8 @@ from spectral_torelli.exact_algebra import (
     rational_matrix_rank,
     resultant,
 )
+from spectral_torelli.finite_arithmetic import Fp2
+from spectral_torelli.series_kernel import TruncatedSeries
 
 VARS = ("a", "b", "c")
 SYMS = sympy.symbols(VARS)
@@ -467,28 +469,64 @@ def test_public_constructors_still_validate():
         Jet1(1, (0, 0)) * 0.5
 
 
+def count_products(monkeypatch, cls):
+    """Count calls of cls.__mul__ into the returned list."""
+    products = []
+    original = cls.__mul__
+
+    def counting(self, other):
+        products.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(cls, "__mul__", counting)
+    return products
+
+
 def test_powers_start_from_the_base(monkeypatch):
     """Square-and-multiply starts from the base itself, so x ** 6 makes
-    three products (x^2, x^4, x^2 * x^4) and x ** 1 none."""
+    three products (x^2, x^4, x^2 * x^4), x ** 4 two and x ** 1 none."""
     poly = MultiPoly.parse("3*a^2*b - 1/2*c + 7", VARS)
     jet = Jet1(Fraction(3), (Fraction(1), Fraction(2, 3)))
-    for x in (poly, jet):
-        cls = type(x)
+    for x in (poly, jet, Fp2(3, 5, 11)):
         sixth = x * x * x * x * x * x
-        one = cls.__pow__(x, 0)
-        products = []
-        original = cls.__mul__
-
-        def counting(self, other, _original=original):
-            products.append(1)
-            return _original(self, other)
-
-        monkeypatch.setattr(cls, "__mul__", counting)
+        one = type(x).__pow__(x, 0)
+        products = count_products(monkeypatch, type(x))
         assert x ** 6 == sixth and len(products) == 3
         products.clear()
         assert x ** 1 == x and not products
         assert x ** 0 == one == 1 and not products
-        monkeypatch.setattr(cls, "__mul__", original)
+        monkeypatch.undo()
     assert jet ** -2 == (1 / jet) * (1 / jet)
     with pytest.raises(ValueError, match="negative power"):
         poly ** -1
+    # a Laurent series known below t^3: the truncation of s^4 is the same
+    # whichever way the four factors are grouped
+    s = TruncatedSeries(("a",), {-1: 1, 0: Fraction(1, 2), 2: 3}, 3)
+    fourth = s * s * s * s
+    products = count_products(monkeypatch, TruncatedSeries)
+    assert s ** 4 == fourth and len(products) == 2
+    assert fourth.truncation == 0
+
+
+def test_evaluate_powers_each_value_once():
+    """evaluate computes values[name] ** e once per (variable, exponent)
+    pair, however many terms share that power."""
+    powered = []
+
+    class Counting:
+        def __init__(self, name, value):
+            self.name, self.value = name, Fraction(value)
+
+        def __pow__(self, e):
+            powered.append((self.name, e))
+            return self.value ** e
+
+    poly = MultiPoly.parse(
+        "a^2*b + a^2*c - 3*a*b^2 + b^2*c^3 + a^2 - a*c^3 + 5", VARS
+    )
+    values = {"a": 2, "b": Fraction(1, 3), "c": -1}
+    counted = {name: Counting(name, v) for name, v in values.items()}
+    assert poly.evaluate(counted) == poly.evaluate(values)
+    assert sorted(powered) == [
+        ("a", 1), ("a", 2), ("b", 1), ("b", 2), ("c", 1), ("c", 3),
+    ]

@@ -26,6 +26,7 @@ from spectral_torelli.finite_arithmetic import (
     weil_polynomial,
 )
 from spectral_torelli.galois_certificates import (
+    _int_divisors,
     _quartic_discriminant,
     cyclotomic,
     euler_phi,
@@ -62,6 +63,10 @@ _GROUP_SHAPE = {
 
 def as_expr(ascending):
     return sum(int(c) * t**i for i, c in enumerate(ascending))
+
+
+def is_square(n):
+    return n >= 0 and math.isqrt(n) ** 2 == n
 
 
 def sympy_squarefree_part(n):
@@ -214,10 +219,18 @@ class TestGaloisGroup:
         with pytest.raises(ValueError):
             galois_group((1, 2, 3, 4))
 
+    def test_divisor_scan_is_lazy(self):
+        # the root scan stops at the first root it meets, so the divisors
+        # come one (divisor, cofactor) pair at a time, not as a list
+        pairs = _int_divisors(-36)
+        assert iter(pairs) is pairs
+        assert next(pairs) == (1, 36)
+        assert list(pairs) == [(2, 18), (3, 12), (4, 9), (6, 6)]
 
-def irreducible_weil_triples(primes):
-    """(Weil polynomial, Galois group) for every triple (p, a1, a2) inside
-    the Weil bounds whose Frobenius quartic is irreducible."""
+
+def weil_triples(primes):
+    """(Weil polynomial, Galois group or None when reducible) for every
+    triple (p, a1, a2) inside the Weil bounds."""
     for p in primes:
         bound = math.isqrt(16 * p)
         for a1 in range(-bound, bound + 1):
@@ -228,8 +241,16 @@ def irreducible_weil_triples(primes):
                 try:
                     group = galois_group(weil.frobenius_coefficients).group
                 except ReducibleQuarticError:
-                    continue
+                    group = None
                 yield weil, group
+
+
+def irreducible_weil_triples(primes):
+    """(Weil polynomial, Galois group) for every triple (p, a1, a2) inside
+    the Weil bounds whose Frobenius quartic is irreducible."""
+    for weil, group in weil_triples(primes):
+        if group is not None:
+            yield weil, group
 
 
 class TestQuadraticSubfield:
@@ -292,14 +313,34 @@ class TestQuadraticSubfield:
     def test_exhaustive_table_up_to_53(self):
         # Every irreducible Weil quartic cuts out a CM field, so its group
         # has a quadratic subfield (never S4/A4), and its real core is
-        # positive.
+        # positive. The whole table also has a closed form in
+        # D = a1^2 - 4 a2 + 8p and E = (a2 + 2p)^2 - 4p a1^2: the
+        # discriminant is p^2 D^2 E, and a separable quartic is
+        # irreducible exactly when D is not a square; it is then V4 when
+        # E is a square, C4 when D E is, and D4 otherwise.
         primes = [p for p in range(3, 54) if is_prime(p)]
         groups = {}
-        for weil, group in irreducible_weil_triples(primes):
-            groups[group] = groups.get(group, 0) + 1
+        for weil, group in weil_triples(primes):
             p, a1, a2 = weil.p, weil.a1, weil.a2
+            big_d = a1 * a1 - 4 * a2 + 8 * p
+            big_e = (a2 + 2 * p) ** 2 - 4 * p * a1 * a1
+            disc = _quartic_discriminant(weil.frobenius_coefficients)
+            assert disc == p * p * big_d * big_d * big_e
+            if not disc:
+                assert group is None
+                continue
+            assert (group is None) == is_square(big_d)
+            if group is None:
+                continue
+            groups[group] = groups.get(group, 0) + 1
+            if is_square(big_e):
+                assert group == "V4"
+            elif is_square(big_d * big_e):
+                assert group == "C4"
+            else:
+                assert group == "D4"
             core = quadratic_subfield(weil).core
-            assert core == squarefree_part(a1 * a1 - 4 * a2 + 8 * p)
+            assert core == squarefree_part(big_d)
             assert core > 0
         assert groups == {"D4": 18364, "V4": 1868, "C4": 148}
 
@@ -323,11 +364,14 @@ class TestQuadraticSubfield:
 class TestTateCondition:
     def test_separable_and_repeated(self):
         assert tate_condition(WeilPolynomial(37, 2, 38))
-        assert tate_condition((1369, -74, 38, -2, 1))
         # (t^2 - 5)^2 has every eigenvalue doubled
-        assert not tate_condition((25, 0, -10, 0, 1))
-        with pytest.raises(ValueError):
-            tate_condition((1, 2, 3))
+        assert not tate_condition(WeilPolynomial(5, 0, -10))
+
+    def test_only_weil_polynomials_are_accepted(self):
+        # the coefficient tuple of WeilPolynomial(37, 2, 38)
+        for scan in (tate_condition, root_ratio_orders, quadratic_subfield):
+            with pytest.raises(TypeError):
+                scan((1369, -74, 38, -2, 1))
 
 
 class TestRootRatioOrders:
@@ -348,9 +392,9 @@ class TestRootRatioOrders:
 
     def test_ratio_polynomial_matches_the_resultant_construction(self):
         u = sympy.symbols("u")
-        # a non-monic quartic keeps the resultant's scale a^4 e^4 = 2^4 9^4
-        for ascending in ((1369, -74, 38, -2, 1), (9, 0, 0, 0, 1), (9, 0, 0, 0, 2)):
-            report = root_ratio_orders(ascending)
+        for weil in (WeilPolynomial(37, 2, 38), WeilPolynomial(3, 0, 0)):
+            report = root_ratio_orders(weil)
+            ascending = weil.frobenius_coefficients
             fixed = as_expr(ascending)
             scaled = sum(c * u**i * t**i for i, c in enumerate(ascending))
             res = sympy.resultant(fixed, scaled, t)
@@ -362,7 +406,7 @@ class TestRootRatioOrders:
     def test_ratio_polynomial_vanishes_on_numeric_ratios(self):
         import mpmath
 
-        report = root_ratio_orders((1369, -74, 38, -2, 1))
+        report = root_ratio_orders(WeilPolynomial(37, 2, 38))
         with mpmath.workdps(60):
             roots = mpmath.polyroots([1, -2, 38, -74, 1369])
             scale = max(abs(c) for c in report.ratio_coefficients)
@@ -377,7 +421,7 @@ class TestRootRatioOrders:
 
     def test_repeated_eigenvalues_are_rejected(self):
         with pytest.raises(StructureError):
-            root_ratio_orders((25, 0, -10, 0, 1))
+            root_ratio_orders(WeilPolynomial(5, 0, -10))
 
 
 class TestIntegerArithmeticAgainstSympy:
@@ -402,39 +446,22 @@ class TestIntegerArithmeticAgainstSympy:
         )
         return tuple(reversed(ratio.all_coeffs())), orders
 
-    def check_ratio_report(self, ascending):
-        disc = sympy.discriminant(as_expr(ascending), t)
-        if disc == 0:
-            with pytest.raises(StructureError):
-                root_ratio_orders(ascending)
-            return
-        report = root_ratio_orders(ascending)
-        coefficients, orders = self.oracle(ascending)
-        assert report.ratio_coefficients == coefficients
-        assert report.orders == orders
-
     @given(st.data())
     def test_weil_triples(self, data):
         p = data.draw(st.sampled_from([3, 5, 7, 11, 13, 37, 53, 101, 1009]))
         bound = math.isqrt(16 * p)
         a1 = data.draw(st.integers(-bound, bound))
         a2 = data.draw(st.integers(-2 * p, 6 * p))
-        self.check_ratio_report(WeilPolynomial(p, a1, a2).frobenius_coefficients)
-
-    @given(
-        st.integers(-12, 12).filter(bool),
-        st.lists(st.integers(-12, 12), min_size=3, max_size=3),
-        st.integers(-12, 12).filter(bool),
-    )
-    def test_integer_quartics(self, constant, middle, lead):
-        self.check_ratio_report((constant, *middle, lead))
-
-    def test_zero_lead_or_constant_is_rejected(self):
-        for ascending in ((6, 1, 3, 2, 0), (0, 1, 3, 2, 1), (0, 0, 0, 0, 1)):
-            with pytest.raises(ValueError):
-                root_ratio_orders(ascending)
-            with pytest.raises(ValueError):
-                tate_condition(ascending)
+        weil = WeilPolynomial(p, a1, a2)
+        ascending = weil.frobenius_coefficients
+        if sympy.discriminant(as_expr(ascending), t) == 0:
+            with pytest.raises(StructureError):
+                root_ratio_orders(weil)
+            return
+        report = root_ratio_orders(weil)
+        coefficients, orders = self.oracle(ascending)
+        assert report.ratio_coefficients == coefficients
+        assert report.orders == orders
 
     @given(
         st.integers(-10**6, 10**6).filter(bool),

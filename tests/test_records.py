@@ -77,7 +77,7 @@ BUILDERS = {
         poly("0"),
     ),
     "SpectralIdentityReport": lambda v: SpectralIdentityReport(
-        "hamiltonian", poly("x^2 - y"), poly("x^2" if v else "x^2 - y")
+        poly("x^2 - y"), poly("x^2" if v else "x^2 - y")
     ),
     "LaurentSolution": lambda v: laurent(2 if v else 1),
     "ResidualCheck": lambda v: residual_check("dp1/dt" if v else "dq1/dt"),
