@@ -1,6 +1,7 @@
 """Genus-2 invariants: symbolic identities, scaling laws, numeric root
 oracles, and the randomized independence machinery."""
 
+import hashlib
 import json
 import math
 import random
@@ -444,3 +445,38 @@ def test_symbolic_invariants_golden_mati_gar52_32(family):
     inv = igusa(catalog_get(family))
     names = ("J2", "J4", "J6", "J8", "J10")
     assert {n: str(j) for n, j in zip(names, inv.as_tuple())} == golden
+
+
+# Term count and sha256 of `str` of each coefficient of the MatIII(D8)
+# transvectants that feed J2, J4 and J6 (i = (f, f)_4), as the Fraction
+# kernel printed them.
+MATIII_TRANSVECTANTS = {
+    "(f, f)_6": [
+        (173, "3f8b14b32e4b1278d92843e7cbc95a04b6193f97acd49578899601442cbe8b2d"),
+    ],
+    "(f, f)_4": [
+        (307, "0bc84674379d78b113f8c701c9dbe290c81b7a7226a80d3a39e82baa2107f7e4"),
+        (161, "21ba4097accf3f03f015875888892dbeed082b212e9fbf15edbaf628b40a8bdd"),
+        (175, "bb913091aa176df4bd9f3c7ff51c799d21fa309aab868cedc36071b4c339884d"),
+        (85, "acf2791151cee4aacfa674d71b3af20d51c2a51254c0d7d00d3d7009ff09a267"),
+        (85, "c987e42df18e7539e68006b0737379d8967019524908560d028a248d766471a8"),
+    ],
+    "(i, i)_4": [
+        (1385, "925faedabe7f550f73c47b2cfcbf6029b5c651ef22e76f82033989b9a870d582"),
+    ],
+}
+
+
+def test_matiii_transvectants_golden():
+    f = list(catalog_get("MatIII(D8)").sextic_coefficients())
+    i = transvectant(f, f, 4)
+    got = {
+        "(f, f)_6": transvectant(f, f, 6),
+        "(f, f)_4": i,
+        "(i, i)_4": transvectant(i, i, 4),
+    }
+    for name, coefficients in got.items():
+        assert [
+            (len(c.terms), hashlib.sha256(str(c).encode()).hexdigest())
+            for c in coefficients
+        ] == MATIII_TRANSVECTANTS[name], name
