@@ -3,8 +3,11 @@ dense univariate polynomials over a pluggable coefficient domain,
 resultants via fraction-free elimination, and first-order jets and
 matrix ranks modulo the prime q = 2^61 - 1.
 
-Coefficients are `fractions.Fraction` throughout the multivariate layer.
-The univariate layer is domain-generic: anything with ring arithmetic works
+The multivariate layer is fraction-free: a `MultiPoly` is int numerators
+over one positive denominator, in lowest terms, and its arithmetic runs on
+those ints with one content gcd per result. Fractions appear only at its
+edges: the constructor accepts them, and `terms`, `constant_value` and
+`evaluate` hand them out. The univariate layer is domain-generic: anything with ring arithmetic works
 as a coefficient (Fraction, MultiPoly, Jet1, finite-field elements), which
 is what the resultant and discriminant routines rely on.
 
@@ -26,16 +29,13 @@ from .errors import (
     PolyParseError,
 )
 
-Rational = Fraction
-
 MAX_UNIPOLY_DEGREE = 128
 
 
-def _as_fraction(value):
-    if isinstance(value, Fraction):
+def _rational(value):
+    """`value` itself if it is an exact rational (int or Fraction)."""
+    if isinstance(value, (int, Fraction)):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
@@ -64,27 +64,46 @@ def _check_distinct(variables):
 _add = operator.add
 
 
+def _reduced(variables, numerators, denominator):
+    """A MultiPoly from int numerators with no zero among them and a
+    positive denominator, brought to lowest terms by one content gcd."""
+    if denominator != 1:
+        g = math.gcd(denominator, *numerators.values())
+        if g != 1:
+            numerators = {e: n // g for e, n in numerators.items()}
+            denominator //= g
+    return MultiPoly._trusted(variables, numerators, denominator)
+
+
 class MultiPoly(Frozen):
     """Sparse multivariate polynomial over Q.
 
-    Terms are stored as a map from exponent tuples to nonzero Fractions.
+    Stored fraction-free, as a content times a primitive integer
+    polynomial would be: one positive int `denominator` and a map
+    `numerators` from exponent tuples to nonzero int numerators, so the
+    polynomial is sum(n * monomial) / denominator. Arithmetic runs on the
+    ints and brings each result to lowest terms with one gcd, not one per
+    term. `terms` is the same polynomial as a fresh dict of Fractions.
     Instances are treated as immutable; no operation mutates its operands.
 
-    Canonical form: `variables` is a tuple of distinct names, and every
-    key of `terms` is a tuple of `len(variables)` non-negative ints mapped
-    to a nonzero `Fraction`. The public constructor establishes it from
-    any input; the class's own arithmetic preserves it and hands its
-    results to `_trusted`, which skips the checks.
+    Canonical form: `variables` is a tuple of distinct names; every key
+    of `numerators` is a tuple of `len(variables)` non-negative ints,
+    mapped to a nonzero int; `denominator` is a positive int, and the gcd
+    of it and every numerator is 1 (so the zero polynomial has
+    denominator 1). The form is unique, so equality compares the fields.
+    The public constructor establishes it from int or Fraction terms; the
+    class's own arithmetic preserves it and hands its results to
+    `_trusted`, which skips the checks.
     """
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "numerators", "denominator")
 
     def __init__(self, variables, terms):
         variables = tuple(variables)
         _check_distinct(variables)
         clean = {}
         for exponents, coeff in terms.items():
-            coeff = _as_fraction(coeff)
+            coeff = _rational(coeff)
             if not coeff:
                 continue
             exponents = tuple(int(e) for e in exponents)
@@ -96,16 +115,31 @@ class MultiPoly(Frozen):
             if any(e < 0 for e in exponents):
                 raise ValueError(f"negative exponent in {exponents!r}")
             clean[exponents] = coeff
+        # Over the lcm of lowest-terms denominators the numerators are
+        # already coprime to it: no further reduction is needed.
+        den = math.lcm(*(c.denominator for c in clean.values()))
         object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(
+            self,
+            "numerators",
+            {e: c.numerator * (den // c.denominator) for e, c in clean.items()},
+        )
+        object.__setattr__(self, "denominator", den)
 
     @classmethod
-    def _trusted(cls, variables, terms):
+    def _trusted(cls, variables, numerators, denominator):
         """An instance from data already in canonical form, unchecked."""
         self = object.__new__(cls)
         object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "denominator", denominator)
         return self
+
+    @property
+    def terms(self):
+        """Exponent tuple -> nonzero Fraction coefficient, built on access."""
+        den = self.denominator
+        return {e: Fraction(n, den) for e, n in self.numerators.items()}
 
     # construction helpers
 
@@ -116,7 +150,7 @@ class MultiPoly(Frozen):
     @classmethod
     def constant(cls, variables, value):
         variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): _as_fraction(value)})
+        return cls(variables, {(0,) * len(variables): _rational(value)})
 
     @classmethod
     def variable(cls, name, variables):
@@ -124,32 +158,33 @@ class MultiPoly(Frozen):
         if name not in variables:
             raise AlignmentError(f"{name!r} is not among {variables!r}")
         exps = tuple(1 if v == name else 0 for v in variables)
-        return cls(variables, {exps: Fraction(1)})
+        return cls(variables, {exps: 1})
 
     # predicates and accessors
 
     def is_zero(self):
-        return not self.terms
+        return not self.numerators
 
     def is_constant(self):
-        return all(not any(e) for e in self.terms)
+        return all(not any(e) for e in self.numerators)
 
     def constant_value(self):
         """The value of a constant polynomial, as a Fraction."""
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return self.terms.get((0,) * len(self.variables), Fraction(0))
+        zero = (0,) * len(self.variables)
+        return Fraction(self.numerators.get(zero, 0), self.denominator)
 
     def total_degree(self):
-        if not self.terms:
+        if not self.numerators:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self.numerators)
 
     def degree_in(self, name):
         i = self._index(name)
-        if not self.terms:
+        if not self.numerators:
             return -1
-        return max(e[i] for e in self.terms)
+        return max(e[i] for e in self.numerators)
 
     def coefficient_of(self, name, power):
         """Coefficient of name**power, as a MultiPoly over the remaining
@@ -157,10 +192,10 @@ class MultiPoly(Frozen):
         i = self._index(name)
         rest = self.variables[:i] + self.variables[i + 1:]
         picked = {}
-        for exps, c in self.terms.items():
+        for exps, n in self.numerators.items():
             if exps[i] == power:
-                picked[exps[:i] + exps[i + 1:]] = c
-        return MultiPoly._trusted(rest, picked)
+                picked[exps[:i] + exps[i + 1:]] = n
+        return _reduced(rest, picked, self.denominator)
 
     def _index(self, name):
         try:
@@ -185,32 +220,49 @@ class MultiPoly(Frozen):
                 )
             return other
         if isinstance(other, (int, Fraction)):
-            value = _as_fraction(other)
-            terms = {(0,) * len(self.variables): value} if value else {}
-            return MultiPoly._trusted(self.variables, terms)
+            if not other:
+                return MultiPoly._trusted(self.variables, {}, 1)
+            return MultiPoly._trusted(
+                self.variables,
+                {(0,) * len(self.variables): other.numerator},
+                other.denominator,
+            )
         return NotImplemented
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
+        d1, d2 = self.denominator, other.denominator
+        if d1 == d2:
+            den, s1, s2 = d1, 1, 1
+        else:
+            den = math.lcm(d1, d2)
+            s1, s2 = den // d1, den // d2
+        if s1 == 1:
+            out = dict(self.numerators)
+        else:
+            out = {e: n * s1 for e, n in self.numerators.items()}
+        for exps, n in other.numerators.items():
+            if s2 != 1:
+                n *= s2
             if exps in out:
-                s = out[exps] + c
+                s = out[exps] + n
                 if s:
                     out[exps] = s
                 else:
                     del out[exps]
             else:
-                out[exps] = c
-        return MultiPoly._trusted(self.variables, out)
+                out[exps] = n
+        return _reduced(self.variables, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
         return MultiPoly._trusted(
-            self.variables, {e: -c for e, c in self.terms.items()}
+            self.variables,
+            {e: -n for e, n in self.numerators.items()},
+            self.denominator,
         )
 
     def __sub__(self, other):
@@ -223,29 +275,32 @@ class MultiPoly(Frozen):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = _as_fraction(other)
+        # MultiPoly first: an isinstance test against Fraction goes
+        # through the ABC machinery and costs more than this one.
+        if not isinstance(other, MultiPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             if not other:
-                return MultiPoly._trusted(self.variables, {})
-            return MultiPoly._trusted(
-                self.variables, {e: c * other for e, c in self.terms.items()}
+                return MultiPoly._trusted(self.variables, {}, 1)
+            k = other.numerator
+            return _reduced(
+                self.variables,
+                {e: n * k for e, n in self.numerators.items()},
+                self.denominator * other.denominator,
             )
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        get = out.get
+        right = other.numerators.items()
+        for e1, n1 in self.numerators.items():
+            for e2, n2 in right:
                 key = tuple(map(_add, e1, e2))
-                if key in out:
-                    s = out[key] + c1 * c2
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
-                else:
-                    out[key] = c1 * c2
-        return MultiPoly._trusted(self.variables, out)
+                out[key] = get(key, 0) + n1 * n2
+        if 0 in out.values():
+            out = {e: n for e, n in out.items() if n}
+        return _reduced(
+            self.variables, out, self.denominator * other.denominator
+        )
 
     __rmul__ = __mul__
 
@@ -257,7 +312,6 @@ class MultiPoly(Frozen):
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = _as_fraction(other)
             if not other:
                 raise ZeroDivisionError("division of polynomial by zero")
             return self * (Fraction(1) / other)
@@ -268,29 +322,38 @@ class MultiPoly(Frozen):
     def _exact_divide(self, divisor):
         """Exact division; raises ExactDivisionError on any remainder.
 
-        Single-divisor reduction under graded-lex order is a normal form
-        for the principal ideal, so remainder 0 is equivalent to
-        divisibility. The leading monomial of the remainder falls at every
-        step, so each quotient monomial is produced exactly once.
+        Both numerator polynomials are made primitive first. By Gauss's
+        lemma a primitive integer polynomial that divides another over Q
+        leaves a primitive integer quotient, so every step of the
+        division is an exact int division, and one that is not shows
+        there is a remainder. Single-divisor reduction under graded-lex
+        order is a normal form for the principal ideal, so remainder 0 is
+        equivalent to divisibility. The leading monomial of the remainder
+        falls at every step, so each quotient monomial is produced
+        exactly once.
         """
         divisor = self._coerce(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division of polynomial by zero")
         if self.is_zero():
             return self
-        div_terms = divisor.sorted_terms()
+        content = math.gcd(*self.numerators.values())
+        div_content = math.gcd(*divisor.numerators.values())
+        div_terms = sorted(
+            ((e, n // div_content) for e, n in divisor.numerators.items()),
+            key=lambda kv: _grlex_key(kv[0]),
+        )
         lead_e, lead_c = div_terms[-1]
         quotient = {}
-        rem = dict(self.terms)
+        rem = {e: n // content for e, n in self.numerators.items()}
         while rem:
             e = max(rem, key=_grlex_key)
-            c = rem[e]
             q_e = tuple(a - b for a, b in zip(e, lead_e))
-            if any(x < 0 for x in q_e):
+            q_c, r = divmod(rem[e], lead_c)
+            if r or any(x < 0 for x in q_e):
                 raise ExactDivisionError(
                     f"{divisor} does not divide the dividend exactly"
                 )
-            q_c = c / lead_c
             quotient[q_e] = q_c
             for de, dc in div_terms:
                 key = tuple(map(_add, q_e, de))
@@ -302,11 +365,25 @@ class MultiPoly(Frozen):
                         del rem[key]
                 else:
                     rem[key] = -(q_c * dc)
-        return MultiPoly._trusted(self.variables, quotient)
+        # The quotient is primitive, so scaling it by a fraction in lowest
+        # terms leaves it in lowest terms.
+        scale = Fraction(
+            content * divisor.denominator, div_content * self.denominator
+        )
+        k = scale.numerator
+        return MultiPoly._trusted(
+            self.variables,
+            {e: n * k for e, n in quotient.items()},
+            scale.denominator,
+        )
 
     def __eq__(self, other):
         if isinstance(other, MultiPoly):
-            return self.variables == other.variables and self.terms == other.terms
+            return (
+                self.variables == other.variables
+                and self.denominator == other.denominator
+                and self.numerators == other.numerators
+            )
         if isinstance(other, (int, Fraction)):
             return self.is_constant() and self.constant_value() == other
         return NotImplemented
@@ -321,27 +398,30 @@ class MultiPoly(Frozen):
     def derivative(self, name):
         i = self._index(name)
         out = {}
-        for exps, c in self.terms.items():
+        for exps, n in self.numerators.items():
             e = exps[i]
             if e == 0:
                 continue
-            out[exps[:i] + (e - 1,) + exps[i + 1:]] = c * e
-        return MultiPoly._trusted(self.variables, out)
+            out[exps[:i] + (e - 1,) + exps[i + 1:]] = n * e
+        return _reduced(self.variables, out, self.denominator)
 
     def evaluate(self, values):
         """Evaluate with values from any commutative ring.
 
         `values` maps every variable name to a ring element supporting
-        +, *, ** and multiplication by Fraction. Returns a ring element
-        (a Fraction when the polynomial is constant and no value is
-        consulted). Each power values[name] ** e is computed once.
+        +, *, ** and multiplication by int and Fraction (an int may be
+        added to it from the left). Returns a ring element (a Fraction
+        when the polynomial is constant and no value is consulted). Each
+        power values[name] ** e is computed once; the terms are summed
+        with their int numerators, and the sum is divided by the
+        denominator once.
         """
         missing = [v for v in self.variables if v not in values]
         if missing:
             raise AlignmentError(f"missing assignment for {missing!r}")
         powers = {}
         total = None
-        for exps, c in self.terms.items():
+        for exps, n in self.numerators.items():
             factor = None
             for i, e in enumerate(exps):
                 if e == 0:
@@ -350,13 +430,17 @@ class MultiPoly(Frozen):
                 if p is None:
                     p = powers[i, e] = values[self.variables[i]] ** e
                 factor = p if factor is None else factor * p
-            contrib = c if factor is None else factor * c
+            contrib = n if factor is None else factor * n
             total = contrib if total is None else total + contrib
         if total is None:
             for v in values.values():
                 return v * 0
             return Fraction(0)
-        return total
+        if isinstance(total, int):
+            return Fraction(total, self.denominator)
+        if self.denominator == 1:
+            return total
+        return total * Fraction(1, self.denominator)
 
     def substitute(self, images, variables=None):
         """Polynomial substitution.
@@ -397,13 +481,13 @@ class MultiPoly(Frozen):
                 )
             positions.append(variables.index(name))
         out = {}
-        for exps, c in self.terms.items():
+        for exps, n in self.numerators.items():
             key = [0] * len(variables)
             for pos, e in zip(positions, exps):
                 key[pos] = e
-            out[tuple(key)] = c
+            out[tuple(key)] = n
         _check_distinct(variables)
-        return MultiPoly._trusted(variables, out)
+        return MultiPoly._trusted(variables, out, self.denominator)
 
     def drop_to_variables(self, variables):
         """Restrict to a smaller variable list; the dropped variables must
@@ -414,22 +498,22 @@ class MultiPoly(Frozen):
             if name in variables:
                 keep.append((variables.index(name), i))
             else:
-                if any(e[i] for e in self.terms):
+                if any(e[i] for e in self.numerators):
                     raise AlignmentError(
                         f"{name!r} occurs but is absent from {variables!r}"
                     )
         out = {}
-        for exps, c in self.terms.items():
+        for exps, n in self.numerators.items():
             key = [0] * len(variables)
             for pos, i in keep:
                 key[pos] = exps[i]
-            out[tuple(key)] = c
+            out[tuple(key)] = n
         _check_distinct(variables)
-        return MultiPoly._trusted(variables, out)
+        return MultiPoly._trusted(variables, out, self.denominator)
 
     def used_variables(self):
         used = set()
-        for exps in self.terms:
+        for exps in self.numerators:
             for name, e in zip(self.variables, exps):
                 if e:
                     used.add(name)
@@ -438,7 +522,7 @@ class MultiPoly(Frozen):
     # text form
 
     def __str__(self):
-        if not self.terms:
+        if not self.numerators:
             return "0"
         chunks = []
         for exps, c in reversed(self.sorted_terms()):

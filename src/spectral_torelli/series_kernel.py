@@ -335,7 +335,7 @@ def substitute_hamiltonian(H, sol, max_order=4):
     # rest of the monomial. Placeholders must cover every exponent that
     # could reach below max_order.
     rests, lowest = [], []
-    for exps in H.terms:
+    for exps in H.numerators:
         phase = [
             (valuations[v], e) for v, e in zip(H.variables, exps)
             if e and v in valuations

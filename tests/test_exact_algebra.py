@@ -1,11 +1,12 @@
 """Exact-arithmetic kernel checked against sympy on random inputs."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from spectral_torelli.errors import (
@@ -329,29 +330,165 @@ def small_polys(draw, variables=VARS):
     return MultiPoly(variables, terms)
 
 
-def assert_canonical_poly(r, variables=VARS):
+def assert_canonical_poly(r, variables=VARS, reference=None):
+    """r is in canonical form and, when a reference is given, equals that
+    dict of Fractions."""
     assert r.variables == variables
-    assert MultiPoly(r.variables, r.terms).terms == r.terms
-    for exps, c in r.terms.items():
-        assert type(c) is Fraction and c != 0
+    assert type(r.denominator) is int and r.denominator > 0
+    assert math.gcd(r.denominator, *r.numerators.values()) == 1
+    for exps, n in r.numerators.items():
+        assert type(n) is int and n != 0
         assert type(exps) is tuple and len(exps) == len(variables)
         assert all(type(e) is int and e >= 0 for e in exps)
+    rebuilt = MultiPoly(r.variables, r.terms)
+    assert rebuilt.numerators == r.numerators
+    assert rebuilt.denominator == r.denominator
+    assert all(type(c) is Fraction for c in r.terms.values())
+    if reference is not None:
+        assert r.terms == reference
 
 
-@given(small_polys(), small_polys(), small_polys(), small_fractions)
-def test_multipoly_results_are_canonical(a, b, c, k):
-    results = [a + b, a - b, a * b, -a, a * k, a * 3, a * 0, a ** 2, a + 1]
-    results += [a.derivative(name) for name in VARS]
-    results += [a.coefficient_of("b", 1).with_variables(VARS)]
-    results += [a.with_variables(VARS + ("d",)).drop_to_variables(VARS)]
+# The dict-of-Fraction reference: MultiPoly's arithmetic as it was before
+# it went fraction-free, one Fraction per term.
+
+def ref_clean(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return ref_clean(out)
+
+
+def ref_scale(a, k):
+    return ref_clean({e: c * k for e, c in a.items()})
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return ref_clean(out)
+
+
+def ref_pow(a, n, n_vars):
+    out = {(0,) * n_vars: Fraction(1)}
+    for _ in range(n):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_derivative(a, i):
+    return {
+        e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in a.items() if e[i]
+    }
+
+
+def ref_coefficient_of(a, i, power):
+    return {e[:i] + e[i + 1:]: c for e, c in a.items() if e[i] == power}
+
+
+def ref_evaluate(a, values):
+    total = Fraction(0)
+    for e, c in a.items():
+        for v, k in zip(values, e):
+            c *= v ** k
+        total += c
+    return total
+
+
+def ref_compose(a, images, n_vars):
+    """a with its i-th variable replaced by the reference images[i]."""
+    total = {}
+    for e, c in a.items():
+        term = {(0,) * n_vars: c}
+        for image, k in zip(images, e):
+            term = ref_mul(term, ref_pow(image, k, n_vars))
+        total = ref_add(total, term)
+    return total
+
+
+def ref_divide(a, b):
+    """The exact quotient a / b by graded-lex reduction, or None when
+    there is a remainder."""
+    lead = max(b, key=lambda e: (sum(e), e))
+    quotient, rem = {}, dict(a)
+    while rem:
+        e = max(rem, key=lambda e: (sum(e), e))
+        q_e = tuple(x - y for x, y in zip(e, lead))
+        if min(q_e) < 0:
+            return None
+        q_c = rem[e] / b[lead]
+        quotient[q_e] = q_c
+        rem = ref_add(rem, ref_scale(ref_mul({q_e: Fraction(1)}, b), -q_c))
+    return quotient
+
+
+# Without the explain phase: on a failure it replays this many-operation
+# property for minutes, with memory growing all the while.
+@settings(phases=[p for p in Phase if p is not Phase.explain])
+@given(small_polys(), small_polys(), small_polys(), small_fractions,
+       st.integers(0, 3))
+def test_multipoly_results_are_canonical(a, b, c, k, n):
+    """Every operation matches the dict-of-Fraction reference, and every
+    result is in canonical form."""
+    ta, tb = a.terms, b.terms
+    zero = {}
+    results = [
+        (a + b, ref_add(ta, tb)),
+        (a - b, ref_add(ta, ref_scale(tb, -1))),
+        (1 - a, ref_add({(0, 0, 0): Fraction(1)}, ref_scale(ta, -1))),
+        (a + k, ref_add(ta, ref_clean({(0, 0, 0): k}))),
+        (-a, ref_scale(ta, -1)),
+        (a * b, ref_mul(ta, tb)),
+        (a * k, ref_scale(ta, k)),
+        (k * a, ref_scale(ta, k)),
+        (a * 3, ref_scale(ta, 3)),
+        (a * 0, zero),
+        (a - a, zero),
+        (a ** n, ref_pow(ta, n, 3)),
+        (a.substitute({"a": b, "c": c}),
+         ref_compose(ta, [tb, {(0, 1, 0): Fraction(1)}, c.terms], 3)),
+    ]
+    if k:
+        results.append((a / k, ref_scale(ta, 1 / k)))
+    results += [
+        (a.derivative(name), ref_derivative(ta, i))
+        for i, name in enumerate(VARS)
+    ]
+    results += [
+        (a.coefficient_of("b", 1).with_variables(VARS),
+         {e[:1] + (0,) + e[1:]: v
+          for e, v in ref_coefficient_of(ta, 1, 1).items()}),
+        (a.with_variables(VARS + ("d",)).drop_to_variables(VARS), ta),
+    ]
     if b:
-        results.append((a * b) / b)
-        assert (a * b) / b == a
-    for r in results:
-        assert_canonical_poly(r)
-    assert_canonical_poly(a.coefficient_of("b", 1), ("a", "c"))
+        results.append(((a * b) / b, ta))
+        quotient = ref_divide(ta, tb)
+        if quotient is None:
+            with pytest.raises(ExactDivisionError):
+                a / b
+        else:
+            results.append((a / b, quotient))
+    for r, reference in results:
+        assert_canonical_poly(r, reference=reference)
+    assert_canonical_poly(a.coefficient_of("b", 1), ("a", "c"),
+                          reference=ref_coefficient_of(ta, 1, 1))
+    assert_canonical_poly(a.with_variables(VARS + ("d",)), VARS + ("d",),
+                          reference={e + (0,): v for e, v in ta.items()})
     assert (a + b) * c == a * c + b * c
-    assert (a - a).is_zero() and (a - a).terms == {}
+    # evaluation sums int numerators and divides once, over Q and mod q
+    point = (k, Fraction(1, 3), -2)
+    assert a.evaluate(dict(zip(VARS, point))) == ref_evaluate(ta, point)
+    jets = {v: Jet1.tracked(x, i, 3) for i, (v, x) in enumerate(zip(VARS, point))}
+    got = a.evaluate(jets)
+    assert got == Jet1(ref_evaluate(ta, point), [
+        ref_evaluate(ref_derivative(ta, i), point) for i in range(3)
+    ])
 
 
 jet_parts = st.tuples(small_fractions, small_fractions)
@@ -423,9 +560,12 @@ def test_matrix_rank_is_a_lower_bound_when_q_divides_the_minors():
 def test_arithmetic_skips_validation(monkeypatch):
     """Products and sums of existing polynomials and jets make no
     validated construction: their results are canonical by construction,
-    and re-validating them dominated the symbolic computations."""
+    and re-validating them dominated the symbolic computations. Polynomial
+    arithmetic runs on int numerators over one denominator, so it makes
+    no Fraction either; only the `terms` view does."""
     p = MultiPoly.parse("3*a^2*b - 1/2*c + 7", VARS)
     q = MultiPoly.parse("a - 2*b*c", VARS)
+    half = Fraction(5, 2)
     j1 = Jet1(Fraction(3), (Fraction(1), Fraction(2, 3)))
     j2 = Jet1(Fraction(-1, 2), (Fraction(0), Fraction(5)))
     validated = []
@@ -437,7 +577,25 @@ def test_arithmetic_skips_validation(monkeypatch):
             _original(self, *args)
 
         monkeypatch.setattr(cls, "__init__", counting)
-    _ = (p * q, p + q, p - q, -p, p * 5, (p * q) / q, p.derivative("a"))
+    fractions_made = []
+    original_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        fractions_made.append(args)
+        return original_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    polys = (
+        p * q, p + q, p - q, 1 - p, -p, p * 5, p * half, p ** 3,
+        p.derivative("a"), p.coefficient_of("a", 2),
+        p.with_variables(VARS + ("d",)).drop_to_variables(VARS),
+    )
+    assert fractions_made == []
+    assert all(type(n) is int for r in polys for n in r.numerators.values())
+    assert [r.denominator for r in polys] == [2, 2, 2, 2, 2, 2, 4, 8, 1, 1, 2]
+    _ = (p * q) / q
+    _ = p.terms
+    assert fractions_made
     _ = (j1 * j2, j1 + j2, j1 - j2, j1 / j2, j1 * 4)
     assert validated == []
     MultiPoly(VARS, {})

@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectral_torelli.curve_catalog import (
     CurveFamily,
@@ -165,6 +167,32 @@ def test_scaling_weights():
     weights = (2, 4, 6, 8, 10)
     for got, base, w in zip(scaled.as_tuple(), inv.as_tuple(), weights):
         assert got == mu ** w * base
+
+
+@st.composite
+def polynomial_ring_sextics(draw):
+    """A random rational sextic over a one- or two-variable MultiPoly ring
+    and a random nonzero polynomial scalar over the same ring."""
+    variables = ("u", "v")[:draw(st.integers(1, 2))]
+    exponents = st.tuples(*(st.integers(0, 1) for _ in variables))
+    coefficient = st.dictionaries(
+        exponents, st.fractions(-6, 6, max_denominator=4), max_size=2
+    )
+    g = [MultiPoly(variables, draw(coefficient)) for _ in range(7)]
+    lam = MultiPoly(variables, draw(coefficient.filter(lambda t: any(t.values()))))
+    return g, lam
+
+
+@settings(max_examples=50)
+@given(polynomial_ring_sextics())
+def test_scaling_law_with_a_polynomial_scalar(sextic):
+    """J_2k has degree 2k in the coefficients, so J_2k(lam * g) equals
+    lam^(2k) * J_2k(g) exactly, also when lam is a polynomial."""
+    g, lam = sextic
+    scaled = igusa([lam * c for c in g])
+    for got, base, w in zip(scaled.as_tuple(), igusa(g).as_tuple(),
+                            (2, 4, 6, 8, 10)):
+        assert got == lam ** w * base
 
 
 def test_rescaled_model_has_equal_absolute_invariants():
