@@ -7,9 +7,10 @@ The multivariate layer is fraction-free: a `MultiPoly` is int numerators
 over one positive denominator, in lowest terms, and its arithmetic runs on
 those ints with one content gcd per result. Fractions appear only at its
 edges: the constructor accepts them, and `terms`, `constant_value` and
-`evaluate` hand them out. The univariate layer is domain-generic: anything with ring arithmetic works
-as a coefficient (Fraction, MultiPoly, Jet1, finite-field elements), which
-is what the resultant and discriminant routines rely on.
+`evaluate` hand them out. The univariate layer is domain-generic: anything
+with ring arithmetic works as a coefficient (Fraction, MultiPoly, Jet1,
+finite-field elements), which is what the resultant and discriminant
+routines rely on.
 
 `Jet1` and `rational_matrix_rank` work mod q instead of over Q. That is
 sound for lower bounds on ranks, because a minor that is nonzero mod q is
@@ -233,19 +234,14 @@ class MultiPoly(Frozen):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        d1, d2 = self.denominator, other.denominator
-        if d1 == d2:
-            den, s1, s2 = d1, 1, 1
-        else:
-            den = math.lcm(d1, d2)
-            s1, s2 = den // d1, den // d2
+        den = math.lcm(self.denominator, other.denominator)
+        s1, s2 = den // self.denominator, den // other.denominator
         if s1 == 1:
             out = dict(self.numerators)
         else:
             out = {e: n * s1 for e, n in self.numerators.items()}
         for exps, n in other.numerators.items():
-            if s2 != 1:
-                n *= s2
+            n *= s2
             if exps in out:
                 s = out[exps] + n
                 if s:
