@@ -179,7 +179,8 @@ def polynomial_ring_sextics(draw):
         exponents, st.fractions(-6, 6, max_denominator=4), max_size=2
     )
     g = [MultiPoly(variables, draw(coefficient)) for _ in range(7)]
-    lam = MultiPoly(variables, draw(coefficient.filter(lambda t: any(t.values()))))
+    nonzero = coefficient.filter(lambda t: any(t.values()))
+    lam = MultiPoly(variables, draw(nonzero))
     return g, lam
 
 
