@@ -120,6 +120,33 @@ def test_certify_rejects_equal_primes(capsys):
     assert (code, envelope) == (2, None)
 
 
+def test_bad_reduction_prime_is_inconclusive(capsys):
+    # s = 29/37 puts 37 in a denominator: that prime is recorded as bad,
+    # not raised, and one usable prime is not a certificate
+    code, envelope = run(
+        ["certify-endo", "--family", "KFS", "--at", "h1=12,h2=17,s=29/37",
+         "--p1", "37", "--p2", "53", "--json"],
+        capsys,
+    )
+    assert code == 4
+    out = envelope["outputs"]
+    assert out["verdict"] == "INCONCLUSIVE"
+    bad, good = out["records"]
+    assert bad["notes"] == ["bad reduction: denominator 37 is divisible by 37"]
+    assert bad["curve_mod_p"] is None and not bad["usable"]
+    assert good["usable"]
+    assert good["curve_mod_p"] == [18, 37, 4, 10, 25, 51, 1]
+
+
+@pytest.mark.parametrize("p, code", [("15", 2), ("2", 3)])
+def test_count_points_rejects_unusable_primes(p, code, capsys):
+    assert run(
+        ["count-points", "--family", "KFS", "--at", "h1=12,h2=17,s=29",
+         "--p", p, "--json"],
+        capsys,
+    ) == (code, None)
+
+
 def test_frobenius_verdict_from_counts(capsys):
     code, envelope = run(
         ["frobenius", "--p", "37", "--n1", "36", "--n2", "1442", "--json"], capsys

@@ -122,6 +122,8 @@ def test_reduction_mod_p():
         reduce_mod_p(curve, 2)
     with pytest.raises(AlignmentError):
         reduce_mod_p(c37, 53)
+    with pytest.raises(ValueError, match="^15 is not prime$"):
+        reduce_mod_p(curve, 15)
     sextic = HyperellipticCurve([-1, 0, 0, 0, 0, 0, 1])
     with pytest.raises(BadReductionError):
         reduce_mod_p(sextic, 3)

@@ -379,6 +379,9 @@ class TestPointCounts:
             count_points((Fraction(1, 37), 0, 0, 0, 0, 0, 1), 37)
         with pytest.raises(ValueError):
             count_points((Fp(1, 5), 0, 0, 0, 0, 1), 7)
+        # a curve over F_37 is not counted at another prime
+        with pytest.raises(ValueError, match="different prime fields"):
+            count_points(reduce_mod_p(kfs_curve(), 37), 53)
 
     @given(data=st.data())
     def test_quadratic_counts_match_fp2_enumeration(self, data):
