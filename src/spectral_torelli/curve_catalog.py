@@ -26,7 +26,7 @@ from .errors import (
     UnknownFamilyError,
 )
 from .exact_algebra import MultiPoly
-from .finite_arithmetic import Fp
+from .finite_arithmetic import _to_residue, _validated_odd_prime
 from .igusa_invariants import binary_sextic_discriminant
 from .series_kernel import garnier92_hamiltonians
 
@@ -47,7 +47,11 @@ _LAX_VARS = LAX_PHASE + ("s1", "s2")
 
 
 class HyperellipticCurve(Frozen):
-    """y^2 = f(x) with f squarefree of degree 5 or 6, over Q or F_p."""
+    """y^2 = f(x) with f squarefree of degree 5 or 6, over Q or F_p.
+
+    The constructor takes rational coefficients. A curve over F_p comes
+    only from `reduce_mod_p`: its coefficients are the residues of f as
+    plain ints in range(p), and `characteristic` is p."""
 
     __slots__ = ("coefficients", "degree", "characteristic")
 
@@ -55,29 +59,31 @@ class HyperellipticCurve(Frozen):
         coeffs = list(coefficients)
         if len(coeffs) not in (6, 7):
             raise DegreeBoundError("need 6 or 7 ascending coefficients")
-        fields = {c.p for c in coeffs if isinstance(c, Fp)}
-        if len(fields) > 1:
-            raise AlignmentError("coefficients from different prime fields")
-        if fields:
-            p = fields.pop()
-            coeffs = [c if isinstance(c, Fp) else Fp(c, p) for c in coeffs]
-            characteristic = p
-        else:
-            coeffs = [Fraction(c) for c in coeffs]
-            characteristic = 0
+        coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) == 7 and not coeffs[6]:
             coeffs = coeffs[:6]
         if not coeffs[-1]:
             raise DegenerateCurveError(
                 "degree drops below 5: the model is not genus 2"
             )
-        object.__setattr__(self, "coefficients", tuple(coeffs))
-        object.__setattr__(self, "degree", len(coeffs) - 1)
-        object.__setattr__(self, "characteristic", characteristic)
+        self._fill(coeffs, 0)
         if not self.discriminant():
             raise DegenerateCurveError(
                 "f has a repeated root: the model is singular"
             )
+
+    @classmethod
+    def _over_prime_field(cls, residues, p):
+        """The curve with these residues mod p, unchecked: `reduce_mod_p`
+        checks the degree and the discriminant."""
+        curve = object.__new__(cls)
+        curve._fill(residues, p)
+        return curve
+
+    def _fill(self, coeffs, characteristic):
+        object.__setattr__(self, "coefficients", tuple(coeffs))
+        object.__setattr__(self, "degree", len(coeffs) - 1)
+        object.__setattr__(self, "characteristic", characteristic)
 
     def sextic_coefficients(self):
         zero = self.coefficients[0] * 0
@@ -86,18 +92,17 @@ class HyperellipticCurve(Frozen):
 
     def discriminant(self):
         """The discriminant of f, from the sextic table evaluated on
-        plain integers: the residues over F_p, and over Q the coefficients
-        times L, the lcm of their denominators (the discriminant is
-        homogeneous of degree 10, so it is D(L f) / L^10)."""
+        plain integers: the coefficients times L, the lcm of their
+        denominators (the discriminant is homogeneous of degree 10, so it
+        is D(L f) / L^10). Over F_p, L = 1 and the result is the residue
+        of D(f) in range(p)."""
         coeffs = self.sextic_coefficients()
-        if self.characteristic:
-            return Fp(
-                binary_sextic_discriminant([c.value for c in coeffs]),
-                self.characteristic,
-            )
         scale = math.lcm(*(c.denominator for c in coeffs))
         scaled = [c.numerator * (scale // c.denominator) for c in coeffs]
-        return Fraction(binary_sextic_discriminant(scaled), scale**10)
+        disc = binary_sextic_discriminant(scaled)
+        if self.characteristic:
+            return disc % self.characteristic
+        return Fraction(disc, scale**10)
 
     def __eq__(self, other):
         if not isinstance(other, HyperellipticCurve):
@@ -445,17 +450,18 @@ def reduce_mod_p(curve, p):
         )
     if curve.characteristic:
         raise AlignmentError("curve is already over a finite field")
-    coeffs = [Fp(c, p) for c in curve.coefficients]
-    if not coeffs[-1]:
+    p = _validated_odd_prime(p)
+    residues = [_to_residue(c, p) for c in curve.coefficients]
+    if not residues[-1]:
         raise BadReductionError(
             f"leading coefficient vanishes modulo {p}: the degree drops"
         )
-    try:
-        return HyperellipticCurve(coeffs)
-    except DegenerateCurveError:
+    reduced = HyperellipticCurve._over_prime_field(residues, p)
+    if not reduced.discriminant():
         raise BadReductionError(
             f"the reduction modulo {p} is singular (discriminant is 0)"
-        ) from None
+        )
+    return reduced
 
 
 def _rational_from_json(value):

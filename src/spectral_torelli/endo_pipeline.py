@@ -181,7 +181,7 @@ def _prime_record(curve, p, geometric):
     except BadReductionError as exc:
         record["notes"].append(f"bad reduction: {exc}")
         return record
-    record["curve_mod_p"] = [int(c.value) for c in reduction.coefficients]
+    record["curve_mod_p"] = list(reduction.coefficients)
     counts = point_counts(reduction, p)
     weil = weil_polynomial(counts)
     record["n1"] = counts.n1

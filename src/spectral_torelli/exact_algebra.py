@@ -1049,14 +1049,16 @@ class Jet1(Frozen):
 
     def __mul__(self, other):
         q = self.MODULUS
-        if isinstance(other, (int, Fraction)):
+        # Jet1 first, as in MultiPoly.__mul__: an isinstance test against
+        # Fraction goes through the ABC machinery.
+        if not isinstance(other, Jet1):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             k = _residue(other, q)
             return Jet1._trusted(
                 self.value * k % q, tuple(p * k % q for p in self.partials)
             )
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         a, b = self.value, other.value
         return Jet1._trusted(
             a * b % q,

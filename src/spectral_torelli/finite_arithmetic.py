@@ -79,104 +79,7 @@ def smallest_nonresidue(p):
     raise ValueError(f"no quadratic non-residue modulo {p}")
 
 
-class Fp(Frozen):
-    """Element of the prime field Z/pZ, p an odd prime.
-
-    Mixed arithmetic with int and Fraction is supported; a Fraction whose
-    denominator is divisible by p raises BadReductionError.
-    """
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value, p):
-        p = _validated_odd_prime(p)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "value", _to_residue(value, p))
-
-    def _coerce(self, other):
-        if isinstance(other, Fp):
-            if other.p != self.p:
-                raise ValueError("elements of different prime fields")
-            return other.value
-        if isinstance(other, (int, Fraction)):
-            return _to_residue(other, self.p)
-        return None
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return Fp((self.value + v) % self.p, self.p)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Fp(-self.value % self.p, self.p)
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return Fp((self.value - v) % self.p, self.p)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        return Fp(self.value * v % self.p, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is None:
-            return NotImplemented
-        if v == 0:
-            raise ZeroDivisionError(f"division by zero in F_{self.p}")
-        return Fp(self.value * pow(v, -1, self.p) % self.p, self.p)
-
-    def __rtruediv__(self, other):
-        return Fp(other, self.p) / self
-
-    def __pow__(self, n):
-        n = int(n)
-        if n < 0:
-            if self.value == 0:
-                raise ZeroDivisionError(f"inverting zero in F_{self.p}")
-            return Fp(pow(pow(self.value, -1, self.p), -n, self.p), self.p)
-        return Fp(pow(self.value, n, self.p), self.p)
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __eq__(self, other):
-        if isinstance(other, Fp):
-            return self.p == other.p and self.value == other.value
-        if isinstance(other, (int, Fraction)):
-            try:
-                return self.value == _to_residue(other, self.p)
-            except BadReductionError:
-                return False
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.value))
-
-    def is_square(self):
-        return quadratic_character(self.value, self.p) >= 0
-
-    def __repr__(self):
-        return f"Fp({self.value}, {self.p})"
-
-
 def _to_residue(value, p):
-    if isinstance(value, Fp):
-        if value.p != p:
-            raise ValueError("elements of different prime fields")
-        return value.value
     if isinstance(value, bool):
         raise TypeError("bool is not a field element")
     if isinstance(value, int):
@@ -213,7 +116,7 @@ class Fp2(Frozen):
             if other.p != self.p:
                 raise ValueError("elements of different fields")
             return other
-        if isinstance(other, (int, Fraction, Fp)):
+        if isinstance(other, (int, Fraction)):
             return Fp2(other, 0, self.p)
         return None
 
@@ -281,8 +184,8 @@ class Fp2(Frozen):
     def __eq__(self, other):
         if isinstance(other, Fp2):
             return (self.p, self.a, self.b) == (other.p, other.a, other.b)
-        if isinstance(other, (int, Fraction, Fp)):
-            return self.b == 0 and Fp(self.a, self.p) == other
+        if isinstance(other, (int, Fraction)):
+            return self.b == 0 and self.a == _to_residue(other, self.p)
         return NotImplemented
 
     def __hash__(self):
@@ -296,6 +199,8 @@ def _model_coefficients(source, p):
     """Normalize to (ascending int 7-tuple mod p, degree in {5, 6})."""
     p = _validated_odd_prime(p)
     if hasattr(source, "sextic_coefficients"):
+        if getattr(source, "characteristic", 0) not in (0, p):
+            raise ValueError("elements of different prime fields")
         seq = list(source.sextic_coefficients())
     else:
         seq = list(source)

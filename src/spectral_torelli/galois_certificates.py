@@ -109,10 +109,20 @@ def _eval_int_poly(coeffs, x):
 
 def _integer_roots_monic(coeffs):
     """Integer roots (with multiplicity) of a monic integer polynomial,
-    ascending coefficients."""
+    ascending coefficients: a quadratic is decided by its discriminant,
+    a higher degree by a scan of the divisors of its constant term."""
     roots = []
     work = list(coeffs)
     while len(work) > 1:
+        if len(work) == 3:
+            c0, c1, _ = work
+            disc = c1 * c1 - 4 * c0
+            if _is_square(disc):
+                # disc = c1^2 mod 4, so its root has the parity of c1
+                s = math.isqrt(disc)
+                roots += [(-c1 + s) // 2, (-c1 - s) // 2]
+                work = [1]
+            break
         if work[0] == 0:
             roots.append(0)
             work = work[1:]
@@ -146,32 +156,13 @@ def _factor_monic(coeffs):
     coeffs = [int(c) for c in coeffs]
     if coeffs[-1] != 1:
         raise ValueError("polynomial must be monic")
-    degree = len(coeffs) - 1
-    if degree == 0:
-        return []
-    if degree == 1:
-        return [tuple(coeffs)]
     roots, rest = _integer_roots_monic(coeffs)
     factors = [(-r, 1) for r in roots]
-    d = len(rest) - 1
-    if d == 0:
-        return sorted(factors)
-    if d == 1:
-        factors.append(tuple(rest))
-        return sorted(factors)
-    if d == 2:
-        c0, c1, _ = rest
-        if _is_square(c1 * c1 - 4 * c0):
-            s = math.isqrt(c1 * c1 - 4 * c0)
-            r1 = (-c1 + s) // 2
-            r2 = (-c1 - s) // 2
-            factors.extend([(-r1, 1), (-r2, 1)])
-        else:
+    if len(rest) < 5:
+        # what is left has degree 0, or is a quadratic or cubic with no
+        # rational root and so irreducible (a linear factor always has one)
+        if len(rest) > 1:
             factors.append(tuple(rest))
-        return sorted(factors)
-    if d == 3:
-        # a cubic with no rational root is irreducible
-        factors.append(tuple(rest))
         return sorted(factors)
     # rootless quartic: look for a split into two integer quadratics
     a0, a1, a2, a3, _ = rest

@@ -2,11 +2,11 @@
 
 `igusa` takes coefficients from any commutative ring in which the small
 integers it divides by (4 and factorials up to 6!^2) are invertible:
-Fraction and MultiPoly (exact, over Q and over symbolic parameters), a
-prime-field element type that tolerates int/Fraction scalars, or Jet1
-(first-order jets mod q = 2^61 - 1). Adding the ring's zero to every
-coefficient first turns ints into Fractions and lifts scalars into the
-ring of the others.
+Fraction and MultiPoly (exact, over Q and over symbolic parameters) or
+Jet1 (first-order jets mod q = 2^61 - 1). A curve over F_p holds plain
+int residues, so it is refused rather than read as its integer lift.
+Adding the ring's zero to every coefficient first turns ints into
+Fractions and lifts scalars into the ring of the others.
 
 J2, J4 and J6 come from the transvectants of Mestre ("Construction de
 courbes de genre 2 à partir de leurs modules", 1991): a = (f, f)_6, the
@@ -17,8 +17,8 @@ factor per coefficient (with the weight (-1)^i C(k, i) folded in), the
 products are summed, and the Fraction prefactor is applied once. The
 discriminant J10 comes from a frozen table of 246 integer terms, run as
 one nested Horner program (grouped by the exponent of b0, then b1, ...,
-b6) that every coefficient ring shares, in characteristic zero and mod p
-alike.
+b6) that every coefficient ring shares; a curve's discriminant mod p is
+the same program run on its residues.
 
 The independence rank evaluates the invariants with jets mod q and takes
 the rank of their Jacobian mod q. A minor that is nonzero mod q is
@@ -219,9 +219,15 @@ def igusa(source):
 
     `source` is either an ascending coefficient sequence (length 6 or 7;
     a quintic is treated as a sextic with vanishing leading coefficient)
-    or any object exposing sextic_coefficients().
+    or any object exposing sextic_coefficients(), other than a curve over
+    F_p.
     """
     if hasattr(source, "sextic_coefficients"):
+        if getattr(source, "characteristic", 0):
+            raise AlignmentError(
+                "Igusa invariants of a curve over F_p are not computed: "
+                "its residues would give those of an integer lift"
+            )
         coeffs = list(source.sextic_coefficients())
     else:
         coeffs = list(source)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import Phase, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from spectral_torelli.errors import (
@@ -428,9 +428,6 @@ def ref_divide(a, b):
     return quotient
 
 
-# Without the explain phase: on a failure it replays this many-operation
-# property for minutes, with memory growing all the while.
-@settings(phases=[p for p in Phase if p is not Phase.explain])
 @given(small_polys(), small_polys(), small_polys(), small_fractions,
        st.integers(0, 3))
 def test_multipoly_results_are_canonical(a, b, c, k, n):

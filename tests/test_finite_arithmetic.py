@@ -1,4 +1,4 @@
-"""Finite-field kernels: prime-field and quadratic-extension arithmetic,
+"""Finite-field kernels: curves over F_p, quadratic-extension arithmetic,
 exhaustive point counting, and the Weil data assembled from the counts.
 
 The counting oracle below is a deliberately naive scan written against
@@ -18,10 +18,13 @@ import sympy
 from hypothesis import assume, given, strategies as st
 
 from spectral_torelli import finite_arithmetic
-from spectral_torelli.curve_catalog import catalog_get, reduce_mod_p
+from spectral_torelli.curve_catalog import (
+    HyperellipticCurve,
+    catalog_get,
+    reduce_mod_p,
+)
 from spectral_torelli.errors import BadReductionError, InconsistentCountsError
 from spectral_torelli.finite_arithmetic import (
-    Fp,
     Fp2,
     PointCount,
     WeilPolynomial,
@@ -189,64 +192,48 @@ class TestPrimality:
 
 
 class TestPrimeField:
+    """A curve over F_p is the plain int residues that reduce_mod_p
+    makes; count_points reduces raw int and Fraction sequences itself."""
+
     def test_constructor_validates_modulus(self):
-        with pytest.raises(ValueError):
-            Fp(3, 15)
+        curve = kfs_curve()
+        for p in (1, 0, -7, 9, 41041):
+            with pytest.raises(ValueError, match="is not prime"):
+                reduce_mod_p(curve, p)
         with pytest.raises(BadReductionError):
-            Fp(1, 2)
-
-    def test_ring_operations_match_integer_arithmetic(self):
-        p = 43
-        pairs = [(5, 9), (-7, 40), (42, 42), (0, 17), (31, -2)]
-        for a, b in pairs:
-            x, y = Fp(a, p), Fp(b, p)
-            assert (x + y).value == (a + b) % p
-            assert (x - y).value == (a - b) % p
-            assert (x * y).value == (a * b) % p
-            assert (-x).value == -a % p
-            assert (3 + x).value == (3 + a) % p
-            assert (2 - x).value == (2 - a) % p
-
-    def test_division_and_powers(self):
-        p = 43
-        x = Fp(31, p)
-        assert (x / Fp(9, p)) * Fp(9, p) == x
-        assert (1 / x) * x == Fp(1, p)
-        assert x**-2 == (x**2) ** -1
-        assert x**0 == Fp(1, p)
-        with pytest.raises(ZeroDivisionError):
-            x / Fp(0, p)
-        with pytest.raises(ZeroDivisionError):
-            Fp(0, p) ** -1
+            reduce_mod_p(curve, 2)
+        with pytest.raises(ValueError):
+            Fp2(1, 0, 15)
 
     def test_fraction_coercion(self):
-        assert Fp(Fraction(1, 2), 7) == Fp(4, 7)
-        assert Fp(3, 7) + Fraction(1, 2) == Fp(0, 7)
+        # 1/2 = 4 modulo 7
+        half = (Fraction(1, 2), 1, 0, 0, 0, 1)
+        reduced = reduce_mod_p(HyperellipticCurve(half), 7)
+        assert reduced.coefficients == (4, 1, 0, 0, 0, 1)
+        assert all(type(c) is int for c in reduced.coefficients)
+        assert count_points(half, 7) == count_points(reduced, 7)
+        assert Fp2(Fraction(1, 2), 0, 7) == 4
+        seventh = (Fraction(1, 7), 1, 0, 0, 0, 1)
+        with pytest.raises(BadReductionError,
+                           match="^denominator 7 is divisible by 7$"):
+            reduce_mod_p(HyperellipticCurve(seventh), 7)
         with pytest.raises(BadReductionError):
-            Fp(Fraction(1, 7), 7)
-        assert not Fp(1, 7) == Fraction(1, 7)
+            count_points(seventh, 7)
 
     def test_mixed_fields_and_bad_types_are_rejected(self):
+        reduced = reduce_mod_p(kfs_curve(), 37)
+        assert count_points(reduced, 37) == 36
+        # a curve over F_37 is not counted at another prime
+        for extension in (1, 2):
+            with pytest.raises(ValueError, match="different prime fields"):
+                count_points(reduced, 53, extension=extension)
         with pytest.raises(ValueError):
-            Fp(1, 5) + Fp(1, 7)
-        with pytest.raises(TypeError):
-            Fp(True, 7)
-        with pytest.raises(TypeError):
-            Fp(1, 7) + 0.5
-
-    def test_immutability_and_hashing(self):
-        x = Fp(2, 7)
-        with pytest.raises(AttributeError):
-            x.value = 3
-        assert hash(Fp(2, 7)) == hash(x)
-        assert {Fp(2, 7), Fp(2, 7), Fp(3, 7)} == {Fp(2, 7), Fp(3, 7)}
-        assert bool(Fp(0, 7)) is False and bool(Fp(1, 7)) is True
-
-    def test_is_square_matches_euler_criterion(self):
-        p = 31
-        for a in range(p):
-            expected = a == 0 or pow(a, (p - 1) // 2, p) == 1
-            assert Fp(a, p).is_square() == expected
+            Fp2(1, 0, 5) + Fp2(1, 0, 7)
+        for bad in (True, 0.5):
+            with pytest.raises(TypeError):
+                count_points((bad, 1, 0, 0, 0, 1), 7)
+            with pytest.raises(TypeError):
+                Fp2(bad, 0, 7)
 
 
 class TestQuadraticExtension:
@@ -281,7 +268,7 @@ class TestQuadraticExtension:
         for a, b in [(2, 3), (0, 5), (18, 1)]:
             norm = Fp2(a, b, p) * Fp2(a, b, p).frobenius()
             assert norm.b == 0
-            assert norm == Fp(a * a - smallest_nonresidue(p) * b * b, p)
+            assert norm == a * a - smallest_nonresidue(p) * b * b
 
     def test_division_by_zero_and_mixed_fields(self):
         with pytest.raises(ZeroDivisionError):
@@ -289,7 +276,7 @@ class TestQuadraticExtension:
         with pytest.raises(ValueError):
             Fp2(1, 0, 7) + Fp2(1, 0, 11)
         assert 3 / Fp2(3, 0, 7) == 1
-        assert Fp2(4, 0, 7) == Fp(4, 7)
+        assert Fp2(4, 0, 7) == 4 == Fp2(11, 0, 7)
         with pytest.raises(AttributeError):
             Fp2(1, 0, 7).a = 2
 
@@ -377,11 +364,6 @@ class TestPointCounts:
             count_points(KFS_RATIONAL, 15)
         with pytest.raises(BadReductionError):
             count_points((Fraction(1, 37), 0, 0, 0, 0, 0, 1), 37)
-        with pytest.raises(ValueError):
-            count_points((Fp(1, 5), 0, 0, 0, 0, 1), 7)
-        # a curve over F_37 is not counted at another prime
-        with pytest.raises(ValueError, match="different prime fields"):
-            count_points(reduce_mod_p(kfs_curve(), 37), 53)
 
     @given(data=st.data())
     def test_quadratic_counts_match_fp2_enumeration(self, data):
@@ -404,7 +386,7 @@ class TestPointCounts:
                     reduction = reduce_mod_p(curve, p)
                 except BadReductionError:
                     continue
-                residues = [c.value for c in reduction.coefficients]
+                residues = list(reduction.coefficients)
                 w = weil_polynomial(point_counts(reduction, p))
                 (h11, h12), (h21, h22) = hasse_witt_matrix(residues, p)
                 assert (w.a1 - (h11 + h22)) % p == 0, (family, p)
@@ -484,7 +466,7 @@ class TestFrobeniusCount:
                 if row["family"] != family or row["n1"] is None:
                     continue
                 reduction = reduce_mod_p(curve, p)
-                coeffs = tuple(c.value for c in reduction.coefficients)
+                coeffs = reduction.coefficients
                 coeffs += (0,) * (7 - len(coeffs))
                 n2 = finite_arithmetic._count_quadratic_frobenius(
                     coeffs, 6 if coeffs[6] else 5, p

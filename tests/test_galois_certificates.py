@@ -45,6 +45,8 @@ GROUP_SUITE = [
     ((1, 1, 1, 1, 1), "C4"),
     ((2, 0, 4, 0, 1), "C4"),
     ((1, 0, 0, 0, 1), "V4"),
+    # sqrt(2) + sqrt(3): the resolvent's quadratic cofactor splits
+    ((1, 0, -10, 0, 1), "V4"),
     ((12, 8, 0, 0, 1), "A4"),
     ((1, 1, 0, 0, 1), "S4"),
     ((1369, -74, 38, -2, 1), "D4"),
@@ -128,11 +130,18 @@ class TestEulerPhiAndCyclotomic:
 class TestQuarticFactorization:
     def test_random_products_match_sympy(self):
         rng = random.Random(11)
-        for _ in range(30):
-            shape = rng.choice(["llll", "llq", "qq", "lc"])
+        for _ in range(40):
+            shape = rng.choice(["llll", "llq", "qq", "lc", "lls"])
             factors = []
             if shape == "llll":
                 factors = [(-rng.randrange(-6, 7), 1) for _ in range(4)]
+            elif shape == "lls":
+                # two small roots, then a quadratic that splits over wider
+                # roots, a repeated or a zero one included
+                r1 = rng.randrange(-300, 301)
+                r2 = rng.choice([r1, 0, rng.randrange(-300, 301)])
+                factors = [(-rng.randrange(-6, 7), 1), (-rng.randrange(-6, 7), 1),
+                           (r1 * r2, -(r1 + r2), 1)]
             elif shape == "llq":
                 factors = [(-rng.randrange(-6, 7), 1), (-rng.randrange(-6, 7), 1),
                            (rng.randrange(1, 7), rng.randrange(-5, 6), 1)]

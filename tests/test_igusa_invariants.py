@@ -18,6 +18,7 @@ from spectral_torelli.curve_catalog import (
     CurveFamily,
     catalog_get,
     gar92_hamiltonian_frame,
+    reduce_mod_p,
 )
 from spectral_torelli.errors import (
     AlignmentError,
@@ -27,7 +28,6 @@ from spectral_torelli.errors import (
     UndefinedChartError,
 )
 from spectral_torelli.exact_algebra import Jet1, MultiPoly
-from spectral_torelli.finite_arithmetic import Fp
 from spectral_torelli.igusa_invariants import (
     IgusaInvariants,
     binary_sextic_discriminant,
@@ -327,13 +327,20 @@ def test_igusa_refuses_mixed_rings():
     for coeffs in (
         [one_var, 0, 0, 0, 0, 1, two_var],
         [one_var, 0, 0, 0, 0, 1, jet2],
-        [one_var, 0, 0, 0, 0, 1, Fp(3, 7)],
         [jet2, 0, 0, 0, 0, 1, jet3],
     ):
         with pytest.raises(AlignmentError):
             igusa(coeffs)
     with pytest.raises(AlignmentError):
         transvectant([one_var, 1], [jet2, 1], 1)
+
+
+def test_igusa_refuses_a_curve_over_a_prime_field():
+    # its plain int residues would give the invariants of an integer lift
+    curve = catalog_get("KFS").specialize({"h1": 12, "h2": 17, "s": 29})
+    assert not igusa(curve).degenerate
+    with pytest.raises(AlignmentError):
+        igusa(reduce_mod_p(curve, 37))
 
 
 def test_rank_at_point_rejections():
