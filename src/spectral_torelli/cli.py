@@ -51,11 +51,13 @@ def _parse_point(text):
         chunk = chunk.strip()
         if not chunk:
             continue
-        name, sep, value = chunk.partition("=")
-        if not sep or not name.strip():
+        name, sep, value = (part.strip() for part in chunk.partition("="))
+        if not sep or not name:
             raise PolyParseError(f"expected name=value, got {chunk!r}")
+        if name in point:
+            raise PolyParseError(f"--at assigns {name!r} twice")
         try:
-            point[name.strip()] = Fraction(value.strip())
+            point[name] = Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise PolyParseError(f"bad rational value {value!r}") from None
     if not point:

@@ -49,9 +49,9 @@ _LAX_VARS = LAX_PHASE + ("s1", "s2")
 class HyperellipticCurve(Frozen):
     """y^2 = f(x) with f squarefree of degree 5 or 6, over Q or F_p.
 
-    The constructor takes rational coefficients. A curve over F_p comes
-    only from `reduce_mod_p`: its coefficients are the residues of f as
-    plain ints in range(p), and `characteristic` is p."""
+    The constructor takes int or Fraction coefficients. A curve over
+    F_p comes only from `reduce_mod_p`: its coefficients are the
+    residues of f as plain ints in range(p), and `characteristic` is p."""
 
     __slots__ = ("coefficients", "degree", "characteristic")
 
@@ -59,6 +59,8 @@ class HyperellipticCurve(Frozen):
         coeffs = list(coefficients)
         if len(coeffs) not in (6, 7):
             raise DegreeBoundError("need 6 or 7 ascending coefficients")
+        if not all(type(c) is int or isinstance(c, Fraction) for c in coeffs):
+            raise TypeError("coefficients must be int or Fraction")
         coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) == 7 and not coeffs[6]:
             coeffs = coeffs[:6]

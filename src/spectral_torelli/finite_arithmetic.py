@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import comb
 
 from ._record import Frozen, Record
-from .errors import BadReductionError, InconsistentCountsError
+from .errors import AlignmentError, BadReductionError, InconsistentCountsError
 from .exact_algebra import MultiPoly, _power
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -195,42 +195,20 @@ class Fp2(Frozen):
         return f"Fp2({self.a}, {self.b}, {self.p})"
 
 
-def _model_coefficients(source, p):
-    """Normalize to (ascending int 7-tuple mod p, degree in {5, 6})."""
-    p = _validated_odd_prime(p)
-    if hasattr(source, "sextic_coefficients"):
-        if getattr(source, "characteristic", 0) not in (0, p):
-            raise ValueError("elements of different prime fields")
-        seq = list(source.sextic_coefficients())
-    else:
-        seq = list(source)
-    if len(seq) == 6:
-        seq.append(0)
-    if len(seq) != 7:
-        raise BadReductionError("need 6 or 7 ascending coefficients")
-    out = [_to_residue(c, p) for c in seq]
-    if out[6]:
-        degree = 6
-    elif out[5]:
-        degree = 5
-    else:
-        raise BadReductionError(
-            f"degree drops below 5 modulo {p}; the reduction is bad"
-        )
-    return tuple(out), degree
-
-
-def count_points(source, p, *, extension=1):
+def count_points(curve, p, *, extension=1):
     """Number of points of the smooth model of y^2 = f(x) over F_p
-    (extension=1) or F_{p^2} (extension=2).
+    (extension=1) or F_{p^2} (extension=2). `curve` must come from
+    `reduce_mod_p` at this p, which has checked the prime, the degree and
+    that f is squarefree mod p. Any other object raises TypeError, a
+    curve over Q AlignmentError, and one over another F_q ValueError.
 
     Over F_p the affine points number p + sum_x chi(f(x)), chi the
     Legendre symbol read from a size-p table.
 
     Over F_{p^2} the count is N2 = p^2 + 1 - a1^2 + 2*a2, where
     t^4 - a1 t^3 + a2 t^2 - a1 p t + p^2 is the characteristic
-    polynomial of Frobenius on the Jacobian J. From p = 41 on, for a
-    model that is squarefree mod p, it is found in O(p) steps, exactly:
+    polynomial of Frobenius on the Jacobian J. From p = 41 on it is
+    found in O(p) steps, exactly:
     - a1 = p + 1 - N1 from the F_p count.
     - A change of x gives an isomorphic sextic model with f(0) != 0
       whose leading coefficient is not a square mod p.
@@ -245,10 +223,8 @@ def count_points(source, p, *, extension=1):
       deg u = 2 stand for the nonzero classes and Cantor's reduction
       needs no rational Weierstrass point.
     The direct count below runs instead under p = 41, where it is
-    faster; for a model that is not squarefree mod p, which is no
-    genus-2 curve (the safety net below then judges the direct count);
-    when f takes no non-square value on F_p; and when three divisors
-    leave several candidates (groups of small exponent at small p).
+    faster, and when three divisors leave several candidates (groups of
+    small exponent at small p).
 
     The direct count: an element z of F_{p^2} is a square exactly when
     its norm is a square in F_p, so the affine points number
@@ -259,10 +235,16 @@ def count_points(source, p, *, extension=1):
     series around a, whose seven coefficient rows are tabulated over F_p
     once. That takes O(p^2) steps and O(p) memory.
 
-    The input must reduce to a squarefree model modulo p; this routine
-    only enforces the genus-2 Weil bound on the result as a safety net.
+    Counts outside the genus-2 Weil bound raise InconsistentCountsError.
     """
-    coeffs, degree = _model_coefficients(source, p)
+    characteristic = getattr(curve, "characteristic", None)
+    if characteristic is None:
+        raise TypeError(f"{type(curve).__name__} is not a curve from reduce_mod_p")
+    if not characteristic:
+        raise AlignmentError("reduce a curve over Q with reduce_mod_p first")
+    if characteristic != p:
+        raise ValueError("elements of different prime fields")
+    coeffs, degree = curve.sextic_coefficients(), curve.degree
     if extension == 1:
         count = _count_ground(coeffs, degree, _values(coeffs[::-1], p), _legendre_table(p))
         q = p
@@ -346,22 +328,18 @@ _ORDER_TEST_DIVISORS = 3
 
 
 def _count_quadratic_frobenius(coeffs, degree, p):
-    """N2 = p^2 + 1 - a1^2 + 2*a2 from Frobenius data in O(p) steps, or
-    None where only the direct count can decide.
+    """N2 = p^2 + 1 - a1^2 + 2*a2 of a squarefree model at p >= 41 in
+    O(p) steps, or None where only the direct count can decide.
 
     a1 comes exactly from the F_p count. a2 mod p is det W for the
     Hasse-Witt matrix W, and tr W = a1 mod p is checked. Of the a2 in
     that class inside the Weil bounds, the one whose #J(F_p) = P(1)
     alone annihilates a divisor class of J(F_p) is the true one.
     """
-    if not _is_squarefree(coeffs, p):
-        return None
     values = _values(coeffs[::-1], p)
     chi = _legendre_table(p)
     a1 = p + 1 - _count_ground(coeffs, degree, values, chi)
     model = _unusual_model(coeffs, degree, values, chi, p)
-    if model is None:
-        return None
     (h11, h12), (h21, h22) = _hasse_witt(model, p)
     if (h11 + h22 - a1) % p:
         raise InconsistentCountsError(
@@ -388,28 +366,29 @@ def _count_quadratic_frobenius(coeffs, degree, p):
 
 def _unusual_model(coeffs, degree, values, chi, p):
     """An F_p-isomorphic sextic model with f(0) != 0 and a leading
-    coefficient that is not a square, or None if F_p lacks the two
-    points this takes.
+    coefficient that is not a square.
 
     x -> (t2*x + t)/(x + 1) sends 0 to t and infinity to t2, so the new
     model has f(t) as constant and f(t2) as leading coefficient. Its two
     points at infinity are conjugate, so each nonzero class of J(F_p) is
     D - D_inf for one effective D of degree 2 away from infinity, with
     D_inf the divisor at infinity: no rational Weierstrass point needed.
+    From p = 41 on some f(t2) is a non-square: else N1 >= 2p - 6, which
+    the Weil bound N1 <= p + 1 + 4*sqrt(p) allows only for p <= 28.
     """
     if degree == 6 and coeffs[0] and chi[coeffs[6]] < 0:
         return coeffs
-    t2 = next((x for x, v in enumerate(values) if chi[v] < 0), None)
-    t = next((x for x, v in enumerate(values) if v and x != t2), None)
-    if t2 is None or t is None:
-        return None
+    t2 = next(x for x, v in enumerate(values) if chi[v] < 0)
+    t = next(x for x, v in enumerate(values) if v and x != t2)
     return _mobius(coeffs, t, t2, p)
 
 
 def _order_test(f, p, a1, candidates):
     """The candidates a2 whose order P(1) = p^2 + 1 - a1*(p + 1) + a2
     annihilates each of a few divisor classes on the model f, once only
-    one is left; None if the classes leave several.
+    one is left; None if the classes leave several. From p = 41 on,
+    N1 >= p + 1 - 4*sqrt(p) >= 17 with no point at infinity and at most
+    six roots, so six x or more give a point with y != 0, two per divisor.
 
     The candidates are consecutive in one class mod p, so their orders
     step by p: with Q = [P(1) of the first]D and R = [p]D, candidate j
@@ -419,10 +398,7 @@ def _order_test(f, p, a1, candidates):
     points = _points(f, p)
     alive = range(len(candidates))
     for _ in range(_ORDER_TEST_DIVISORS):
-        pair = [next(points, None), next(points, None)]
-        if None in pair:
-            return None
-        (x1, y1), (x2, y2) = pair
+        (x1, y1), (x2, y2) = next(points), next(points)
         # P1 + P2 - D_inf: u = (x - x1)(x - x2), v the line through both
         slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
         divisor = ((x1 * x2 % p, -(x1 + x2) % p, 1), ((y1 - slope * x1) % p, slope))
@@ -503,17 +479,6 @@ def _mobius(coeffs, t, t2, p):
         power = [s + r for s, r in zip(power + [0], [0] + power)]
         out = [(s + fi * r) % p for s, r in zip(out, power)]
     return tuple(out)
-
-
-def _is_squarefree(coeffs, p):
-    """gcd(f, f') = 1 over F_p (f' = 0 means f is a p-th power)."""
-    a = _trim(coeffs)
-    b = _trim([i * c % p for i, c in enumerate(a)][1:])
-    if not b:
-        return False
-    while b:
-        a, b = b, _pdivmod(a, b, p)[1]
-    return len(a) == 1
 
 
 def _points(f, p):
@@ -728,11 +693,12 @@ class PointCount(Record):
         super().__init__(int(p), int(n1), int(n2))
 
 
-def point_counts(source, p):
+def point_counts(curve, p):
+    """N1 and N2 of a curve from `reduce_mod_p` at p."""
     return PointCount(
         p,
-        count_points(source, p, extension=1),
-        count_points(source, p, extension=2),
+        count_points(curve, p, extension=1),
+        count_points(curve, p, extension=2),
     )
 
 

@@ -147,6 +147,17 @@ def test_count_points_rejects_unusable_primes(p, code, capsys):
     ) == (code, None)
 
 
+def test_repeated_at_name_exits_2(capsys):
+    # h1 given twice used to keep the last value silently
+    code = main(
+        ["invariants", "--family", "KFS", "--at", "h1=12,h1=13,h2=17,s=29",
+         "--json"]
+    )
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "'h1' twice" in captured.err
+
+
 def test_frobenius_verdict_from_counts(capsys):
     code, envelope = run(
         ["frobenius", "--p", "37", "--n1", "36", "--n2", "1442", "--json"], capsys

@@ -219,6 +219,15 @@ def test_curve_validation():
     assert HyperellipticCurve(reduced.coefficients) == rational != reduced
 
 
+@pytest.mark.parametrize("bad", [True, 0.1, "1/2"])
+def test_constructor_refuses_inexact_coefficients(bad):
+    # Fraction(0.1) would keep its binary expansion and Fraction(True) is 1
+    with pytest.raises(TypeError, match="int or Fraction"):
+        HyperellipticCurve([bad, 1, 0, 0, 0, 1])
+    with pytest.raises(TypeError):
+        HyperellipticCurve([1, 1, 0, 0, 0, bad])
+
+
 def test_load_curve_file_round_trips(tmp_path):
     family_blob = {
         "variables": ["h1", "h2", "s"],

@@ -7,6 +7,7 @@ different choice of nonresidue), so the production tables get a witness
 that shares no code with them.
 """
 
+import inspect
 import json
 import math
 from fractions import Fraction
@@ -23,7 +24,11 @@ from spectral_torelli.curve_catalog import (
     catalog_get,
     reduce_mod_p,
 )
-from spectral_torelli.errors import BadReductionError, InconsistentCountsError
+from spectral_torelli.errors import (
+    AlignmentError,
+    BadReductionError,
+    InconsistentCountsError,
+)
 from spectral_torelli.finite_arithmetic import (
     Fp2,
     PointCount,
@@ -175,6 +180,12 @@ def kfs_curve():
     return catalog_get("KFS").specialize(KFS_POINT)
 
 
+def mod_p(coeffs, p):
+    """The curve over F_p that reduce_mod_p makes from these rational
+    coefficients: the only input count_points takes."""
+    return reduce_mod_p(HyperellipticCurve(coeffs), p)
+
+
 class TestPrimality:
     def test_small_range_against_sympy(self):
         for n in range(-3, 200):
@@ -193,7 +204,8 @@ class TestPrimality:
 
 class TestPrimeField:
     """A curve over F_p is the plain int residues that reduce_mod_p
-    makes; count_points reduces raw int and Fraction sequences itself."""
+    makes, and the only input count_points takes: it reduces nothing
+    itself."""
 
     def test_constructor_validates_modulus(self):
         curve = kfs_curve()
@@ -211,13 +223,13 @@ class TestPrimeField:
         reduced = reduce_mod_p(HyperellipticCurve(half), 7)
         assert reduced.coefficients == (4, 1, 0, 0, 0, 1)
         assert all(type(c) is int for c in reduced.coefficients)
-        assert count_points(half, 7) == count_points(reduced, 7)
+        assert count_points(reduced, 7) == brute_count_ground(reduced.coefficients, 7)
         assert Fp2(Fraction(1, 2), 0, 7) == 4
         seventh = (Fraction(1, 7), 1, 0, 0, 0, 1)
         with pytest.raises(BadReductionError,
                            match="^denominator 7 is divisible by 7$"):
             reduce_mod_p(HyperellipticCurve(seventh), 7)
-        with pytest.raises(BadReductionError):
+        with pytest.raises(TypeError):
             count_points(seventh, 7)
 
     def test_mixed_fields_and_bad_types_are_rejected(self):
@@ -231,7 +243,7 @@ class TestPrimeField:
             Fp2(1, 0, 5) + Fp2(1, 0, 7)
         for bad in (True, 0.5):
             with pytest.raises(TypeError):
-                count_points((bad, 1, 0, 0, 0, 1), 7)
+                HyperellipticCurve((bad, 1, 0, 0, 0, 1))
             with pytest.raises(TypeError):
                 Fp2(bad, 0, 7)
 
@@ -320,50 +332,87 @@ class TestPointCounts:
             primes = good_primes(coeffs, 97)
             assert primes, "corpus model has no good prime in range"
             for p in primes:
-                assert count_points(coeffs, p) == brute_count_ground(coeffs, p)
+                assert count_points(mod_p(coeffs, p), p) == brute_count_ground(coeffs, p)
 
     def test_quadratic_counts_match_the_naive_scan(self):
         for coeffs in (KFS_RATIONAL, SYMMETRIC_QUINTIC):
             for p in good_primes(coeffs, 13):
-                got = count_points(coeffs, p, extension=2)
+                got = count_points(mod_p(coeffs, p), p, extension=2)
                 assert got == brute_count_quadratic(coeffs, p)
 
     def test_reference_specialization_counts(self):
         curve = kfs_curve()
-        assert point_counts(curve, 37) == PointCount(37, 36, 1442)
-        assert point_counts(curve, 53) == PointCount(53, 57, 3001)
-        # the already-reduced model gives the same counts
-        reduced = reduce_mod_p(curve, 37)
-        assert count_points(reduced, 37) == 36
+        for p, n1, n2 in ((37, 36, 1442), (53, 57, 3001)):
+            reduction = reduce_mod_p(curve, p)
+            assert point_counts(reduction, p) == PointCount(p, n1, n2)
+            assert count_points(reduction, p) == n1
+        # the rational curve itself is not counted
+        with pytest.raises(AlignmentError):
+            point_counts(curve, 37)
 
     def test_six_coefficient_input_is_a_quintic_model(self):
-        assert count_points(SYMMETRIC_QUINTIC, 7) == brute_count_ground(
-            SYMMETRIC_QUINTIC, 7
-        )
+        curve = mod_p(SYMMETRIC_QUINTIC, 7)
+        assert curve.degree == 5
+        assert count_points(curve, 7) == brute_count_ground(SYMMETRIC_QUINTIC, 7)
 
-    def test_square_polynomial_violates_the_weil_bound(self):
-        # (x^3 + x + 1)^2 doubles almost every fiber
+    def test_square_polynomial_violates_the_weil_bound(self, monkeypatch):
+        # (x^3 + x + 1)^2 doubles almost every fiber. reduce_mod_p refuses
+        # the rational curve that reduces to it, so it never gets counted.
         squared = (1, 2, 1, 2, 2, 0, 1)
-        with pytest.raises(InconsistentCountsError):
-            count_points(squared, 37)
-        # over F_{37^2} it reaches the direct count, which breaks the
-        # bound as well
-        with pytest.raises(InconsistentCountsError):
-            count_points(squared, 37, extension=2)
+        with pytest.raises(BadReductionError):
+            reduce_mod_p(HyperellipticCurve((38,) + squared[1:]), 37)
+        values = finite_arithmetic._values(squared[::-1], 37)
+        chi = finite_arithmetic._legendre_table(37)
+        n1 = finite_arithmetic._count_ground(squared, 6, values, chi)
+        n2 = finite_arithmetic._count_quadratic(squared, 6, 37)
+        assert (n1 - 38) ** 2 > 16 * 37 and (n2 - 37**2 - 1) ** 2 > 16 * 37**2
+        # the safety net still refuses such counts, over F_37 and F_{37^2}
+        curve = reduce_mod_p(kfs_curve(), 37)
+        monkeypatch.setattr(finite_arithmetic, "_count_ground", lambda *args: n1)
+        monkeypatch.setattr(finite_arithmetic, "_count_quadratic", lambda *args: n2)
+        for extension in (1, 2):
+            with pytest.raises(InconsistentCountsError, match="Weil bound"):
+                count_points(curve, 37, extension=extension)
 
     def test_input_validation(self):
         with pytest.raises(BadReductionError):
-            count_points((1, 1, 0, 0, 0, 0, 37), 37)
+            mod_p((1, 1, 0, 0, 0, 0, 37), 37)
         with pytest.raises(BadReductionError):
-            count_points((1, 2, 3, 4, 5), 7)
+            mod_p(KFS_RATIONAL, 2)
         with pytest.raises(ValueError):
-            count_points(KFS_RATIONAL, 7, extension=3)
+            mod_p(KFS_RATIONAL, 15)
         with pytest.raises(BadReductionError):
-            count_points(KFS_RATIONAL, 2)
+            mod_p((Fraction(1, 37), 0, 0, 0, 0, 0, 1), 37)
         with pytest.raises(ValueError):
-            count_points(KFS_RATIONAL, 15)
-        with pytest.raises(BadReductionError):
-            count_points((Fraction(1, 37), 0, 0, 0, 0, 0, 1), 37)
+            count_points(mod_p(KFS_RATIONAL, 7), 7, extension=3)
+        # count_points takes nothing but a curve from reduce_mod_p at p
+        for other in ((1, 0, 0, 0, 0, 1), (1, 2, 3, 4, 5), catalog_get("KFS")):
+            with pytest.raises(TypeError):
+                count_points(other, 7)
+        with pytest.raises(AlignmentError):
+            count_points(HyperellipticCurve(KFS_RATIONAL), 37)
+        with pytest.raises(ValueError, match="different prime fields"):
+            count_points(mod_p(KFS_RATIONAL, 37), 53)
+
+    def test_calling_convention_the_tracer_binds(self, monkeypatch):
+        # the benchmark's tracer wraps the module-global count_points and
+        # reads p from args[1] and extension from the keywords
+        params = list(inspect.signature(count_points).parameters.values())
+        assert params[1].name == "p"
+        assert params[2].name == "extension"
+        assert params[2].kind is inspect.Parameter.KEYWORD_ONLY
+        calls = []
+        monkeypatch.setattr(
+            finite_arithmetic,
+            "count_points",
+            lambda *args, **kwargs: calls.append((args, kwargs)) or 1,
+        )
+        curve = reduce_mod_p(kfs_curve(), 37)
+        assert point_counts(curve, 37) == PointCount(37, 1, 1)
+        assert calls == [
+            ((curve, 37), {"extension": 1}),
+            ((curve, 37), {"extension": 2}),
+        ]
 
     @given(data=st.data())
     def test_quadratic_counts_match_fp2_enumeration(self, data):
@@ -373,9 +422,10 @@ class TestPointCounts:
             st.lists(st.integers(0, p - 1), min_size=degree, max_size=degree)
         ) + [data.draw(st.integers(1, p - 1))]
         assume(squarefree_mod_p(coeffs, p))
-        n2 = count_points(coeffs, p, extension=2)
+        curve = mod_p(coeffs, p)
+        n2 = count_points(curve, p, extension=2)
         assert n2 == brute_count_fp2(coeffs, p)
-        weil_polynomial(PointCount(p, count_points(coeffs, p), n2))
+        weil_polynomial(PointCount(p, count_points(curve, p), n2))
 
     def test_hasse_witt_matrix_matches_the_counts(self):
         checked = 0
@@ -443,9 +493,29 @@ class TestFrobeniusCount:
         )
         coeffs, degree = draw_model(data, p)
         direct = finite_arithmetic._count_quadratic(coeffs, degree, p)
-        fast = finite_arithmetic._count_quadratic_frobenius(coeffs, degree, p)
-        assert fast in (None, direct)
-        assert count_points(coeffs, p, extension=2) == direct
+        if p >= finite_arithmetic._FROBENIUS_MIN_PRIME:
+            fast = finite_arithmetic._count_quadratic_frobenius(coeffs, degree, p)
+            assert fast in (None, direct)
+        assert count_points(mod_p(coeffs, p), p, extension=2) == direct
+
+    @given(data=st.data())
+    def test_squarefree_models_give_the_frobenius_path_its_points(self, data):
+        # From p = 41 on, some f(x) is a non-square (else the Weil bound
+        # fails), and the unusual model has a point with y != 0 at six
+        # x or more, two for each divisor the order test tries.
+        p = data.draw(
+            st.sampled_from(
+                [q for q in PRIMES_TO_300 if q >= finite_arithmetic._FROBENIUS_MIN_PRIME]
+            )
+        )
+        coeffs, degree = draw_model(data, p)
+        values = finite_arithmetic._values(coeffs[::-1], p)
+        chi = finite_arithmetic._legendre_table(p)
+        assert any(chi[v] < 0 for v in values)
+        model = finite_arithmetic._unusual_model(coeffs, degree, values, chi, p)
+        assert model[0] and chi[model[6]] < 0
+        points = list(finite_arithmetic._points(model, p))
+        assert len(points) >= 2 * finite_arithmetic._ORDER_TEST_DIVISORS
 
     @given(data=st.data())
     def test_hasse_witt_matrix_matches_the_numpy_oracle(self, data):
@@ -457,7 +527,8 @@ class TestFrobeniusCount:
         assert [list(row) for row in w] == hasse_witt_matrix(coeffs, p)
 
     def test_golden_counts_come_from_the_frobenius_path(self):
-        # every good row of the table, from p = 29 up, without a fallback
+        # every good row of the table that the Frobenius path serves
+        # (p >= 41), without a fallback
         rows = 0
         for family, point in GOLDEN["points"].items():
             curve = catalog_get(family).specialize(point)
@@ -465,15 +536,15 @@ class TestFrobeniusCount:
                 p = row["p"]
                 if row["family"] != family or row["n1"] is None:
                     continue
+                if p < finite_arithmetic._FROBENIUS_MIN_PRIME:
+                    continue
                 reduction = reduce_mod_p(curve, p)
-                coeffs = reduction.coefficients
-                coeffs += (0,) * (7 - len(coeffs))
                 n2 = finite_arithmetic._count_quadratic_frobenius(
-                    coeffs, 6 if coeffs[6] else 5, p
+                    reduction.sextic_coefficients(), reduction.degree, p
                 )
                 assert n2 == row["n2"], (family, p)
                 rows += 1
-        assert rows == 38
+        assert rows == 30
 
     @given(data=st.data())
     def test_explicit_group_law_matches_cantor(self, data):
@@ -504,7 +575,7 @@ class TestFrobeniusCount:
         w = weil_polynomial(
             PointCount(
                 p,
-                count_points(f, p),
+                count_points(mod_p(f, p), p),
                 finite_arithmetic._count_quadratic(f, 6, p),
             )
         )
@@ -526,7 +597,7 @@ class TestFrobeniusCount:
             lambda *args: direct.append(args) or expected,
         )
         assert finite_arithmetic._count_quadratic_frobenius(coeffs, degree, p) is None
-        assert count_points(coeffs, p, extension=2) == expected == 10606
+        assert count_points(mod_p(coeffs, p), p, extension=2) == expected == 10606
         assert direct == [(coeffs, degree, p)]
 
     def test_rootless_sextics_need_no_fallback(self):
@@ -545,14 +616,14 @@ class TestFrobeniusCount:
 
         monkeypatch.setattr(finite_arithmetic, "_hasse_witt", off_by_one)
         with pytest.raises(InconsistentCountsError, match="Hasse-Witt trace"):
-            count_points(SYMMETRIC_QUINTIC, 101, extension=2)
+            count_points(mod_p(SYMMETRIC_QUINTIC, 101), 101, extension=2)
 
     def test_order_no_candidate_annihilates_raises(self, monkeypatch):
         monkeypatch.setattr(
             finite_arithmetic, "_jac_mul", lambda divisor, n, f, p: divisor
         )
         with pytest.raises(InconsistentCountsError, match="Jacobian order"):
-            count_points(SYMMETRIC_QUINTIC, 101, extension=2)
+            count_points(mod_p(SYMMETRIC_QUINTIC, 101), 101, extension=2)
 
 
 class TestWeilData:
@@ -569,7 +640,7 @@ class TestWeilData:
         # first two power sums of the Frobenius roots
         for coeffs in (KFS_RATIONAL, SYMMETRIC_QUINTIC):
             for p in good_primes(coeffs, 31):
-                counts = point_counts(coeffs, p)
+                counts = point_counts(mod_p(coeffs, p), p)
                 w = weil_polynomial(counts)
                 assert counts.n1 == p + 1 - w.a1
                 assert counts.n2 == p * p + 1 - (w.a1**2 - 2 * w.a2)
@@ -612,9 +683,9 @@ class TestWeilData:
 
     def test_root_magnitudes_are_sqrt_p(self):
         polys = [
-            weil_polynomial(point_counts(KFS_RATIONAL, p)) for p in (37, 53)
-        ] + [
-            weil_polynomial(point_counts(SYMMETRIC_QUINTIC, p)) for p in (11, 13)
+            weil_polynomial(point_counts(mod_p(coeffs, p), p))
+            for coeffs, primes in ((KFS_RATIONAL, (37, 53)), (SYMMETRIC_QUINTIC, (11, 13)))
+            for p in primes
         ]
         for w in polys:
             descending = list(reversed(w.frobenius_coefficients))
