@@ -77,7 +77,6 @@ from .exact_algebra import (
     resultant,
 )
 from .finite_arithmetic import (
-    Fp2,
     PointCount,
     WeilPolynomial,
     count_points,

@@ -25,8 +25,8 @@ from .errors import (
     StructureError,
     UnknownFamilyError,
 )
-from .exact_algebra import MultiPoly
-from .finite_arithmetic import _to_residue, _validated_odd_prime
+from .exact_algebra import MultiPoly, _rational, _residue
+from .finite_arithmetic import _validated_odd_prime
 from .igusa_invariants import binary_sextic_discriminant
 from .series_kernel import garnier92_hamiltonians
 
@@ -49,9 +49,11 @@ _LAX_VARS = LAX_PHASE + ("s1", "s2")
 class HyperellipticCurve(Frozen):
     """y^2 = f(x) with f squarefree of degree 5 or 6, over Q or F_p.
 
-    The constructor takes int or Fraction coefficients. A curve over
-    F_p comes only from `reduce_mod_p`: its coefficients are the
-    residues of f as plain ints in range(p), and `characteristic` is p."""
+    The constructor takes exact rational coefficients, ints or
+    Fractions, and refuses anything else (a bool or float included) with
+    TypeError; it stores them as Fractions. A curve over F_p comes only
+    from `reduce_mod_p`: its coefficients are the residues of f as plain
+    ints in range(p), and `characteristic` is p."""
 
     __slots__ = ("coefficients", "degree", "characteristic")
 
@@ -59,9 +61,7 @@ class HyperellipticCurve(Frozen):
         coeffs = list(coefficients)
         if len(coeffs) not in (6, 7):
             raise DegreeBoundError("need 6 or 7 ascending coefficients")
-        if not all(type(c) is int or isinstance(c, Fraction) for c in coeffs):
-            raise TypeError("coefficients must be int or Fraction")
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = [Fraction(_rational(c)) for c in coeffs]
         if len(coeffs) == 7 and not coeffs[6]:
             coeffs = coeffs[:6]
         if not coeffs[-1]:
@@ -139,12 +139,8 @@ class CurveFamily(Frozen):
                         "coefficient variables differ from the parameter list"
                     )
                 lifted.append(c)
-            elif isinstance(c, (int, Fraction)):
-                lifted.append(MultiPoly.constant(parameters, Fraction(c)))
             else:
-                raise AlignmentError(
-                    f"cannot use {type(c).__name__} as a family coefficient"
-                )
+                lifted.append(MultiPoly.constant(parameters, c))
         if len(lifted) not in (6, 7):
             raise DegreeBoundError("need 6 or 7 ascending coefficients")
         if len(lifted) == 7 and lifted[6].is_zero():
@@ -176,10 +172,11 @@ class CurveFamily(Frozen):
         return binary_sextic_discriminant(self.sextic_coefficients())
 
     def specialize(self, values):
-        """Substitute parameter values. A full assignment returns a
+        """Substitute exact rational parameter values, ints or Fractions
+        (anything else raises TypeError). A full assignment returns a
         validated HyperellipticCurve; a partial one returns the smaller
         family."""
-        values = {k: Fraction(v) for k, v in values.items()}
+        values = {k: _rational(v) for k, v in values.items()}
         unknown = sorted(set(values) - set(self.parameters))
         if unknown:
             raise AlignmentError(f"not parameters of this family: {unknown!r}")
@@ -444,16 +441,15 @@ def catalog_entries():
 def reduce_mod_p(curve, p):
     """Reduce a rational curve modulo an odd prime, requiring good
     reduction: denominators coprime to p, degree preserved, and the
-    reduced discriminant nonzero."""
-    p = int(p)
-    if p == 2:
-        raise BadReductionError(
-            "p = 2: y^2 = f(x) is inseparable in characteristic 2"
-        )
+    reduced discriminant nonzero. p must be an int (TypeError otherwise);
+    p = 2 raises BadReductionError and any other non-prime ValueError."""
+    p = _validated_odd_prime(p)
     if curve.characteristic:
         raise AlignmentError("curve is already over a finite field")
-    p = _validated_odd_prime(p)
-    residues = [_to_residue(c, p) for c in curve.coefficients]
+    try:
+        residues = [_residue(c, p) for c in curve.coefficients]
+    except ZeroDivisionError as exc:
+        raise BadReductionError(str(exc)) from None
     if not residues[-1]:
         raise BadReductionError(
             f"leading coefficient vanishes modulo {p}: the degree drops"

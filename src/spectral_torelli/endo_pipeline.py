@@ -38,7 +38,7 @@ from .errors import (
     ReducibleQuarticError,
     StructureError,
 )
-from .exact_algebra import MultiPoly
+from .exact_algebra import MultiPoly, _integer, _rational
 from .finite_arithmetic import point_counts, weil_polynomial
 from .galois_certificates import (
     galois_group,
@@ -64,9 +64,10 @@ def resolve_curve(source, point=None):
     """Normalize (source, point) to a rational curve plus a label.
 
     `source` may be a catalog identifier, a CurveFamily, or a rational
-    HyperellipticCurve; `point` assigns every family parameter a
-    rational value and must be absent for a plain curve. Returns
-    (curve, label, point).
+    HyperellipticCurve; `point` assigns every family parameter an exact
+    rational value (an int or Fraction; anything else raises TypeError)
+    and must be absent for a plain curve. Returns (curve, label, point),
+    the point's values as Fractions.
     """
     if isinstance(source, str):
         label = source
@@ -78,7 +79,7 @@ def resolve_curve(source, point=None):
             raise AlignmentError(
                 "a parameter point is needed to specialize the family"
             )
-        point = {k: Fraction(v) for k, v in point.items()}
+        point = {k: Fraction(_rational(v)) for k, v in point.items()}
         missing = [p for p in source.parameters if p not in point]
         if missing:
             raise AlignmentError(f"missing parameter values: {missing!r}")
@@ -175,7 +176,7 @@ def _prime_record(curve, p, geometric):
         ("p", "curve_mod_p", "n1", "n2", "a1", "a2", "l_coefficients",
          "frobenius_coefficients") + _VERDICT_FIELDS
     )
-    record.update(p=int(p), usable=False, notes=[])
+    record.update(p=p, usable=False, notes=[])
     try:
         reduction = reduce_mod_p(curve, p)
     except BadReductionError as exc:
@@ -255,7 +256,7 @@ def certify_endomorphisms(source, point, p1, p2, *, geometric=False):
     is symmetric in the two primes, and dropping `geometric` never
     weakens a TRIVIAL_END outcome.
     """
-    primes = (int(p1), int(p2))
+    primes = (_integer(p1), _integer(p2))
     if primes[0] == primes[1]:
         raise ValueError(f"the two primes must differ, got p1 = p2 = {p1}")
     curve, label, point_used = resolve_curve(source, point)

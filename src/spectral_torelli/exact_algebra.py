@@ -8,9 +8,8 @@ over one positive denominator, in lowest terms, and its arithmetic runs on
 those ints with one content gcd per result. Fractions appear only at its
 edges: the constructor accepts them, and `terms`, `constant_value` and
 `evaluate` hand them out. The univariate layer is domain-generic: anything
-with ring arithmetic works as a coefficient (Fraction, MultiPoly, Jet1,
-finite-field elements), which is what the resultant and discriminant
-routines rely on.
+with ring arithmetic works as a coefficient (Fraction, MultiPoly, Jet1),
+which is what the resultant and discriminant routines rely on.
 
 `Jet1` and `rational_matrix_rank` work mod q instead of over Q. That is
 sound for lower bounds on ranks, because a minor that is nonzero mod q is
@@ -34,10 +33,22 @@ MAX_UNIPOLY_DEGREE = 128
 
 
 def _rational(value):
-    """`value` itself if it is an exact rational (int or Fraction)."""
-    if isinstance(value, (int, Fraction)):
-        return value
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+    """`value` itself if it is an exact rational: an int other than a
+    bool, or a Fraction. Anything else raises TypeError."""
+    if type(value) is bool or not isinstance(value, (int, Fraction)):
+        raise TypeError(
+            "expected an exact rational (int or Fraction), "
+            f"got {type(value).__name__}"
+        )
+    return value
+
+
+def _integer(value):
+    """`value` itself if it is an int other than a bool; anything else,
+    a float or a numeric string included, raises TypeError."""
+    if type(value) is bool or not isinstance(value, int):
+        raise TypeError(f"expected an int, got {type(value).__name__}")
+    return value
 
 
 def _power(base, n):
@@ -107,7 +118,7 @@ class MultiPoly(Frozen):
             coeff = _rational(coeff)
             if not coeff:
                 continue
-            exponents = tuple(int(e) for e in exponents)
+            exponents = tuple(map(_integer, exponents))
             if len(exponents) != len(variables):
                 raise ValueError(
                     f"exponent vector {exponents!r} does not match "
@@ -944,15 +955,18 @@ def discriminant(f):
 
 
 def _residue(value, q):
-    """The image of an exact rational in Z/qZ, as an int in range(q)."""
-    if isinstance(value, int):
+    """The image of an exact rational in Z/qZ, as an int in range(q), for
+    a prime q. A denominator divisible by q raises ZeroDivisionError, and
+    anything but an exact rational TypeError (see `_rational`)."""
+    if type(value) is int:
         return value % q
-    if isinstance(value, Fraction):
-        den = value.denominator % q
-        if not den:
-            raise ZeroDivisionError(f"denominator of {value} vanishes mod {q}")
-        return value.numerator * pow(den, -1, q) % q
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+    value = _rational(value)
+    den = value.denominator % q
+    if not den:
+        raise ZeroDivisionError(
+            f"denominator {value.denominator} is divisible by {q}"
+        )
+    return value.numerator * pow(den, -1, q) % q
 
 
 class Jet1(Frozen):
@@ -975,9 +989,9 @@ class Jet1(Frozen):
     Canonical form: `value` is an int in range(q) and `partials` a tuple
     of such ints. The public constructor reduces int and Fraction input
     mod q (a denominator divisible by q raises ZeroDivisionError) and
-    refuses anything else with TypeError; the class's own arithmetic
-    preserves the form and hands its results to `_trusted`, which skips
-    the reduction. Every operation reads MODULUS when it runs.
+    refuses anything else (bool too) with TypeError; the class's own
+    arithmetic preserves the form and hands its results to `_trusted`,
+    which skips the reduction. Every operation reads MODULUS when it runs.
     """
 
     MODULUS = (1 << 61) - 1
@@ -1141,11 +1155,7 @@ def jet_eval(p, point, tracked):
 def _integral_row(row, q):
     """A row of exact rationals scaled by the lcm of its denominators
     (which keeps its span over Q), then reduced mod q."""
-    for c in row:
-        if not isinstance(c, (int, Fraction)):
-            raise TypeError(
-                f"expected an exact rational, got {type(c).__name__}"
-            )
+    row = [_rational(c) for c in row]
     den = math.lcm(*(c.denominator for c in row))
     return [c.numerator * (den // c.denominator) % q for c in row]
 

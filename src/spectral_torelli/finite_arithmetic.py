@@ -14,20 +14,20 @@ coordinates. Elsewhere it walks F_p and one of each conjugate pair in
 F_{p^2} in O(p^2) steps; count_points says when.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from ._record import Frozen, Record
+from ._record import Record
 from .errors import AlignmentError, BadReductionError, InconsistentCountsError
-from .exact_algebra import MultiPoly, _power
+from .exact_algebra import MultiPoly, _integer
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n):
-    """Deterministic Miller-Rabin, exact for every n below 3.3e24."""
-    n = int(n)
+    """Deterministic Miller-Rabin, exact for every int n below 3.3e24;
+    anything but an int raises TypeError."""
+    n = _integer(n)
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -51,11 +51,18 @@ def is_prime(n):
     return True
 
 
-@lru_cache(maxsize=None)
+# Both caches are typed, so that 37.0 and True miss the entries of 37 and
+# 1 and reach the int check.
+@lru_cache(maxsize=None, typed=True)
 def _validated_odd_prime(p):
-    p = int(p)
+    """p itself if it is an odd prime; the one check of a prime modulus.
+    Anything but an int raises TypeError, 2 BadReductionError, and any
+    other int that is not prime ValueError."""
+    _integer(p)
     if p == 2:
-        raise BadReductionError("characteristic 2 is not supported")
+        raise BadReductionError(
+            "p = 2: y^2 = f(x) is inseparable in characteristic 2"
+        )
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     return p
@@ -64,135 +71,19 @@ def _validated_odd_prime(p):
 def quadratic_character(a, p):
     """Legendre symbol via Euler's criterion: 1, -1, or 0."""
     p = _validated_odd_prime(p)
-    a = int(a) % p
+    a = _integer(a) % p
     if a == 0:
         return 0
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def smallest_nonresidue(p):
     p = _validated_odd_prime(p)
     for n in range(2, p):
         if quadratic_character(n, p) == -1:
             return n
     raise ValueError(f"no quadratic non-residue modulo {p}")
-
-
-def _to_residue(value, p):
-    if isinstance(value, bool):
-        raise TypeError("bool is not a field element")
-    if isinstance(value, int):
-        return value % p
-    if isinstance(value, Fraction):
-        den = value.denominator % p
-        if den == 0:
-            raise BadReductionError(
-                f"denominator {value.denominator} is divisible by {p}"
-            )
-        return value.numerator * pow(den, -1, p) % p
-    raise TypeError(f"cannot reduce {type(value).__name__} modulo {p}")
-
-
-class Fp2(Frozen):
-    """Element a + b*z of F_{p^2}, where z^2 equals the smallest
-    positive quadratic non-residue modulo p."""
-
-    __slots__ = ("a", "b", "p", "nonresidue")
-
-    def __init__(self, a, b, p):
-        p = _validated_odd_prime(p)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "nonresidue", smallest_nonresidue(p))
-        object.__setattr__(self, "a", _to_residue(a, p))
-        object.__setattr__(self, "b", _to_residue(b, p))
-
-    @classmethod
-    def embed(cls, value, p):
-        return cls(value, 0, p)
-
-    def _coerce(self, other):
-        if isinstance(other, Fp2):
-            if other.p != self.p:
-                raise ValueError("elements of different fields")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Fp2(other, 0, self.p)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Fp2((self.a + o.a) % self.p, (self.b + o.b) % self.p, self.p)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Fp2(-self.a % self.p, -self.b % self.p, self.p)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n, p = self.nonresidue, self.p
-        return Fp2(
-            (self.a * o.a + n * self.b * o.b) % p,
-            (self.a * o.b + self.b * o.a) % p,
-            p,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n, p = o.nonresidue, o.p
-        norm = (o.a * o.a - n * o.b * o.b) % p
-        if norm == 0:
-            raise ZeroDivisionError(f"division by zero in F_{p}^2")
-        inv = pow(norm, -1, p)
-        conj = Fp2(o.a, -o.b % p, p)
-        scaled = self * conj
-        return Fp2(scaled.a * inv % p, scaled.b * inv % p, p)
-
-    def __rtruediv__(self, other):
-        return Fp2(other, 0, self.p) / self
-
-    def __pow__(self, k):
-        k = int(k)
-        if k < 0:
-            return (Fp2(1, 0, self.p) / self) ** (-k)
-        return _power(self, k) if k else Fp2(1, 0, self.p)
-
-    def frobenius(self):
-        return Fp2(self.a, -self.b % self.p, self.p)
-
-    def __bool__(self):
-        return bool(self.a or self.b)
-
-    def __eq__(self, other):
-        if isinstance(other, Fp2):
-            return (self.p, self.a, self.b) == (other.p, other.a, other.b)
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == _to_residue(other, self.p)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.a, self.b))
-
-    def __repr__(self):
-        return f"Fp2({self.a}, {self.b}, {self.p})"
 
 
 def count_points(curve, p, *, extension=1):
@@ -242,7 +133,7 @@ def count_points(curve, p, *, extension=1):
         raise TypeError(f"{type(curve).__name__} is not a curve from reduce_mod_p")
     if not characteristic:
         raise AlignmentError("reduce a curve over Q with reduce_mod_p first")
-    if characteristic != p:
+    if characteristic != _integer(p):
         raise ValueError("elements of different prime fields")
     coeffs, degree = curve.sextic_coefficients(), curve.degree
     if extension == 1:
@@ -685,12 +576,12 @@ def _xgcd(a, b, p):
 
 
 class PointCount(Record):
-    """Counts of a reduction over F_p and F_{p^2}."""
+    """Counts of a reduction over F_p and F_{p^2}, as ints."""
 
     __slots__ = ("p", "n1", "n2")
 
     def __init__(self, p, n1, n2):
-        super().__init__(int(p), int(n1), int(n2))
+        super().__init__(_integer(p), _integer(n1), _integer(n2))
 
 
 def point_counts(curve, p):
@@ -714,7 +605,7 @@ class WeilPolynomial(Record):
     __slots__ = ("p", "a1", "a2")
 
     def __init__(self, p, a1, a2):
-        super().__init__(int(p), int(a1), int(a2))
+        super().__init__(_integer(p), _integer(a1), _integer(a2))
 
     @property
     def l_coefficients(self):

@@ -43,7 +43,13 @@ from .errors import (
     InconclusiveError,
     UndefinedChartError,
 )
-from .exact_algebra import Jet1, MultiPoly, jet_eval, rational_matrix_rank
+from .exact_algebra import (
+    Jet1,
+    MultiPoly,
+    _rational,
+    jet_eval,
+    rational_matrix_rank,
+)
 
 DEFAULT_SEED = 20260819
 _SAMPLE_BOUND = 100  # of |numerator| and denominator at sample points
@@ -274,7 +280,8 @@ def rank_at_point(family, point):
     the family parameters, at one rational parameter point, certified by
     its reduction mod q = Jet1.MODULUS.
 
-    Point coordinates must be ints or Fractions (TypeError otherwise).
+    Point coordinates must be exact rationals, ints or Fractions; a
+    bool, float or anything else raises TypeError.
     The Jacobian is evaluated with jets mod q, and its rank is taken mod
     q (`rational_matrix_rank`). A minor that is nonzero mod q is nonzero
     over Q, so the result is a lower bound on the rank over Q at the
@@ -294,13 +301,7 @@ def rank_at_point(family, point):
     for name in params:
         if name not in point:
             raise AlignmentError(f"no value for parameter {name!r}")
-        value = point[name]
-        if not isinstance(value, (int, Fraction)):
-            raise TypeError(
-                f"parameter {name!r}: expected an exact rational, "
-                f"got {type(value).__name__}"
-            )
-        values[name] = Fraction(value)
+        values[name] = _rational(point[name])
     try:
         coeffs = [
             jet_eval(p, values, params) for p in family.sextic_coefficients()

@@ -19,13 +19,15 @@ from spectral_torelli.exact_algebra import (
     Jet1,
     MultiPoly,
     UniPoly,
+    _residue,
     discriminant,
     jet_eval,
     rational_matrix_rank,
     resultant,
 )
-from spectral_torelli.finite_arithmetic import Fp2
 from spectral_torelli.series_kernel import TruncatedSeries
+
+from fp2_reference import Fp2
 
 VARS = ("a", "b", "c")
 SYMS = sympy.symbols(VARS)
@@ -257,6 +259,34 @@ def mod_q(x):
 
 def test_jet_modulus_is_the_mersenne_prime():
     assert Q == 2**61 - 1 and sympy.isprime(Q)
+
+
+# the residue map serves the primes of point counts and the jet modulus
+RESIDUE_PRIMES = [q for q in range(3, 200) if sympy.isprime(q)] + [Q]
+
+
+@given(
+    st.integers(-(10**30), 10**30),
+    st.integers(1, 10**6),
+    st.integers(0, 2),
+    st.sampled_from(RESIDUE_PRIMES),
+)
+def test_residue_matches_the_fraction_reference(num, den, q_power, q):
+    """_residue(x, q) is the r in range(q) with q dividing the numerator
+    of x - r, and it exists exactly when q does not divide the
+    denominator of x."""
+    x = Fraction(num, den * q**q_power)
+    if x.denominator % q == 0:
+        with pytest.raises(
+            ZeroDivisionError,
+            match=f"^denominator {x.denominator} is divisible by {q}$",
+        ):
+            _residue(x, q)
+        return
+    r = _residue(x, q)
+    assert 0 <= r < q and (x - r).numerator % q == 0
+    if x.denominator == 1:
+        assert _residue(x.numerator, q) == r
 
 
 def test_jet_partials_match_sympy():

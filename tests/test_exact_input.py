@@ -1,0 +1,107 @@
+"""Inexact input never reaches a result.
+
+Every library entry that takes a rational value, a prime, a point count
+or an exponent refuses a bool, a float, a numeric string and a Decimal
+with TypeError, instead of turning it into an exact value: Fraction(0.1)
+keeps the binary expansion of 0.1, int(37.9) is 37 and Fraction(True)
+is 1. Each entry is called with one bad value in an otherwise valid
+call, so the TypeError comes from the value and from nothing else.
+"""
+
+from decimal import Decimal
+
+import pytest
+
+from spectral_torelli.curve_catalog import (
+    CurveFamily,
+    HyperellipticCurve,
+    catalog_get,
+    reduce_mod_p,
+)
+from spectral_torelli.endo_pipeline import certify_endomorphisms, resolve_curve
+from spectral_torelli.exact_algebra import Jet1, MultiPoly, rational_matrix_rank
+from spectral_torelli.finite_arithmetic import (
+    PointCount,
+    WeilPolynomial,
+    _validated_odd_prime,
+    count_points,
+    is_prime,
+    quadratic_character,
+    smallest_nonresidue,
+)
+from spectral_torelli.igusa_invariants import rank_at_point
+
+BAD_VALUES = [True, 0.5, 37.0, "1/2", Decimal("0.5")]
+
+
+def kfs_point(h1):
+    return {"h1": h1, "h2": 17, "s": 29}
+
+
+def kfs_curve():
+    return catalog_get("KFS").specialize(kfs_point(12))
+
+
+# entry -> (call with one value, a valid value for it)
+ENTRIES = {
+    "HyperellipticCurve": (
+        lambda v: HyperellipticCurve([v, 1, 0, 0, 0, 1]), 3
+    ),
+    "CurveFamily": (
+        lambda v: CurveFamily(None, ("a",), [v, 1, 0, 0, 0, 1]), 3
+    ),
+    "CurveFamily.specialize": (
+        lambda v: catalog_get("KFS").specialize(kfs_point(v)), 12
+    ),
+    "resolve_curve": (lambda v: resolve_curve("KFS", kfs_point(v)), 12),
+    "certify_endomorphisms point": (
+        lambda v: certify_endomorphisms("KFS", kfs_point(v), 37, 53), 12
+    ),
+    "certify_endomorphisms p1": (
+        lambda v: certify_endomorphisms("KFS", kfs_point(12), v, 53), 41
+    ),
+    "certify_endomorphisms p2": (
+        lambda v: certify_endomorphisms("KFS", kfs_point(12), 37, v), 41
+    ),
+    "rank_at_point": (
+        lambda v: rank_at_point(catalog_get("KFS"), kfs_point(v)), 12
+    ),
+    "reduce_mod_p": (lambda v: reduce_mod_p(kfs_curve(), v), 37),
+    "count_points": (
+        lambda v: count_points(reduce_mod_p(kfs_curve(), 37), v), 37
+    ),
+    "MultiPoly coefficient": (lambda v: MultiPoly(("a",), {(1,): v}), 1),
+    "MultiPoly exponent": (lambda v: MultiPoly(("a",), {(v,): 1}), 1),
+    "MultiPoly.constant": (lambda v: MultiPoly.constant(("a",), v), 1),
+    "Jet1 value": (lambda v: Jet1(v, (0,)), 1),
+    "Jet1 partial": (lambda v: Jet1(1, (v,)), 1),
+    "rational_matrix_rank": (
+        lambda v: rational_matrix_rank([[1, v], [0, 1]]), 1
+    ),
+    "PointCount": (lambda v: PointCount(37, v, 1442), 36),
+    "WeilPolynomial": (lambda v: WeilPolynomial(v, 2, 38), 37),
+    "is_prime": (is_prime, 37),
+    "quadratic_character": (lambda v: quadratic_character(3, v), 37),
+    "smallest_nonresidue": (smallest_nonresidue, 37),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_inexact_input_never_reaches_a_result(entry):
+    call, good = ENTRIES[entry]
+    call(good)
+    for bad in BAD_VALUES:
+        with pytest.raises(TypeError):
+            call(bad)
+
+
+def test_prime_caches_do_not_answer_for_floats_or_bools():
+    # An untyped lru_cache finds 37.0 and True under the keys 37 and 1,
+    # so they would be answered from the cache without a check.
+    assert _validated_odd_prime(37) == 37
+    assert smallest_nonresidue(37) == 2
+    for bad in (37.0, True):
+        with pytest.raises(TypeError):
+            _validated_odd_prime(bad)
+        with pytest.raises(TypeError):
+            smallest_nonresidue(bad)

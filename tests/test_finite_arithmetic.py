@@ -30,7 +30,6 @@ from spectral_torelli.errors import (
     InconsistentCountsError,
 )
 from spectral_torelli.finite_arithmetic import (
-    Fp2,
     PointCount,
     WeilPolynomial,
     count_points,
@@ -41,6 +40,8 @@ from spectral_torelli.finite_arithmetic import (
     weil_polynomial,
     zeta_rational_form,
 )
+
+from fp2_reference import Fp2
 
 KFS_POINT = {"h1": 12, "h2": 17, "s": 29}
 KFS_RATIONAL = (173, 408, 110, 10, 25, -2, 1)

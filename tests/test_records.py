@@ -129,5 +129,8 @@ def test_constructor_binds_fields_like_a_signature():
         IgusaInvariants(1, 2, 3, 4, 5, j11=6)
     with pytest.raises(TypeError):
         IgusaInvariants(1, 2, 3, 4, 5, j2=6)
-    assert PointCount(p=37, n1="36", n2=1442.0) == PointCount(37, 36, 1442)
+    assert PointCount(p=37, n1=36, n2=1442) == PointCount(37, 36, 1442)
+    # counts are ints: a numeric string or float is refused, not parsed
+    with pytest.raises(TypeError):
+        PointCount(p=37, n1="36", n2=1442.0)
     assert len({PointCount(37, 36, 1442), PointCount(37, 36, 1442)}) == 1
