@@ -70,7 +70,6 @@ from .exact_algebra import (
     Jet1,
     MultiPoly,
     UniPoly,
-    discriminant,
     jet_eval,
     jet_point,
     rational_matrix_rank,
@@ -92,7 +91,6 @@ from .galois_certificates import (
     QuarticAnalysis,
     RootRatioReport,
     cyclotomic,
-    euler_phi,
     factor_quartic,
     galois_group,
     quadratic_subfield,

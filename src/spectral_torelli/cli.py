@@ -165,17 +165,20 @@ def _cmd_count_points(args):
     return inputs, outputs, 0
 
 
-def _require_prime(p):
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-
-
-def _cmd_zeta(args):
-    _require_prime(args.p)
+def _weil_from_counts(args):
+    """(inputs, outputs, weil) of the Weil data of --p/--n1/--n2, shared
+    by `zeta` and `frobenius`. p must be prime; p = 2 is accepted, since
+    no curve is reduced here."""
+    if not is_prime(args.p):
+        raise ValueError(f"{args.p} is not prime")
     counts = PointCount(args.p, args.n1, args.n2)
     weil = weil_polynomial(counts)
     inputs = {"p": args.p, "n1": args.n1, "n2": args.n2}
-    outputs = _weil_payload(weil, counts)
+    return inputs, _weil_payload(weil, counts), weil
+
+
+def _cmd_zeta(args):
+    inputs, outputs, weil = _weil_from_counts(args)
     outputs["zeta"] = zeta_rational_form(weil)
     return inputs, outputs, 0
 
@@ -217,11 +220,7 @@ def _cmd_galois(args):
 
 
 def _cmd_frobenius(args):
-    _require_prime(args.p)
-    counts = PointCount(args.p, args.n1, args.n2)
-    weil = weil_polynomial(counts)
-    inputs = {"p": args.p, "n1": args.n1, "n2": args.n2}
-    outputs = _weil_payload(weil, counts)
+    inputs, outputs, weil = _weil_from_counts(args)
     outputs.update(frobenius_verdict(weil, ratios=True))
     return inputs, outputs, 0
 

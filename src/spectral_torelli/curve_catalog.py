@@ -25,7 +25,7 @@ from .errors import (
     StructureError,
     UnknownFamilyError,
 )
-from .exact_algebra import MultiPoly, _rational, _residue
+from .exact_algebra import MultiPoly, _integer, _rational, _residue
 from .finite_arithmetic import _validated_odd_prime
 from .igusa_invariants import binary_sextic_discriminant
 from .series_kernel import garnier92_hamiltonians
@@ -474,7 +474,11 @@ def _rational_from_json(value):
             raise PolyParseError(f"bad rational literal {value!r}") from exc
     if isinstance(value, dict):
         try:
-            return Fraction(int(value["num"]), int(value["den"]))
+            num, den = (
+                int(part) if isinstance(part, str) else _integer(part)
+                for part in (value["num"], value["den"])
+            )
+            return Fraction(num, den)
         except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
             raise PolyParseError(
                 "rational objects need integer 'num' and 'den'"
@@ -497,9 +501,10 @@ def load_curve_file(source):
     `variables` lists the family parameters (empty for a single curve).
     f_coefficients is ascending (constant term first); each entry is an
     expression in the parameters built from integers, +, -, *, ^ and
-    parentheses (plain integers and {"num": ..., "den": ...} objects
-    are also accepted). Returns a CurveFamily, or a validated
-    HyperellipticCurve when there are no parameters.
+    parentheses (plain integers and {"num": ..., "den": ...} objects,
+    whose num and den are ints or integer strings, are also accepted).
+    Returns a CurveFamily, or a validated HyperellipticCurve when there
+    are no parameters.
     """
     if isinstance(source, dict):
         blob = source

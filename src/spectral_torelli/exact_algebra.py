@@ -9,7 +9,7 @@ those ints with one content gcd per result. Fractions appear only at its
 edges: the constructor accepts them, and `terms`, `constant_value` and
 `evaluate` hand them out. The univariate layer is domain-generic: anything
 with ring arithmetic works as a coefficient (Fraction, MultiPoly, Jet1),
-which is what the resultant and discriminant routines rely on.
+which is what the resultant routine relies on.
 
 `Jet1` and `rational_matrix_rank` work mod q instead of over Q. That is
 sound for lower bounds on ranks, because a minor that is nonzero mod q is
@@ -312,7 +312,7 @@ class MultiPoly(Frozen):
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        n = int(n)
+        n = _integer(n)
         if n < 0:
             raise ValueError("negative power of a polynomial")
         return _power(self, n) if n else self._coerce(1)
@@ -782,7 +782,7 @@ class UniPoly(Frozen):
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        n = int(n)
+        n = _integer(n)
         if n < 0:
             raise ValueError("negative power of a polynomial")
         return _power(self, n) if n else UniPoly([self.coeffs[0] ** 0])
@@ -927,31 +927,6 @@ def resultant(f, g):
     for i in range(m):
         rows.append([z] * i + gd + [z] * (size - n - 1 - i))
     return _bareiss_determinant(rows)
-
-
-def discriminant(f):
-    """disc(f) = (-1)^(d(d-1)/2) * Res(f, f') / lc(f).
-
-    A derivative that vanishes identically (possible over F_p) means every
-    root is repeated, so the discriminant is zero.
-    """
-    if not isinstance(f, UniPoly):
-        raise TypeError("discriminant expects a UniPoly")
-    d = f.degree
-    if d < 2:
-        raise ValueError("discriminant needs degree >= 2")
-    fp = f.derivative()
-    if fp.is_zero():
-        return _domain_zero(f.coeffs[0])
-    res = resultant(f, fp)
-    sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    value = res * sign
-    lead = f.leading()
-    if isinstance(value, MultiPoly):
-        return value / lead
-    if isinstance(value, int) and isinstance(lead, int):
-        return _exact_elem_quotient(value, lead)
-    return value / lead
 
 
 def _residue(value, q):
@@ -1105,7 +1080,7 @@ class Jet1(Frozen):
         return Jet1.constant(other, len(self.partials)) / self
 
     def __pow__(self, n):
-        n = int(n)
+        n = _integer(n)
         if n < 0:
             return (1 / self) ** (-n)
         return _power(self, n) if n else Jet1.constant(1, len(self.partials))

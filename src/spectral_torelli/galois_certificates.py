@@ -24,11 +24,21 @@ End^0_Q(J). Reductions bound endomorphism algebras of genus-2 Jacobians
 in the same way in Lombardo (Math. Comp. 2019) and Costa, Mascot,
 Sijsling and Voight (Math. Comp. 2019).
 
+Roots of unity among eigenvalue ratios. A ratio r_j / r_i of two
+Frobenius eigenvalues lies in the splitting field K of the Weil quartic.
+The quartic's roots pair as r, p/r, and the Galois group of K preserves
+that pairing, so it lies in the centralizer of the pairing involution
+in S4, a dihedral group of order 8. A ratio that is a primitive n-th
+root of unity puts Q(zeta_n) inside K, so phi(n) divides [K : Q], which
+divides 8; and n = 1 would be a repeated eigenvalue. So
+`root_ratio_orders` tests only the 13 orders n >= 2 with phi(n) | 8.
+
 The Frobenius entry points `quadratic_subfield`, `tate_condition` and
 `root_ratio_orders` take a `WeilPolynomial` (p, a1, a2), the only
 Frobenius data a genus-2 reduction yields, and raise TypeError on
-anything else; `factor_quartic` and `galois_group` classify any monic
-integer quartic. Everything is exact integer/rational arithmetic;
+anything else; `factor_quartic`, `galois_group` and `resolvent_cubic`
+take any monic integer quartic, as five ascending ints (see
+`_monic_quartic`). Everything is exact integer/rational arithmetic;
 nothing here needs the curve modules.
 """
 
@@ -37,12 +47,13 @@ from functools import lru_cache
 
 from ._record import Record
 from .errors import DegreeBoundError, ReducibleQuarticError, StructureError
+from .exact_algebra import _integer
 from .finite_arithmetic import WeilPolynomial
 
 _TRIAL_LIMIT = 10 ** 6
 _CERTIFIED_COFACTOR_BOUND = 10 ** 18
-_SCAN_MAX_ORDER = 90
-_SCAN_PHI_BOUND = 24
+# the orders n >= 2 with phi(n) dividing 8 (see the module docstring)
+_RATIO_ORDERS = (2, 3, 4, 5, 6, 8, 10, 12, 15, 16, 20, 24, 30)
 
 
 def _is_square(n):
@@ -59,7 +70,7 @@ def squarefree_part(n):
     up to 10^6 stays below 10^18 (then it has at most two prime factors
     and its shape is decidable); larger uncertified cofactors raise.
     """
-    n = int(n)
+    n = _integer(n)
     if n == 0:
         raise ValueError("0 has no squarefree part")
     sign = -1 if n < 0 else 1
@@ -150,12 +161,19 @@ def _integer_roots_monic(coeffs):
     return roots, work
 
 
+def _monic_quartic(coefficients):
+    """The five ascending coefficients of a monic integer quartic, as a
+    tuple. A coefficient that is not an int raises TypeError (see
+    `_integer`); another length or leading coefficient ValueError."""
+    coeffs = tuple(map(_integer, coefficients))
+    if len(coeffs) != 5 or coeffs[4] != 1:
+        raise ValueError("need an ascending monic integer quartic")
+    return coeffs
+
+
 def _factor_monic(coeffs):
     """Irreducible monic integer factors (ascending tuples) of a monic
     integer polynomial of degree <= 4."""
-    coeffs = [int(c) for c in coeffs]
-    if coeffs[-1] != 1:
-        raise ValueError("polynomial must be monic")
     roots, rest = _integer_roots_monic(coeffs)
     factors = [(-r, 1) for r in roots]
     if len(rest) < 5:
@@ -189,10 +207,7 @@ def _factor_monic(coeffs):
 def factor_quartic(coefficients):
     """Monic-irreducible factorization over Q of a monic integer quartic
     (ascending coefficients), as a sorted tuple of ascending tuples."""
-    coeffs = [int(c) for c in coefficients]
-    if len(coeffs) != 5:
-        raise ValueError("need 5 ascending coefficients")
-    return tuple(_factor_monic(coeffs))
+    return tuple(_factor_monic(_monic_quartic(coefficients)))
 
 
 def _quartic_discriminant(coeffs):
@@ -214,9 +229,7 @@ def resolvent_cubic(coefficients):
     """Ascending coefficients of the resolvent cubic of a monic quartic
     t^4 + b t^3 + c t^2 + d t + e, whose roots are the three partial
     products of the quartic's roots."""
-    e, d, c, b, lead = (int(x) for x in coefficients)
-    if lead != 1:
-        raise ValueError("quartic must be monic")
+    e, d, c, b, _ = _monic_quartic(coefficients)
     return (
         -(b * b * e - 4 * c * e + d * d),
         b * d - 4 * e,
@@ -236,20 +249,13 @@ class QuarticAnalysis(Record):
         "resolvent_roots",
     )
 
-    def __init__(self, coefficients, group, discriminant, resolvent,
-                 resolvent_roots):
-        super().__init__(tuple(coefficients), group, discriminant,
-                         tuple(resolvent), tuple(resolvent_roots))
-
 
 def galois_group(coefficients):
     """Classify an irreducible monic integer quartic as S4, A4, D4, C4,
     or V4. Reducible input raises ReducibleQuarticError (the factors ride
     on the exception)."""
-    coeffs = [int(c) for c in coefficients]
-    if len(coeffs) != 5 or coeffs[4] != 1:
-        raise ValueError("need an ascending monic integer quartic")
-    factors = factor_quartic(coeffs)
+    coeffs = _monic_quartic(coefficients)
+    factors = tuple(_factor_monic(coeffs))
     if len(factors) > 1:
         err = ReducibleQuarticError(
             f"quartic splits as {factors!r}; no Galois class is assigned"
@@ -259,7 +265,7 @@ def galois_group(coefficients):
     disc = _quartic_discriminant(coeffs)
     resolvent = resolvent_cubic(coeffs)
     roots, _ = _integer_roots_monic(resolvent)
-    roots = sorted(roots)
+    roots = tuple(sorted(roots))
     e, _, c, b, _ = coeffs
     if not roots:
         group = "A4" if _is_square(disc) else "S4"
@@ -281,9 +287,6 @@ class QuadraticSubfield(Record):
     its companion p/eigenvalue, and by its squarefree discriminant core."""
 
     __slots__ = ("minimal_polynomial", "core")
-
-    def __init__(self, minimal_polynomial, core):
-        super().__init__(tuple(int(c) for c in minimal_polynomial), int(core))
 
 
 def _check_weil(weil):
@@ -322,30 +325,14 @@ def tate_condition(weil):
     return bool(_quartic_discriminant(weil.frobenius_coefficients))
 
 
-def euler_phi(n):
-    n = int(n)
-    if n < 1:
-        raise ValueError("positive integers only")
-    result = n
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            result -= result // d
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def cyclotomic(n):
     """Ascending integer coefficients of the n-th cyclotomic polynomial:
     x^n - 1 divided exactly by cyclotomic(d) for every proper divisor d
-    of n. Orders above 128 raise DegreeBoundError."""
-    n = int(n)
+    of n. Orders above 128 raise DegreeBoundError. The cache is typed,
+    so a float or bool n reaches the int check instead of the entry of
+    the int it equals."""
+    n = _integer(n)
     if n < 1:
         raise ValueError("positive integers only")
     if n > 128:
@@ -362,16 +349,12 @@ def cyclotomic(n):
 class RootRatioReport(Record):
     """Cyclotomic structure of the ratios of Frobenius eigenvalues.
 
-    `orders` lists every n (within the scanned window) such that some
-    ratio of two distinct eigenvalues is a primitive n-th root of unity;
-    an empty tuple certifies that no scanned root of unity occurs.
+    `orders` lists every n such that some ratio of two distinct
+    eigenvalues is a primitive n-th root of unity; an empty tuple
+    certifies that no ratio is a root of unity.
     """
 
-    __slots__ = ("orders", "ratio_coefficients", "max_order", "phi_bound")
-
-    def __init__(self, orders, ratio_coefficients, max_order, phi_bound):
-        super().__init__(tuple(orders), tuple(ratio_coefficients),
-                         int(max_order), int(phi_bound))
+    __slots__ = ("orders", "ratio_coefficients")
 
     @property
     def clean(self):
@@ -390,16 +373,6 @@ def _power_sums(coefficients, count):
             total -= elementary[i - 1] * sums[k - i]
         sums.append(total)
     return sums
-
-
-@lru_cache(maxsize=1)
-def _scanned_cyclotomics():
-    """(n, cyclotomic(n)) for every scanned order n."""
-    return tuple(
-        (n, cyclotomic(n))
-        for n in range(1, _SCAN_MAX_ORDER + 1)
-        if euler_phi(n) <= _SCAN_PHI_BOUND
-    )
 
 
 def _divmod_monic(poly, divisor):
@@ -423,9 +396,11 @@ def root_ratio_orders(weil):
 
     The ratio polynomial is Res_t(P(t), P(u t)) with the forced (u - 1)^4
     factor removed; its roots are exactly the ratios of distinct
-    eigenvalues. Returns the orders n <= 90 with phi(n) <= 24 whose
-    cyclotomic polynomial divides it. Repeated eigenvalues raise
-    StructureError.
+    eigenvalues. Returns the orders n whose cyclotomic polynomial
+    divides it. Only n >= 2 with phi(n) | 8 can occur (see the module
+    docstring: a ratio that is a primitive n-th root of unity lies in a
+    splitting field of degree dividing 8), so those 13 orders are all
+    that is tested. Repeated eigenvalues raise StructureError.
 
     For the Frobenius quartic P = t^4 + b t^3 + c t^2 + d t + e, e = p^2,
     with roots r_i the resultant is prod_{i,j} (u r_i - r_j), so the
@@ -460,12 +435,8 @@ def root_ratio_orders(weil):
         if r:
             raise ArithmeticError("ratio polynomial must have integer entries")
         ratio_coeffs.append(q)
-    orders = [
-        n
-        for n, phi_n in _scanned_cyclotomics()
-        if len(phi_n) <= len(ratio_coeffs)
-        and not any(_divmod_monic(ratio_coeffs, phi_n)[1])
-    ]
-    return RootRatioReport(
-        orders, ratio_coeffs, _SCAN_MAX_ORDER, _SCAN_PHI_BOUND
+    orders = tuple(
+        n for n in _RATIO_ORDERS
+        if not any(_divmod_monic(ratio_coeffs, cyclotomic(n))[1])
     )
+    return RootRatioReport(orders, tuple(ratio_coeffs))

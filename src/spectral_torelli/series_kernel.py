@@ -15,7 +15,7 @@ from importlib import resources
 
 from ._record import Frozen, Record
 from .errors import AlignmentError, TruncationError
-from .exact_algebra import MultiPoly, _power
+from .exact_algebra import MultiPoly, _integer, _power
 
 # effectively +infinity for truncation bookkeeping of exactly-known series
 EXACT = 10 ** 9
@@ -35,17 +35,18 @@ class TruncatedSeries(Frozen):
     """Laurent series known modulo O(t^truncation).
 
     Coefficients are MultiPoly over a fixed variable list; exponents absent
-    from the map but below the truncation are exact zeros.
+    from the map but below the truncation are exact zeros. Exponents and
+    the truncation must be ints (TypeError otherwise, see `_integer`).
     """
 
     __slots__ = ("variables", "coefficients", "truncation")
 
     def __init__(self, variables, coefficients, truncation):
         variables = tuple(variables)
-        truncation = _clamp(int(truncation))
+        truncation = _clamp(_integer(truncation))
         clean = {}
         for exp, poly in coefficients.items():
-            exp = int(exp)
+            exp = _integer(exp)
             if isinstance(poly, (int, Fraction)):
                 poly = MultiPoly.constant(variables, poly)
             if poly.variables != variables:
@@ -162,7 +163,7 @@ class TruncatedSeries(Frozen):
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        n = int(n)
+        n = _integer(n)
         if n < 0:
             raise ValueError("negative series power is not supported")
         if n == 0:

@@ -181,6 +181,20 @@ def test_zeta_from_counts(capsys):
     assert envelope["outputs"]["zeta"]["numerator"] == [1, 3, 100, 159, 2809]
 
 
+@pytest.mark.parametrize("num", [1.5, True])
+def test_inexact_rational_object_in_a_curve_file_exits_2(num, tmp_path, capsys):
+    # int() would read {"num": 1.5, "den": 2} as 1/2 and go on to a verdict
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps({
+        "f_coefficients": [173, 408, {"num": num, "den": 2}, 10, 25, -2, 1],
+        "degree": 6,
+    }))
+    code = main(["invariants", "--file", str(path), "--json"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "integer 'num' and 'den'" in captured.err
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_independence_without_trials_exits_2(trials, capsys):
     code, envelope = run(

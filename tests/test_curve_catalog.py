@@ -276,6 +276,22 @@ def test_load_curve_file_rejections():
             load_curve_file(blob)
 
 
+def test_rational_objects_take_only_integers():
+    # num and den are ints or integer strings; int() would truncate 1.5
+    # to 1 and read True as 1, and a float or bool would reach a verdict
+    def blob(num, den):
+        return {"f_coefficients": [0, 1, 0, 0, 0, {"num": num, "den": den}],
+                "degree": 5}
+
+    for num, den in ((3, 4), ("3", 4), (-3, "4"), ("-3", " 4")):
+        curve = load_curve_file(blob(num, den))
+        assert curve.coefficients[-1] == Fraction(int(num), int(den))
+    for num, den in ((1.5, 2), (2.0, 4), (True, 2), (3, True), (3, 4.0),
+                     ("1.5", 2), ("3/4", 1), (None, 2), (3, 0)):
+        with pytest.raises(PolyParseError):
+            load_curve_file(blob(num, den))
+
+
 def test_lax_identity():
     report = gar92_spectral_identity()
     assert report.identical

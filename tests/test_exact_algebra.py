@@ -20,7 +20,6 @@ from spectral_torelli.exact_algebra import (
     MultiPoly,
     UniPoly,
     _residue,
-    discriminant,
     jet_eval,
     rational_matrix_rank,
     resultant,
@@ -234,18 +233,6 @@ def test_resultant_root_evaluation():
     for a in (Fraction(2), Fraction(-3, 2), Fraction(0)):
         linear = UniPoly([-a, Fraction(1)])
         assert resultant(linear, g) == g.evaluate(a)
-
-
-def test_discriminant_matches_sympy():
-    rng = random.Random(43)
-    x = sympy.Symbol("x")
-    for _ in range(20):
-        fc = [Fraction(rng.randint(-6, 6)) for _ in range(rng.randint(3, 7))]
-        f = UniPoly(fc)
-        if f.is_zero() or f.degree < 2:
-            continue
-        ref = sympy.discriminant(sympy.Poly([c for c in reversed(fc)], x))
-        assert discriminant(f) == Fraction(int(ref.p), int(ref.q))
 
 
 Q = Jet1.MODULUS

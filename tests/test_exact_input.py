@@ -1,7 +1,8 @@
 """Inexact input never reaches a result.
 
-Every library entry that takes a rational value, a prime, a point count
-or an exponent refuses a bool, a float, a numeric string and a Decimal
+Every library entry that takes a rational value, a prime, a point count,
+an exponent, a quartic coefficient, a cyclotomic order or a series
+truncation refuses a bool, a float, a numeric string and a Decimal
 with TypeError, instead of turning it into an exact value: Fraction(0.1)
 keeps the binary expansion of 0.1, int(37.9) is 37 and Fraction(True)
 is 1. Each entry is called with one bad value in an otherwise valid
@@ -19,7 +20,12 @@ from spectral_torelli.curve_catalog import (
     reduce_mod_p,
 )
 from spectral_torelli.endo_pipeline import certify_endomorphisms, resolve_curve
-from spectral_torelli.exact_algebra import Jet1, MultiPoly, rational_matrix_rank
+from spectral_torelli.exact_algebra import (
+    Jet1,
+    MultiPoly,
+    UniPoly,
+    rational_matrix_rank,
+)
 from spectral_torelli.finite_arithmetic import (
     PointCount,
     WeilPolynomial,
@@ -29,7 +35,15 @@ from spectral_torelli.finite_arithmetic import (
     quadratic_character,
     smallest_nonresidue,
 )
+from spectral_torelli.galois_certificates import (
+    cyclotomic,
+    factor_quartic,
+    galois_group,
+    resolvent_cubic,
+    squarefree_part,
+)
 from spectral_torelli.igusa_invariants import rank_at_point
+from spectral_torelli.series_kernel import TruncatedSeries
 
 BAD_VALUES = [True, 0.5, 37.0, "1/2", Decimal("0.5")]
 
@@ -83,6 +97,23 @@ ENTRIES = {
     "is_prime": (is_prime, 37),
     "quadratic_character": (lambda v: quadratic_character(3, v), 37),
     "smallest_nonresidue": (smallest_nonresidue, 37),
+    "MultiPoly power": (lambda v: MultiPoly.parse("a", ("a",)) ** v, 2),
+    "UniPoly power": (lambda v: UniPoly([0, 1]) ** v, 2),
+    "Jet1 power": (lambda v: Jet1(2, (1,)) ** v, 2),
+    "TruncatedSeries power": (
+        lambda v: TruncatedSeries.exact_constant(("a",), 2) ** v, 2
+    ),
+    "TruncatedSeries exponent": (
+        lambda v: TruncatedSeries(("a",), {v: 1}, 3), 1
+    ),
+    "TruncatedSeries truncation": (
+        lambda v: TruncatedSeries(("a",), {0: 1}, v), 3
+    ),
+    "factor_quartic": (lambda v: factor_quartic((v, 0, 0, 0, 1)), 1),
+    "galois_group": (lambda v: galois_group((1369, -74, v, -2, 1)), 38),
+    "resolvent_cubic": (lambda v: resolvent_cubic((7, 5, v, 2, 1)), 3),
+    "squarefree_part": (squarefree_part, 12),
+    "cyclotomic": (cyclotomic, 4),
 }
 
 
@@ -105,3 +136,13 @@ def test_prime_caches_do_not_answer_for_floats_or_bools():
             _validated_odd_prime(bad)
         with pytest.raises(TypeError):
             smallest_nonresidue(bad)
+
+
+def test_cyclotomic_cache_does_not_answer_for_floats_or_bools():
+    # cyclotomic(4.0) and cyclotomic(True) would find the entries of 4
+    # and 1 in an untyped cache.
+    assert cyclotomic(4) == (1, 0, 1)
+    assert cyclotomic(1) == (-1, 1)
+    for bad in (4.0, True):
+        with pytest.raises(TypeError):
+            cyclotomic(bad)

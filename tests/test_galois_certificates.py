@@ -26,10 +26,12 @@ from spectral_torelli.finite_arithmetic import (
     weil_polynomial,
 )
 from spectral_torelli.galois_certificates import (
+    _RATIO_ORDERS,
+    _divmod_monic,
+    _eval_int_poly,
     _int_divisors,
     _quartic_discriminant,
     cyclotomic,
-    euler_phi,
     factor_quartic,
     galois_group,
     quadratic_subfield,
@@ -106,11 +108,10 @@ class TestSquarefreePart:
 
 
 class TestEulerPhiAndCyclotomic:
-    def test_phi_matches_sympy(self):
-        for n in range(1, 200):
-            assert euler_phi(n) == int(sympy.totient(n))
-        with pytest.raises(ValueError):
-            euler_phi(0)
+    def test_ratio_orders_are_those_with_phi_dividing_8(self):
+        # phi(n) >= sqrt(n / 2), so no n above 128 has phi(n) <= 8
+        expected = tuple(n for n in range(2, 200) if 8 % sympy.totient(n) == 0)
+        assert _RATIO_ORDERS == expected
 
     def test_cyclotomic_matches_sympy(self):
         for n in list(range(1, 31)) + [105]:
@@ -153,7 +154,8 @@ class TestQuarticFactorization:
                            (rng.randrange(-6, 7), rng.randrange(-6, 7),
                             rng.randrange(-6, 7), 1)]
             expr = sympy.prod(as_expr(f) for f in factors)
-            ascending = list(reversed(sympy.Poly(expr, t).all_coeffs()))
+            descending = sympy.Poly(expr, t).all_coeffs()
+            ascending = [int(c) for c in reversed(descending)]
             got = factor_quartic(ascending)
             expected = []
             for factor, multiplicity in sympy.factor_list(expr)[1]:
@@ -184,9 +186,7 @@ class TestResolventCubic:
 
     def test_symbolic_identity(self):
         b, c, d, e, y = sympy.symbols("b c d e y")
-        cubic = resolvent_cubic(
-            (sympy.Integer(0) + 0, 0, 0, 0, 1)
-        )
+        cubic = resolvent_cubic((0, 0, 0, 0, 1))
         assert cubic == (0, 0, 0, 1)
         # coefficient pattern against the classical formula
         got = resolvent_cubic((7, 5, 3, 2, 1))
@@ -389,8 +389,6 @@ class TestRootRatioOrders:
             report = root_ratio_orders(WeilPolynomial(p, a1, a2))
             assert report.orders == ()
             assert report.clean
-            assert report.max_order == 90
-            assert report.phi_bound == 24
             assert len(report.ratio_coefficients) == 13
 
     def test_supersingular_ratios_are_roots_of_unity(self):
@@ -431,6 +429,43 @@ class TestRootRatioOrders:
     def test_repeated_eigenvalues_are_rejected(self):
         with pytest.raises(StructureError):
             root_ratio_orders(WeilPolynomial(5, 0, -10))
+
+    def test_orders_match_the_old_window_exhaustively(self):
+        # The reference is the wider window every n <= 90 with phi(n) <= 24
+        # whose cyclotomic polynomial fits the degree-12 ratio polynomial.
+        # The 13 orders with phi(n) | 8 find the same orders on every
+        # separable quartic of Weil shape t^4 - a1 t^3 + a2 t^2 - p a1 t
+        # + p^2 in a box around the Weil bounds, p <= 11. A division is
+        # tried only where Phi_n(x) divides R(x) at x = 2^64, which every
+        # factor Phi_n of the ratio polynomial R passes.
+        x = 2 ** 64
+        window = [
+            (n, phi_n, _eval_int_poly(phi_n, x))
+            for n in range(1, 91)
+            if sympy.totient(n) <= 24
+            for phi_n in (cyclotomic(n),)
+        ]
+        checked = with_orders = 0
+        for p in (2, 3, 5, 7, 11):
+            bound = math.isqrt(16 * p) + 1
+            for a1 in range(-bound, bound + 1):
+                for a2 in range(-6 * p, 6 * p + 1):
+                    weil = WeilPolynomial(p, a1, a2)
+                    if not tate_condition(weil):
+                        continue
+                    report = root_ratio_orders(weil)
+                    ratio = report.ratio_coefficients
+                    ratio_x = _eval_int_poly(ratio, x)
+                    old = tuple(
+                        n for n, phi_n, phi_x in window
+                        if len(phi_n) <= len(ratio)
+                        and ratio_x % phi_x == 0
+                        and not any(_divmod_monic(ratio, phi_n)[1])
+                    )
+                    assert report.orders == old
+                    checked += 1
+                    with_orders += bool(old)
+        assert (checked, with_orders) == (7801, 569)
 
 
 class TestIntegerArithmeticAgainstSympy:

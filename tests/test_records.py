@@ -60,7 +60,7 @@ BUILDERS = {
         (-36, -2, 1), 38 if v else 37
     ),
     "RootRatioReport": lambda v: RootRatioReport(
-        (2,) if v else (), (1, 0, 1), 12, 4
+        (2,) if v else (), (1, 0, 1)
     ),
     "IgusaInvariants": lambda v: igusa(
         [2, -1, 0, 3, 0, 1, 1] if v else [1, 0, 0, 0, 0, 1]
