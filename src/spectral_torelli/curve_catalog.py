@@ -517,8 +517,8 @@ def load_curve_file(source):
         if key not in blob:
             raise PolyParseError(f"curve file lacks {key!r}")
     degree = blob["degree"]
-    if degree not in (5, 6):
-        raise PolyParseError("degree must be 5 or 6")
+    if type(degree) is not int or degree not in (5, 6):
+        raise PolyParseError("degree must be the int 5 or 6")
     raw = blob["f_coefficients"]
     if not isinstance(raw, list) or len(raw) != degree + 1:
         raise PolyParseError(

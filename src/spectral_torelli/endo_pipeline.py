@@ -41,7 +41,6 @@ from .errors import (
 from .exact_algebra import MultiPoly, _integer, _rational
 from .finite_arithmetic import point_counts, weil_polynomial
 from .galois_certificates import (
-    galois_group,
     quadratic_subfield,
     root_ratio_orders,
     tate_condition,
@@ -141,7 +140,8 @@ _VERDICT_FIELDS = ("tate", "irreducible", "galois_group", "subfield_core",
 def frobenius_verdict(weil, *, ratios=True):
     """Classify one Weil quartic: separability, irreducibility, Galois
     class, real quadratic subfield, and (optionally) root-of-unity
-    ratios. Failures are recorded in `notes`, never raised."""
+    ratios. Failures are recorded in `notes`; only a separable triple
+    outside the Weil bounds raises (see `quadratic_subfield`)."""
     verdict = dict.fromkeys(_VERDICT_FIELDS)
     verdict.update(tate=tate_condition(weil), notes=[])
     if not verdict["tate"]:
@@ -151,14 +151,13 @@ def frobenius_verdict(weil, *, ratios=True):
         )
         return verdict
     try:
-        analysis = galois_group(weil.frobenius_coefficients)
+        subfield = quadratic_subfield(weil)
     except ReducibleQuarticError as exc:
         verdict["irreducible"] = False
         verdict["notes"].append(str(exc))
     else:
         verdict["irreducible"] = True
-        verdict["galois_group"] = analysis.group
-        subfield = quadratic_subfield(weil)
+        verdict["galois_group"] = subfield.group
         verdict["subfield_core"] = subfield.core
         verdict["subfield_minimal_polynomial"] = list(
             subfield.minimal_polynomial

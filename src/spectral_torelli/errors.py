@@ -70,4 +70,10 @@ class InconclusiveError(SpectralTorelliError, RuntimeError):
 
 class ReducibleQuarticError(SpectralTorelliError, ValueError):
     """A quartic that has to be irreducible (for a Galois class or a
-    real quadratic subfield) factors over Q."""
+    real quadratic subfield) factors over Q, into `factors`."""
+
+    def __init__(self, factors):
+        super().__init__(
+            f"quartic splits as {factors!r}; no Galois class is assigned"
+        )
+        self.factors = factors

@@ -1,19 +1,29 @@
 """Galois-theoretic certificates for degree-4 Frobenius polynomials.
 
-The classification of an irreducible monic integer quartic runs through
+`galois_group` classifies any irreducible monic integer quartic through
 its resolvent cubic: no rational resolvent root gives S4 or A4 (split by
 whether the discriminant is a square), three give V4, and exactly one
 leaves D4 versus C4, decided by whether the two auxiliary quadratics
 split over the discriminant field.
 
-The real quadratic subfield. At a prime with an irreducible Weil
-quartic, End^0(J_p) = Q(pi) is a quartic CM field (Tate, Invent. Math.
-1966), and End^0_Q(J) embeds in it. A CM quartic field has exactly one
-real quadratic subfield, K0 = Q(pi + p/pi) = Q(sqrt(a1^2 - 4 a2 + 8p)),
-so its group is C4, V4 or D4, never S4 or A4; `quadratic_subfield` is
-that formula. Under D4 or C4, K0 is the only quadratic subfield. Under
-V4, Q(pi) = K0(sqrt(-d)) is biquadratic and also has the two imaginary
-quadratic subfields Q(sqrt(-d)) and Q(sqrt(-d * disc K0)).
+The Frobenius field from two squares. A Weil quartic P = t^4 - a1 t^3 +
+a2 t^2 - a1 p t + p^2 is (t^2 - s t + p)(t^2 - s' t + p), s and s' the
+roots of s^2 - a1 s + (a2 - 2p), so K0 = Q(pi + p/pi) = Q(sqrt D) with
+D = a1^2 - 4 a2 + 8p. The two factors have resultant pD, and
+E = (a2 + 2p)^2 - 4p a1^2 = (s^2 - 4p)(s'^2 - 4p) is the norm of their
+discriminants, so disc P = p^2 D^2 E. Inside the Weil bounds s and s'
+are real with s^2 <= 4p, so K0 is real and complex conjugation maps a
+root r to p/r. If D is a square, s is rational and P splits. If not, a
+rational factor without a real root would hold a pair r, p/r and make s
+rational, so a reducible P has a real root +-sqrt(p) and is (t^2 - p)^2,
+the only case with E = 0. Otherwise s^2 < 4p and Q(pi) = K0(sqrt(s^2 -
+4p)) is a quartic CM field, Galois over Q iff its norm E is a square in
+K0: V4 when E is a square, C4 when D E is, D4 otherwise (Kappe and
+Warren, Amer. Math. Monthly 96, 1989). That is `quadratic_subfield`. At
+a prime with an irreducible Weil quartic, End^0(J_p) = Q(pi) (Tate,
+Invent. Math. 1966), and End^0_Q(J) embeds in it. Under D4 or C4, K0 is
+its only quadratic subfield; under V4, Q(pi) = K0(sqrt(-d)) also has
+Q(sqrt(-d)) and Q(sqrt(-d * disc K0)) for some integer d > 0.
 
 Hence the two-prime rule of `endo_pipeline`: two primes with different
 real cores leave no room for a real quadratic or a quartic End^0_Q(J),
@@ -46,9 +56,10 @@ import math
 from functools import lru_cache
 
 from ._record import Record
-from .errors import DegreeBoundError, ReducibleQuarticError, StructureError
+from .errors import DegreeBoundError, InconsistentCountsError, StructureError
+from .errors import ReducibleQuarticError
 from .exact_algebra import _integer
-from .finite_arithmetic import WeilPolynomial
+from .finite_arithmetic import WeilPolynomial, _within_weil_bounds
 
 _TRIAL_LIMIT = 10 ** 6
 _CERTIFIED_COFACTOR_BOUND = 10 ** 18
@@ -252,16 +263,12 @@ class QuarticAnalysis(Record):
 
 def galois_group(coefficients):
     """Classify an irreducible monic integer quartic as S4, A4, D4, C4,
-    or V4. Reducible input raises ReducibleQuarticError (the factors ride
-    on the exception)."""
+    or V4. Reducible input raises ReducibleQuarticError, which carries
+    the factors."""
     coeffs = _monic_quartic(coefficients)
     factors = tuple(_factor_monic(coeffs))
     if len(factors) > 1:
-        err = ReducibleQuarticError(
-            f"quartic splits as {factors!r}; no Galois class is assigned"
-        )
-        err.factors = factors
-        raise err
+        raise ReducibleQuarticError(factors)
     disc = _quartic_discriminant(coeffs)
     resolvent = resolvent_cubic(coeffs)
     roots, _ = _integer_roots_monic(resolvent)
@@ -284,45 +291,45 @@ def galois_group(coefficients):
 class QuadraticSubfield(Record):
     """The real quadratic subfield of a quartic Frobenius field,
     presented by the minimal polynomial of the sum of an eigenvalue and
-    its companion p/eigenvalue, and by its squarefree discriminant core."""
+    its companion p/eigenvalue and by its squarefree discriminant core,
+    with the Galois group (V4, C4 or D4) of the quartic field."""
 
-    __slots__ = ("minimal_polynomial", "core")
+    __slots__ = ("minimal_polynomial", "core", "group")
 
 
-def _check_weil(weil):
+def _weil_squares(weil):
+    """(D, E) of a Weil polynomial (see the module docstring)."""
     if not isinstance(weil, WeilPolynomial):
         raise TypeError(
             f"expected a WeilPolynomial, got {type(weil).__name__}"
         )
+    p, a1, a2 = weil.p, weil.a1, weil.a2
+    return a1 * a1 - 4 * a2 + 8 * p, (a2 + 2 * p) ** 2 - 4 * p * a1 * a1
 
 
 def quadratic_subfield(weil):
     """The real quadratic subfield Q(pi + p/pi) of the Frobenius field of
-    a Weil polynomial (p, a1, a2).
-
-    pi + p/pi is a root of s^2 - a1 s + (a2 - 2p), of discriminant
-    a1^2 - 4 a2 + 8p. The roots of any quartic of this shape pair as
-    r, p/r, so an irreducible one always has this quadratic subfield;
-    inside the Weil bounds it is real. A square discriminant makes
-    pi + p/pi rational, so the quartic is reducible, and raises
-    ReducibleQuarticError.
-    """
-    _check_weil(weil)
+    a Weil polynomial (p, a1, a2), and the field's Galois group, from D
+    and E (see the module docstring). A triple outside the Weil bounds
+    raises InconsistentCountsError, a reducible quartic (D a square or
+    E = 0) ReducibleQuarticError."""
+    d, e = _weil_squares(weil)
     p, a1, a2 = weil.p, weil.a1, weil.a2
-    disc = a1 * a1 - 4 * a2 + 8 * p
-    if _is_square(disc):
-        raise ReducibleQuarticError(
-            f"a1^2 - 4 a2 + 8p = {disc} is a square: pi + p/pi is "
-            "rational, so the Frobenius quartic is reducible"
+    if not _within_weil_bounds(p, a1, a2):
+        raise InconsistentCountsError(
+            f"(a1, a2) = ({a1}, {a2}) breaks the Weil bounds at p={p}"
         )
-    return QuadraticSubfield((a2 - 2 * p, -a1, 1), squarefree_part(disc))
+    if _is_square(d) or not e:
+        raise ReducibleQuarticError(factor_quartic(weil.frobenius_coefficients))
+    group = "V4" if _is_square(e) else "C4" if _is_square(d * e) else "D4"
+    return QuadraticSubfield((a2 - 2 * p, -a1, 1), squarefree_part(d), group)
 
 
 def tate_condition(weil):
     """True when the Frobenius quartic of a Weil polynomial has no
-    repeated root, so its eigenvalue structure is fully separable."""
-    _check_weil(weil)
-    return bool(_quartic_discriminant(weil.frobenius_coefficients))
+    repeated root, i.e. disc = p^2 D^2 E is not 0; exact on any triple."""
+    d, e = _weil_squares(weil)
+    return bool(weil.p * d * e)
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -46,6 +46,7 @@ from .errors import (
 from .exact_algebra import (
     Jet1,
     MultiPoly,
+    _integer,
     _rational,
     jet_eval,
     rational_matrix_rank,
@@ -325,7 +326,8 @@ def independence_rank(family, *, trials=16, seed=DEFAULT_SEED):
     is a lower bound on the rank there (see `rank_at_point`), so the
     result is a lower bound on the generic rank.
 
-    `trials` below 1 raises ValueError."""
+    `trials` and `seed` are ints; `trials` below 1 raises ValueError."""
+    trials, seed = _integer(trials), _integer(seed)
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     params = tuple(family.parameters)

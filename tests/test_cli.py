@@ -28,6 +28,7 @@ from pathlib import Path
 import pytest
 
 import spectral_torelli
+from spectral_torelli import cli, endo_pipeline, galois_certificates
 from spectral_torelli.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -193,6 +194,40 @@ def test_inexact_rational_object_in_a_curve_file_exits_2(num, tmp_path, capsys):
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert "integer 'num' and 'den'" in captured.err
+
+
+def test_float_degree_in_a_curve_file_exits_2(tmp_path, capsys):
+    # 5.0 == 5 would pass a bare membership test and read a quintic
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps({
+        "f_coefficients": [0, 1, 0, 0, 0, 1], "degree": 5.0,
+    }))
+    code = main(["invariants", "--file", str(path), "--json"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "degree" in captured.err
+
+
+def test_certificates_never_reach_the_generic_classifier(monkeypatch, capsys):
+    # The Frobenius field of a Weil quartic comes from quadratic_subfield
+    # alone; galois_group serves only the galois command.
+    def refuse(coefficients):
+        raise AssertionError("galois_group reached on the certificate path")
+
+    for module in (spectral_torelli, galois_certificates, cli):
+        monkeypatch.setattr(module, "galois_group", refuse)
+    assert not hasattr(endo_pipeline, "galois_group")
+    replayed = 0
+    for path in sorted(GOLDEN.glob("*.json")):
+        golden = json.loads(path.read_text())
+        if golden.get("argv", [""])[0] not in ("certify-endo", "frobenius"):
+            continue
+        code = main(golden["argv"])
+        out = capsys.readouterr().out
+        assert code == golden["exit_code"]
+        assert out == json.dumps(golden["envelope"], indent=2) + "\n"
+        replayed += 1
+    assert replayed == 8
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])

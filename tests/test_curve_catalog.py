@@ -261,6 +261,9 @@ def test_load_curve_file_rejections():
         {},
         {"f_coefficients": [1] * 7},
         {"f_coefficients": [1] * 7, "degree": 4},
+        # 5.0 == 5, so a membership test alone would read a quintic
+        {"f_coefficients": [0, 1, 0, 0, 0, 1], "degree": 5.0},
+        {"f_coefficients": [0, 1, 0, 0, 0, 1], "degree": "5"},
         {"f_coefficients": [0, 1, 0, 1], "degree": 5},
         {"f_coefficients": [0, 1, 0, 0, 0, 1.5], "degree": 5},
         {"f_coefficients": [0, 1, 0, 0, 0, True], "degree": 5},

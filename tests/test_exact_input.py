@@ -1,9 +1,10 @@
 """Inexact input never reaches a result.
 
 Every library entry that takes a rational value, a prime, a point count,
-an exponent, a quartic coefficient, a cyclotomic order or a series
-truncation refuses a bool, a float, a numeric string and a Decimal
-with TypeError, instead of turning it into an exact value: Fraction(0.1)
+an exponent, a quartic coefficient, a cyclotomic order, a series
+truncation, a sampling seed or a trial count refuses a bool, a float, a
+numeric string and a Decimal with TypeError, instead of turning it into
+an exact value: Fraction(0.1)
 keeps the binary expansion of 0.1, int(37.9) is 37 and Fraction(True)
 is 1. Each entry is called with one bad value in an otherwise valid
 call, so the TypeError comes from the value and from nothing else.
@@ -42,7 +43,7 @@ from spectral_torelli.galois_certificates import (
     resolvent_cubic,
     squarefree_part,
 )
-from spectral_torelli.igusa_invariants import rank_at_point
+from spectral_torelli.igusa_invariants import independence_rank, rank_at_point
 from spectral_torelli.series_kernel import TruncatedSeries
 
 BAD_VALUES = [True, 0.5, 37.0, "1/2", Decimal("0.5")]
@@ -79,6 +80,12 @@ ENTRIES = {
     ),
     "rank_at_point": (
         lambda v: rank_at_point(catalog_get("KFS"), kfs_point(v)), 12
+    ),
+    "independence_rank seed": (
+        lambda v: independence_rank(catalog_get("KFS"), trials=1, seed=v), 7
+    ),
+    "independence_rank trials": (
+        lambda v: independence_rank(catalog_get("KFS"), trials=v, seed=7), 1
     ),
     "reduce_mod_p": (lambda v: reduce_mod_p(kfs_curve(), v), 37),
     "count_points": (

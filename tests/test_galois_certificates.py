@@ -15,6 +15,7 @@ from sympy.polys.numberfields.galoisgroups import galois_group as sympy_galois
 
 from spectral_torelli.errors import (
     DegreeBoundError,
+    InconsistentCountsError,
     ReducibleQuarticError,
     StructureError,
 )
@@ -319,14 +320,25 @@ class TestQuadraticSubfield:
                 quadratic_subfield(weil)
             assert len(factor_quartic(weil.frobenius_coefficients)) > 1
 
+    def test_out_of_bounds_and_square_norm_are_refused(self):
+        # (t^2 + 1)(t^2 + 9) has roots off the circle |t| = sqrt 3, where D
+        # would read core -1; (t^2 - 5)^2 has E = 0 but D = 80, no square
+        with pytest.raises(InconsistentCountsError):
+            quadratic_subfield(WeilPolynomial(3, 0, 10))
+        with pytest.raises(ReducibleQuarticError) as info:
+            quadratic_subfield(WeilPolynomial(5, 0, -10))
+        assert info.value.factors == ((-5, 0, 1), (-5, 0, 1))
+
     def test_exhaustive_table_up_to_53(self):
         # Every irreducible Weil quartic cuts out a CM field, so its group
         # has a quadratic subfield (never S4/A4), and its real core is
         # positive. The whole table also has a closed form in
         # D = a1^2 - 4 a2 + 8p and E = (a2 + 2p)^2 - 4p a1^2: the
-        # discriminant is p^2 D^2 E, and a separable quartic is
-        # irreducible exactly when D is not a square; it is then V4 when
-        # E is a square, C4 when D E is, and D4 otherwise.
+        # discriminant is p^2 D^2 E, and the quartic is reducible exactly
+        # when D is a square or E = 0; otherwise it is V4 when E is a
+        # square, C4 when D E is, and D4 otherwise. `quadratic_subfield`
+        # is that rule; `galois_group` is the reference on every triple,
+        # separable or not, down to the factors and text of a reducible one.
         primes = [p for p in range(3, 54) if is_prime(p)]
         groups = {}
         for weil, group in weil_triples(primes):
@@ -335,11 +347,17 @@ class TestQuadraticSubfield:
             big_e = (a2 + 2 * p) ** 2 - 4 * p * a1 * a1
             disc = _quartic_discriminant(weil.frobenius_coefficients)
             assert disc == p * p * big_d * big_d * big_e
-            if not disc:
-                assert group is None
-                continue
-            assert (group is None) == is_square(big_d)
+            assert tate_condition(weil) == bool(disc)
+            assert (group is None) == (is_square(big_d) or big_e == 0)
             if group is None:
+                coefficients = weil.frobenius_coefficients
+                with pytest.raises(ReducibleQuarticError) as reference:
+                    galois_group(coefficients)
+                with pytest.raises(ReducibleQuarticError) as info:
+                    quadratic_subfield(weil)
+                assert info.value.factors == factor_quartic(coefficients)
+                assert str(info.value) == str(reference.value)
+                groups[None] = groups.get(None, 0) + 1
                 continue
             groups[group] = groups.get(group, 0) + 1
             if is_square(big_e):
@@ -348,10 +366,11 @@ class TestQuadraticSubfield:
                 assert group == "C4"
             else:
                 assert group == "D4"
-            core = quadratic_subfield(weil).core
-            assert core == squarefree_part(big_d)
-            assert core > 0
-        assert groups == {"D4": 18364, "V4": 1868, "C4": 148}
+            sub = quadratic_subfield(weil)
+            assert sub.group == group
+            assert sub.core == squarefree_part(big_d)
+            assert sub.core > 0
+        assert groups == {"D4": 18364, "V4": 1868, "C4": 148, None: 3209}
 
     def test_cores_match_numeric_eigenvalue_sums(self):
         # The two values s, s' of r + p/r over the numeric eigenvalues r are
@@ -375,6 +394,21 @@ class TestTateCondition:
         assert tate_condition(WeilPolynomial(37, 2, 38))
         # (t^2 - 5)^2 has every eigenvalue doubled
         assert not tate_condition(WeilPolynomial(5, 0, -10))
+
+    def test_discriminant_is_p2_d2_e(self):
+        # disc P = p^2 D^2 E as polynomials in p, a1, a2, so the test
+        # D E != 0 (with p != 0) is exact on every triple, including the
+        # ones outside the Weil bounds that `root_ratio_orders` takes
+        p, a1, a2 = sympy.symbols("p a1 a2")
+        quartic = t**4 - a1 * t**3 + a2 * t**2 - a1 * p * t + p**2
+        big_d = a1**2 - 4 * a2 + 8 * p
+        big_e = (a2 + 2 * p) ** 2 - 4 * p * a1**2
+        identity = sympy.discriminant(quartic, t) - p**2 * big_d**2 * big_e
+        assert sympy.expand(identity) == 0
+        for weil in (WeilPolynomial(3, 0, 10), WeilPolynomial(0, 1, 2),
+                     WeilPolynomial(4, 4, 8), WeilPolynomial(2, 9, -30)):
+            disc = _quartic_discriminant(weil.frobenius_coefficients)
+            assert tate_condition(weil) == bool(disc)
 
     def test_only_weil_polynomials_are_accepted(self):
         # the coefficient tuple of WeilPolynomial(37, 2, 38)

@@ -57,7 +57,7 @@ BUILDERS = {
         (-3, 0, 0, 0, 1) if v else (1369, -74, 38, -2, 1)
     ),
     "QuadraticSubfield": lambda v: QuadraticSubfield(
-        (-36, -2, 1), 38 if v else 37
+        (-36, -2, 1), 37, "V4" if v else "D4"
     ),
     "RootRatioReport": lambda v: RootRatioReport(
         (2,) if v else (), (1, 0, 1)
