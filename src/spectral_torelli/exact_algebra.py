@@ -639,7 +639,7 @@ class _Parser:
             self.pos += 1
             self._skip_ws()
             start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            while self.pos < len(self.text) and self.text[self.pos].isdecimal():
                 self.pos += 1
             if start == self.pos:
                 raise PolyParseError(f"expected exponent at offset {start}")
@@ -658,9 +658,9 @@ class _Parser:
                 raise PolyParseError(f"missing ')' at offset {self.pos}")
             self.pos += 1
             return inner
-        if ch.isdigit():
+        if ch.isdecimal():
             start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            while self.pos < len(self.text) and self.text[self.pos].isdecimal():
                 self.pos += 1
             return MultiPoly.constant(self.variables, int(self.text[start:self.pos]))
         if ch.isalpha() or ch == "_":

@@ -282,7 +282,8 @@ def rank_at_point(family, point):
     its reduction mod q = Jet1.MODULUS.
 
     Point coordinates must be exact rationals, ints or Fractions; a
-    bool, float or anything else raises TypeError.
+    bool, float or anything else raises TypeError. A name that is not a
+    parameter of the family raises AlignmentError.
     The Jacobian is evaluated with jets mod q, and its rank is taken mod
     q (`rational_matrix_rank`). A minor that is nonzero mod q is nonzero
     over Q, so the result is a lower bound on the rank over Q at the
@@ -298,6 +299,9 @@ def rank_at_point(family, point):
     bound.
     """
     params = tuple(family.parameters)
+    unknown = sorted(set(point) - set(params))
+    if unknown:
+        raise AlignmentError(f"not parameters of this family: {unknown!r}")
     values = {}
     for name in params:
         if name not in point:

@@ -4,8 +4,8 @@ degree-9/2 Garnier flow and the machinery to compose Hamiltonians with it.
 
 A series is known on a window [valuation, truncation); everything at or
 beyond the truncation is unknown, never silently zero. Compositions account
-for the unknown tails by carrying explicit placeholder symbols for them and
-reporting a coefficient only when no placeholder survives in it.
+for the unknown tails with one placeholder symbol per input series and
+report a coefficient only when no placeholder survives in it.
 """
 
 import json
@@ -304,22 +304,27 @@ def garnier92_hamiltonian_values():
     return values["h1"], values["h2"]
 
 
-def _tail_symbol(name, exp):
-    tag = str(exp).replace("-", "m")
-    return f"_tail_{name}_{tag}"
-
-
 def substitute_hamiltonian(H, sol, max_order=4):
     """Compose a phase-space polynomial with a Laurent solution.
 
-    Returns the composed series with exact coefficients. The reported
-    truncation is honest: a coefficient is included only if it is fully
-    determined by the known windows of the input series. Orders that would
-    feel the unknown tails are cut off, which is detected by extending each
-    input series with placeholder symbols for its unknown coefficients and
-    checking that none survives. TruncationError means the input windows
-    determine no order at or above the lowest one the composition can reach.
+    Returns the composed series with exact coefficients below an honest
+    truncation: only orders below the int `max_order` that the known
+    input windows determine. TruncationError means the windows determine
+    no order at or above the lowest one the composition can reach.
+
+    A tail coefficient of series v enters a monomial at order >= its
+    exponent plus the valuation of the rest, so only exponents below
+    `tail_top` reach below max_order. A series with truncation k below it
+    gets one placeholder `_tail_<v>` at t^k, then zeros up to tail_top,
+    and the result stops where a placeholder first survives. By Taylor
+    expansion at the known parts K, a tail monomial prod c_{v,j} with
+    derivative multiset alpha enters order m as [t^(m - sum j)]
+    (d^alpha H)(K) / alpha!, so it first shows up with every j at its
+    series' first unknown exponent, and one symbol per series finds the
+    same cut. The symbols stay distinct, so that terms of different
+    alpha cannot cancel, as they could through one shared symbol.
     """
+    max_order = _integer(max_order)
     if not isinstance(H, MultiPoly):
         raise TypeError("substitute_hamiltonian expects a MultiPoly")
     base = sol.variables
@@ -331,10 +336,6 @@ def substitute_hamiltonian(H, sol, max_order=4):
         )
     valuations = {name: sol.series(name).valuation() for name in PHASE_VARIABLES}
 
-    # Soundness window: a tail coefficient of factor v in a monomial enters
-    # the composition at order >= (its exponent) + the valuation of the
-    # rest of the monomial. Placeholders must cover every exponent that
-    # could reach below max_order.
     rests, lowest = [], []
     for exps in H.numerators:
         phase = [
@@ -351,12 +352,10 @@ def substitute_hamiltonian(H, sol, max_order=4):
 
     tail_top = max_order - min(rests)
     tails = {
-        name: range(sol.series(name).truncation, tail_top)
-        for name in PHASE_VARIABLES
+        name: f"_tail_{name}" for name in PHASE_VARIABLES
+        if sol.series(name).truncation < tail_top
     }
-    ext = base + tuple(
-        _tail_symbol(name, exp) for name in PHASE_VARIABLES for exp in tails[name]
-    )
+    ext = base + tuple(tails.values())
     # declared but unused variables outside base still need a value
     values = {
         v: TruncatedSeries.exact_constant(
@@ -367,24 +366,19 @@ def substitute_hamiltonian(H, sol, max_order=4):
     for name in PHASE_VARIABLES:
         s = sol.series(name)
         window = {e: c.with_variables(ext) for e, c in s.coefficients.items()}
-        for exp in tails[name]:
-            window[exp] = MultiPoly.variable(_tail_symbol(name, exp), ext)
+        if name in tails:
+            window[s.truncation] = MultiPoly.variable(tails[name], ext)
         values[name] = TruncatedSeries(ext, window, max(tail_top, s.truncation))
     composed = H.evaluate(values)
 
-    placeholders = set(ext[len(base):])
+    placeholders = set(tails.values())
     truncation = min(max_order, composed.truncation)
-    for exp in composed.known_exponents():
-        if exp >= truncation:
+    determined = {}
+    for exp, c in sorted(composed.coefficients.items()):
+        if exp >= truncation or c.used_variables() & placeholders:
+            truncation = min(truncation, exp)
             break
-        if composed.coefficients[exp].used_variables() & placeholders:
-            truncation = exp
-            break
-    determined = {
-        e: c.drop_to_variables(base)
-        for e, c in composed.coefficients.items()
-        if e < truncation
-    }
+        determined[exp] = c.drop_to_variables(base)
     result = TruncatedSeries(base, determined, truncation)
     if result.is_known_zero() and max_order > truncation <= min(lowest):
         raise TruncationError(

@@ -73,7 +73,8 @@ def test_parse_agrees_with_sympy():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("a +", "2**a", "(a", "a^b", "q + 1", ""):
+    # superscript digits pass str.isdigit but not int()
+    for bad in ("a +", "2**a", "(a", "a^b", "q + 1", "", "\u00b2", "a^\u00b2"):
         with pytest.raises(PolyParseError):
             MultiPoly.parse(bad, VARS)
 

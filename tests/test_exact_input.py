@@ -2,9 +2,9 @@
 
 Every library entry that takes a rational value, a prime, a point count,
 an exponent, a quartic coefficient, a cyclotomic order, a series
-truncation, a sampling seed or a trial count refuses a bool, a float, a
-numeric string and a Decimal with TypeError, instead of turning it into
-an exact value: Fraction(0.1)
+truncation, a composition order, a sampling seed or a trial count
+refuses a bool, a float, a numeric string and a Decimal with TypeError,
+instead of turning it into an exact value: Fraction(0.1)
 keeps the binary expansion of 0.1, int(37.9) is 37 and Fraction(True)
 is 1. Each entry is called with one bad value in an otherwise valid
 call, so the TypeError comes from the value and from nothing else.
@@ -44,7 +44,14 @@ from spectral_torelli.galois_certificates import (
     squarefree_part,
 )
 from spectral_torelli.igusa_invariants import independence_rank, rank_at_point
-from spectral_torelli.series_kernel import TruncatedSeries
+from spectral_torelli.series_kernel import (
+    HAMILTONIAN_VARIABLES,
+    TruncatedSeries,
+    garnier92_hamiltonians,
+    garnier92_solution,
+    substitute_hamiltonian,
+    verify_hamilton_flow,
+)
 
 BAD_VALUES = [True, 0.5, 37.0, "1/2", Decimal("0.5")]
 
@@ -115,6 +122,21 @@ ENTRIES = {
     ),
     "TruncatedSeries truncation": (
         lambda v: TruncatedSeries(("a",), {0: 1}, v), 3
+    ),
+    # an H free of phase variables never consults max_order past the entry
+    "substitute_hamiltonian max_order": (
+        lambda v: substitute_hamiltonian(
+            MultiPoly.parse("s1*s2 + 3", HAMILTONIAN_VARIABLES),
+            garnier92_solution(),
+            v,
+        ),
+        4,
+    ),
+    "verify_hamilton_flow max_order": (
+        lambda v: verify_hamilton_flow(
+            garnier92_hamiltonians()[0], garnier92_solution(), v
+        ),
+        2,
     ),
     "factor_quartic": (lambda v: factor_quartic((v, 0, 0, 0, 1)), 1),
     "galois_group": (lambda v: galois_group((1369, -74, v, -2, 1)), 38),

@@ -351,6 +351,9 @@ def test_rank_at_point_rejections():
         rank_at_point(fam, {"h1": 0, "h2": 0, "s1": 0, "s2": 0})
     with pytest.raises(DegenerateCurveError):
         rank_at_point(fam, {"h1": -15, "h2": 1, "s1": 10, "s2": 1})
+    typo = {"h1": 12, "h2": 17, "s": 29, "typo": 5}
+    with pytest.raises(AlignmentError, match=r"family: \['typo'\]"):
+        rank_at_point(catalog_get("KFS"), typo)
 
 
 @pytest.mark.parametrize("inexact", [0.1, "1/10"])

@@ -15,6 +15,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spectral_torelli.endo_pipeline import verify_painleve_divisor_gar92
 from spectral_torelli.errors import AlignmentError, TruncationError
 from spectral_torelli.exact_algebra import MultiPoly
 from spectral_torelli.series_kernel import (
@@ -430,6 +431,16 @@ def _window_series(window):
     return TruncatedSeries(PASSIVE, known, low + len(coeffs) + unknown_gap)
 
 
+def _hamiltonian(monomials):
+    H = MultiPoly.zero(HVARS)
+    for coeff, phase, passive in monomials:
+        term = MultiPoly.constant(HVARS, coeff)
+        for name in phase + passive:
+            term = term * MultiPoly.variable(name, HVARS)
+        H = H + term
+    return H
+
+
 @settings(max_examples=80)
 @given(
     windows=st.tuples(_windows, _windows, _windows, _windows),
@@ -438,12 +449,7 @@ def _window_series(window):
 )
 def test_composition_refines_plain_evaluation(windows, monomials, max_order):
     sol = LaurentSolution(*map(_window_series, windows))
-    H = MultiPoly.zero(HVARS)
-    for coeff, phase, passive in monomials:
-        term = MultiPoly.constant(HVARS, coeff)
-        for name in phase + passive:
-            term = term * MultiPoly.variable(name, HVARS)
-        H = H + term
+    H = _hamiltonian(monomials)
     try:
         comp = substitute_hamiltonian(H, sol, max_order=max_order)
     except TruncationError:
@@ -459,3 +465,107 @@ def test_composition_refines_plain_evaluation(windows, monomials, max_order):
         assert min(plain.truncation, max_order) <= comp.truncation <= max_order
     else:
         assert comp.truncation == EXACT
+
+
+def _per_exponent_composition(H, sol, max_order):
+    """Reference for `substitute_hamiltonian`: the same honest window,
+    found with a placeholder at every unknown exponent of every series
+    below tail_top instead of one placeholder per series. H must use a
+    phase variable."""
+    base = sol.variables
+    val = {v: sol.series(v).valuation() for v in PHASE}
+    rests, lowest = [], []
+    for exps in H.numerators:
+        phase = [(val[v], e) for v, e in zip(H.variables, exps) if e and v in val]
+        lowest.append(sum(o * e for o, e in phase))
+        if phase:
+            rests.append(lowest[-1] - max(o for o, _ in phase))
+    tail_top = max_order - min(rests)
+    cells = [
+        (v, j) for v in PHASE for j in range(sol.series(v).truncation, tail_top)
+    ]
+    ext = base + tuple(f"_cell{i}" for i in range(len(cells)))
+    windows = {
+        v: {e: c.with_variables(ext) for e, c in sol.series(v).coefficients.items()}
+        for v in PHASE
+    }
+    for symbol, (v, j) in zip(ext[len(base):], cells):
+        windows[v][j] = MultiPoly.variable(symbol, ext)
+    values = {
+        v: TruncatedSeries(ext, windows[v], max(tail_top, sol.series(v).truncation))
+        for v in PHASE
+    }
+    for v in H.variables:
+        image = MultiPoly.variable(v, ext) if v in base else 0
+        values.setdefault(v, TruncatedSeries.exact_constant(ext, image))
+    composed = H.evaluate(values)
+    reached = [
+        e for e, c in composed.coefficients.items()
+        if c.used_variables() - set(base)
+    ]
+    truncation = min(max_order, composed.truncation, *reached)
+    result = TruncatedSeries(
+        base,
+        {
+            e: c.drop_to_variables(base)
+            for e, c in composed.coefficients.items() if e < truncation
+        },
+        truncation,
+    )
+    if result.is_known_zero() and max_order > truncation <= min(lowest):
+        raise TruncationError("no determined coefficient")
+    return result
+
+
+# H1 and H2 at every even max_order up to 12, and their first partials
+_GAR92_COMPOSITIONS = [
+    (name, None, order) for name in ("H1", "H2") for order in range(2, 13, 2)
+] + [(name, v, 8) for name in ("H1", "H2") for v in PHASE]
+
+
+@pytest.mark.parametrize("name, partial, order", _GAR92_COMPOSITIONS)
+def test_one_placeholder_per_series_matches_the_per_exponent_window(
+    name, partial, order
+):
+    sol = garnier92_solution()
+    H = dict(zip(("H1", "H2"), garnier92_hamiltonians()))[name]
+    if partial:
+        H = H.derivative(partial)
+    comp = substitute_hamiltonian(H, sol, max_order=order)
+    assert comp == _per_exponent_composition(H, sol, order)
+
+
+@settings(max_examples=80)
+@given(
+    windows=st.tuples(_windows, _windows, _windows, _windows),
+    monomials=st.lists(_monomials, min_size=1, max_size=4),
+    max_order=st.integers(-2, 4),
+)
+def test_one_placeholder_per_series_matches_the_reference(
+    windows, monomials, max_order
+):
+    sol = LaurentSolution(*map(_window_series, windows))
+    H = _hamiltonian(monomials)
+    if not H.used_variables() & set(PHASE):
+        return
+    try:
+        expected = _per_exponent_composition(H, sol, max_order)
+    except TruncationError:
+        with pytest.raises(TruncationError):
+            substitute_hamiltonian(H, sol, max_order=max_order)
+        return
+    assert substitute_hamiltonian(H, sol, max_order=max_order) == expected
+
+
+def test_divisor_replay_adds_at_most_one_symbol_per_phase_series(monkeypatch):
+    widths = []
+    init = TruncatedSeries.__init__
+
+    def recording_init(self, variables, coefficients, truncation):
+        init(self, variables, coefficients, truncation)
+        widths.append(len(self.variables))
+
+    monkeypatch.setattr(TruncatedSeries, "__init__", recording_init)
+    assert verify_painleve_divisor_gar92().identical
+    base = len(garnier92_solution().variables)
+    assert base < max(widths) <= base + len(PHASE)
