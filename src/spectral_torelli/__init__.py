@@ -90,7 +90,6 @@ from .galois_certificates import (
     QuadraticSubfield,
     QuarticAnalysis,
     RootRatioReport,
-    cyclotomic,
     factor_quartic,
     galois_group,
     quadratic_subfield,

@@ -528,8 +528,9 @@ def load_curve_file(source):
     if not (
         isinstance(variables, list)
         and all(isinstance(v, str) for v in variables)
+        and len(set(variables)) == len(variables)
     ):
-        raise PolyParseError("variables must list parameter names")
+        raise PolyParseError("variables must list distinct parameter names")
     params = tuple(variables)
 
     def entry(value):

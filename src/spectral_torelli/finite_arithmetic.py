@@ -136,6 +136,7 @@ def count_points(curve, p, *, extension=1):
     if characteristic != _integer(p):
         raise ValueError("elements of different prime fields")
     coeffs, degree = curve.sextic_coefficients(), curve.degree
+    extension = _integer(extension)
     if extension == 1:
         count = _count_ground(coeffs, degree, _values(coeffs[::-1], p), _legendre_table(p))
         q = p
@@ -618,6 +619,16 @@ class WeilPolynomial(Record):
         return (p * p, -a1 * p, a2, -a1, 1)
 
 
+def _validated_weil(weil):
+    """weil itself if it is a WeilPolynomial; the one type check of the
+    Frobenius entry points. Anything else raises TypeError."""
+    if not isinstance(weil, WeilPolynomial):
+        raise TypeError(
+            f"expected a WeilPolynomial, got {type(weil).__name__}"
+        )
+    return weil
+
+
 def weil_polynomial(counts):
     """Weil data from the two point counts of a genus-2 reduction.
 
@@ -641,7 +652,7 @@ def weil_polynomial(counts):
 
 def zeta_rational_form(weil):
     """The zeta function of the reduction as numerator / (1-t)(1-pt)."""
-    num = weil.l_coefficients
+    num = _validated_weil(weil).l_coefficients
     in_t = MultiPoly(("t",), {(e,): c for e, c in enumerate(num)})
     return {
         "p": weil.p,

@@ -40,8 +40,24 @@ The quartic's roots pair as r, p/r, and the Galois group of K preserves
 that pairing, so it lies in the centralizer of the pairing involution
 in S4, a dihedral group of order 8. A ratio that is a primitive n-th
 root of unity puts Q(zeta_n) inside K, so phi(n) divides [K : Q], which
-divides 8; and n = 1 would be a repeated eigenvalue. So
-`root_ratio_orders` tests only the 13 orders n >= 2 with phi(n) | 8.
+divides 8; and n = 1 would be a repeated eigenvalue. So only the 13
+orders n >= 2 with phi(n) | 8 can occur, and as phi(d) | phi(n) for
+d | n, they are closed under divisors.
+
+The same two squares count those ratios. For i != j, r_j / r_i has order
+dividing n exactly when r_i^n = r_j^n. The n-th powers pair as r^n,
+q/r^n with q = p^n, so P_n = prod (t - r_i^n) is
+t^4 - b1 t^3 + b2 t^2 - q b1 t + q^2 with b1 = s_n and
+b2 = (s_n^2 - s_2n) / 2, s_k the power sums of the r_i. Writing P_n = (t^2 - S t + q)(t^2 - S' t + q), its
+D_n = b1^2 - 4 b2 + 8q = (S - S')^2 and E_n = (b2 + 2q)^2 - 4q b1^2 =
+(S^2 - 4q)(S'^2 - 4q); a factor has a double root iff S^2 = 4q, and the
+two share a root iff S = S'. So the number c(n) of ordered pairs i != j
+with r_i^n = r_j^n is 0 when D_n E_n != 0; when only E_n = 0 it is 2,
+or 4 if both factors are squares, which is b1 = 0 and b2 = -2q (then
+S' = -S); when D_n = 0 it is 4, or 12 if b1^2 = 16q (one quadruple
+root). The number of ratios of exact order n is c(n) less the numbers
+of exact order d for the proper divisors d of n, with none of order 1
+for a separable quartic. That is `root_ratio_orders`.
 
 The Frobenius entry points `quadratic_subfield`, `tate_condition` and
 `root_ratio_orders` take a `WeilPolynomial` (p, a1, a2), the only
@@ -53,13 +69,12 @@ nothing here needs the curve modules.
 """
 
 import math
-from functools import lru_cache
 
 from ._record import Record
-from .errors import DegreeBoundError, InconsistentCountsError, StructureError
-from .errors import ReducibleQuarticError
+from .errors import InconsistentCountsError, ReducibleQuarticError
+from .errors import StructureError
 from .exact_algebra import _integer
-from .finite_arithmetic import WeilPolynomial, _within_weil_bounds
+from .finite_arithmetic import _validated_weil, _within_weil_bounds
 
 _TRIAL_LIMIT = 10 ** 6
 _CERTIFIED_COFACTOR_BOUND = 10 ** 18
@@ -297,14 +312,10 @@ class QuadraticSubfield(Record):
     __slots__ = ("minimal_polynomial", "core", "group")
 
 
-def _weil_squares(weil):
-    """(D, E) of a Weil polynomial (see the module docstring)."""
-    if not isinstance(weil, WeilPolynomial):
-        raise TypeError(
-            f"expected a WeilPolynomial, got {type(weil).__name__}"
-        )
-    p, a1, a2 = weil.p, weil.a1, weil.a2
-    return a1 * a1 - 4 * a2 + 8 * p, (a2 + 2 * p) ** 2 - 4 * p * a1 * a1
+def _weil_squares(q, b1, b2):
+    """(D, E) of the Weil-shaped quartic t^4 - b1 t^3 + b2 t^2 - q b1 t
+    + q^2 (see the module docstring)."""
+    return b1 * b1 - 4 * b2 + 8 * q, (b2 + 2 * q) ** 2 - 4 * q * b1 * b1
 
 
 def quadratic_subfield(weil):
@@ -313,8 +324,9 @@ def quadratic_subfield(weil):
     and E (see the module docstring). A triple outside the Weil bounds
     raises InconsistentCountsError, a reducible quartic (D a square or
     E = 0) ReducibleQuarticError."""
-    d, e = _weil_squares(weil)
+    weil = _validated_weil(weil)
     p, a1, a2 = weil.p, weil.a1, weil.a2
+    d, e = _weil_squares(p, a1, a2)
     if not _within_weil_bounds(p, a1, a2):
         raise InconsistentCountsError(
             f"(a1, a2) = ({a1}, {a2}) breaks the Weil bounds at p={p}"
@@ -328,40 +340,20 @@ def quadratic_subfield(weil):
 def tate_condition(weil):
     """True when the Frobenius quartic of a Weil polynomial has no
     repeated root, i.e. disc = p^2 D^2 E is not 0; exact on any triple."""
-    d, e = _weil_squares(weil)
+    weil = _validated_weil(weil)
+    d, e = _weil_squares(weil.p, weil.a1, weil.a2)
     return bool(weil.p * d * e)
 
 
-@lru_cache(maxsize=None, typed=True)
-def cyclotomic(n):
-    """Ascending integer coefficients of the n-th cyclotomic polynomial:
-    x^n - 1 divided exactly by cyclotomic(d) for every proper divisor d
-    of n. Orders above 128 raise DegreeBoundError. The cache is typed,
-    so a float or bool n reaches the int check instead of the entry of
-    the int it equals."""
-    n = _integer(n)
-    if n < 1:
-        raise ValueError("positive integers only")
-    if n > 128:
-        raise DegreeBoundError(f"degree {n} exceeds bound 128")
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            poly, rem = _divmod_monic(poly, cyclotomic(d))
-            if any(rem):
-                raise ArithmeticError("cyclotomic division left a remainder")
-    return tuple(poly)
-
-
 class RootRatioReport(Record):
-    """Cyclotomic structure of the ratios of Frobenius eigenvalues.
+    """Roots of unity among the ratios of Frobenius eigenvalues.
 
     `orders` lists every n such that some ratio of two distinct
     eigenvalues is a primitive n-th root of unity; an empty tuple
     certifies that no ratio is a root of unity.
     """
 
-    __slots__ = ("orders", "ratio_coefficients")
+    __slots__ = ("orders",)
 
     @property
     def clean(self):
@@ -382,68 +374,33 @@ def _power_sums(coefficients, count):
     return sums
 
 
-def _divmod_monic(poly, divisor):
-    """Quotient and remainder of an integer polynomial by a monic integer
-    polynomial (all ascending)."""
-    rem = list(poly)
-    m = len(divisor) - 1
-    quotient = [0] * (len(rem) - m)
-    for top in range(len(rem) - 1, m - 1, -1):
-        q = rem[top]
-        if q:
-            quotient[top - m] = q
-            for i, c in enumerate(divisor):
-                rem[top - m + i] -= q * c
-    return quotient, rem[:m]
+def _coinciding_pairs(q, b1, b2):
+    """c(n) of the module docstring: the ordered pairs i != j with
+    r_i^n = r_j^n, from P_n = t^4 - b1 t^3 + b2 t^2 - q b1 t + q^2."""
+    d, e = _weil_squares(q, b1, b2)
+    if not d:
+        return 12 if b1 * b1 == 16 * q else 4
+    if not e:
+        return 4 if not b1 and b2 == -2 * q else 2
+    return 0
 
 
 def root_ratio_orders(weil):
-    """Scan the ratio polynomial of a separable Frobenius quartic for
-    cyclotomic factors.
+    """The orders n >= 2 for which some ratio of two eigenvalues of a
+    separable Frobenius quartic is a primitive n-th root of unity.
 
-    The ratio polynomial is Res_t(P(t), P(u t)) with the forced (u - 1)^4
-    factor removed; its roots are exactly the ratios of distinct
-    eigenvalues. Returns the orders n whose cyclotomic polynomial
-    divides it. Only n >= 2 with phi(n) | 8 can occur (see the module
-    docstring: a ratio that is a primitive n-th root of unity lies in a
-    splitting field of degree dividing 8), so those 13 orders are all
-    that is tested. Repeated eigenvalues raise StructureError.
-
-    For the Frobenius quartic P = t^4 + b t^3 + c t^2 + d t + e, e = p^2,
-    with roots r_i the resultant is prod_{i,j} (u r_i - r_j), so the
-    ratio polynomial is e^4 prod_{i != j} (u - r_j / r_i). It is built
-    from power sums, without the resultant. beta_i = e / r_i are the
-    roots of the integer quartic t^4 + d t^3 + c e t^2 + b e^2 t + e^3,
-    and the 12 algebraic integers gamma_ij = r_j beta_i = e r_j / r_i
-    (i != j) have power sums s_k T_k - 4 e^k, where s_k and T_k are the
-    power sums of the two quartics. Newton's identities turn those into
-    the integer coefficients h_k of prod (x - gamma_ij) =
-    sum_k h_k x^(12 - k), and the coefficient of u^(12 - k) in the ratio
-    polynomial is h_k e^4 / e^k = h_k p^8 / p^(2k), which must be an
-    integer.
+    Only the 13 orders with phi(n) | 8 can occur. For each, in
+    ascending order, the pairs with r_i^n = r_j^n are counted from the
+    D and E of the quartic of n-th powers, and those of a smaller order
+    d | n taken off (see the module docstring). Repeated eigenvalues
+    raise StructureError.
     """
     if not tate_condition(weil):
-        raise StructureError(
-            "repeated Frobenius eigenvalues: the ratio polynomial "
-            "degenerates"
-        )
-    e, d, c, b, _ = weil.frobenius_coefficients
-    s = _power_sums((e, d, c, b, 1), 12)
-    t = _power_sums((e**3, b * e**2, c * e, d, 1), 12)
-    h = [1]
-    for k in range(1, 13):
-        total = sum(
-            h[k - i] * (s[i] * t[i] - 4 * e**i) for i in range(1, k + 1)
-        )
-        h.append(-total // k)  # exact: the h_k are integers
-    ratio_coeffs = []
-    for k in range(12, -1, -1):
-        q, r = divmod(h[k] * e**4, e**k)
-        if r:
-            raise ArithmeticError("ratio polynomial must have integer entries")
-        ratio_coeffs.append(q)
-    orders = tuple(
-        n for n in _RATIO_ORDERS
-        if not any(_divmod_monic(ratio_coeffs, cyclotomic(n))[1])
-    )
-    return RootRatioReport(orders, tuple(ratio_coeffs))
+        raise StructureError("repeated Frobenius eigenvalues")
+    p = weil.p
+    s = _power_sums(weil.frobenius_coefficients, 2 * _RATIO_ORDERS[-1])
+    exact = {}
+    for n in _RATIO_ORDERS:
+        pairs = _coinciding_pairs(p**n, s[n], (s[n] * s[n] - s[2 * n]) // 2)
+        exact[n] = pairs - sum(exact[d] for d in exact if n % d == 0)
+    return RootRatioReport(tuple(n for n, count in exact.items() if count))

@@ -269,6 +269,9 @@ def test_load_curve_file_rejections():
         {"f_coefficients": [0, 1, 0, 0, 0, True], "degree": 5},
         {"f_coefficients": [0, 1, 0, 0, 0, {"num": "1"}], "degree": 5},
         {"variables": "h1", "f_coefficients": [0, 1, 0, 0, 0, 1], "degree": 5},
+        # MultiPoly refuses the repeated name with a bare ValueError
+        {"variables": ["h1", "h1"], "f_coefficients": [0, 1, 0, 0, 0, 1],
+         "degree": 5},
         {"variables": ["h1"], "f_coefficients": ["zz", 1, 0, 0, 0, 1],
          "degree": 5},
         {"f_coefficients": [0, 1, 0, 0, 0, 0], "degree": 5},

@@ -1,7 +1,7 @@
 """Inexact input never reaches a result.
 
 Every library entry that takes a rational value, a prime, a point count,
-an exponent, a quartic coefficient, a cyclotomic order, a series
+a field extension degree, an exponent, a quartic coefficient, a series
 truncation, a composition order, a sampling seed or a trial count
 refuses a bool, a float, a numeric string and a Decimal with TypeError,
 instead of turning it into an exact value: Fraction(0.1)
@@ -37,7 +37,6 @@ from spectral_torelli.finite_arithmetic import (
     smallest_nonresidue,
 )
 from spectral_torelli.galois_certificates import (
-    cyclotomic,
     factor_quartic,
     galois_group,
     resolvent_cubic,
@@ -98,6 +97,11 @@ ENTRIES = {
     "count_points": (
         lambda v: count_points(reduce_mod_p(kfs_curve(), 37), v), 37
     ),
+    # True == 1 and 2.0 == 2 would pick the F_p or the F_{p^2} count
+    "count_points extension": (
+        lambda v: count_points(reduce_mod_p(kfs_curve(), 37), 37, extension=v),
+        2,
+    ),
     "MultiPoly coefficient": (lambda v: MultiPoly(("a",), {(1,): v}), 1),
     "MultiPoly exponent": (lambda v: MultiPoly(("a",), {(v,): 1}), 1),
     "MultiPoly.constant": (lambda v: MultiPoly.constant(("a",), v), 1),
@@ -142,7 +146,6 @@ ENTRIES = {
     "galois_group": (lambda v: galois_group((1369, -74, v, -2, 1)), 38),
     "resolvent_cubic": (lambda v: resolvent_cubic((7, 5, v, 2, 1)), 3),
     "squarefree_part": (squarefree_part, 12),
-    "cyclotomic": (cyclotomic, 4),
 }
 
 
@@ -165,13 +168,3 @@ def test_prime_caches_do_not_answer_for_floats_or_bools():
             _validated_odd_prime(bad)
         with pytest.raises(TypeError):
             smallest_nonresidue(bad)
-
-
-def test_cyclotomic_cache_does_not_answer_for_floats_or_bools():
-    # cyclotomic(4.0) and cyclotomic(True) would find the entries of 4
-    # and 1 in an untyped cache.
-    assert cyclotomic(4) == (1, 0, 1)
-    assert cyclotomic(1) == (-1, 1)
-    for bad in (4.0, True):
-        with pytest.raises(TypeError):
-            cyclotomic(bad)

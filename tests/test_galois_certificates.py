@@ -1,5 +1,6 @@
-"""Galois classification of Frobenius quartics and the cyclotomic scan
-of eigenvalue ratios, checked against sympy's number-field machinery and
+"""Galois classification of Frobenius quartics and the count of
+eigenvalue ratios that are roots of unity, checked against sympy's
+number-field machinery, the reference ratio polynomial and
 hand-computable small cases."""
 
 import math
@@ -14,7 +15,6 @@ from sympy.abc import t
 from sympy.polys.numberfields.galoisgroups import galois_group as sympy_galois
 
 from spectral_torelli.errors import (
-    DegreeBoundError,
     InconsistentCountsError,
     ReducibleQuarticError,
     StructureError,
@@ -25,14 +25,14 @@ from spectral_torelli.finite_arithmetic import (
     _within_weil_bounds,
     is_prime,
     weil_polynomial,
+    zeta_rational_form,
 )
 from spectral_torelli.galois_certificates import (
     _RATIO_ORDERS,
-    _divmod_monic,
+    _coinciding_pairs,
     _eval_int_poly,
     _int_divisors,
     _quartic_discriminant,
-    cyclotomic,
     factor_quartic,
     galois_group,
     quadratic_subfield,
@@ -41,6 +41,7 @@ from spectral_torelli.galois_certificates import (
     squarefree_part,
     tate_condition,
 )
+from ratio_reference import cyclotomic, divmod_monic, ratio_polynomial
 
 # ascending quartics with known groups, cross-checked against sympy below
 GROUP_SUITE = [
@@ -113,20 +114,17 @@ class TestEulerPhiAndCyclotomic:
         # phi(n) >= sqrt(n / 2), so no n above 128 has phi(n) <= 8
         expected = tuple(n for n in range(2, 200) if 8 % sympy.totient(n) == 0)
         assert _RATIO_ORDERS == expected
+        # the exact-order count subtracts every proper divisor d >= 2
+        for n in _RATIO_ORDERS:
+            assert all(d in _RATIO_ORDERS for d in range(2, n) if n % d == 0)
 
     def test_cyclotomic_matches_sympy(self):
+        # the reference's cyclotomic polynomials
         for n in list(range(1, 31)) + [105]:
             expected = sympy.Poly(sympy.cyclotomic_poly(n, t), t).all_coeffs()
             assert list(cyclotomic(n)) == list(reversed(expected))
         # 105 is the first index with a coefficient of magnitude 2
         assert min(cyclotomic(105)) == -2
-        with pytest.raises(ValueError):
-            cyclotomic(0)
-
-    def test_cyclotomic_respects_the_degree_cap(self):
-        assert len(cyclotomic(128)) == 65
-        with pytest.raises(DegreeBoundError):
-            cyclotomic(129)
 
 
 class TestQuarticFactorization:
@@ -411,10 +409,12 @@ class TestTateCondition:
             assert tate_condition(weil) == bool(disc)
 
     def test_only_weil_polynomials_are_accepted(self):
-        # the coefficient tuple of WeilPolynomial(37, 2, 38)
-        for scan in (tate_condition, root_ratio_orders, quadratic_subfield):
-            with pytest.raises(TypeError):
-                scan((1369, -74, 38, -2, 1))
+        # the triple and the coefficient tuple of WeilPolynomial(37, 2, 38)
+        for scan in (tate_condition, root_ratio_orders, quadratic_subfield,
+                     zeta_rational_form):
+            for bad in ((37, 2, 38), (1369, -74, 38, -2, 1)):
+                with pytest.raises(TypeError):
+                    scan(bad)
 
 
 class TestRootRatioOrders:
@@ -423,7 +423,6 @@ class TestRootRatioOrders:
             report = root_ratio_orders(WeilPolynomial(p, a1, a2))
             assert report.orders == ()
             assert report.clean
-            assert len(report.ratio_coefficients) == 13
 
     def test_supersingular_ratios_are_roots_of_unity(self):
         # eigenvalues of t^4 + 9 differ by powers of i
@@ -432,9 +431,9 @@ class TestRootRatioOrders:
         assert not report.clean
 
     def test_ratio_polynomial_matches_the_resultant_construction(self):
+        # the reference's power-sum construction
         u = sympy.symbols("u")
         for weil in (WeilPolynomial(37, 2, 38), WeilPolynomial(3, 0, 0)):
-            report = root_ratio_orders(weil)
             ascending = weil.frobenius_coefficients
             fixed = as_expr(ascending)
             scaled = sum(c * u**i * t**i for i, c in enumerate(ascending))
@@ -442,36 +441,53 @@ class TestRootRatioOrders:
             expected = sympy.Poly(
                 sympy.cancel(res / (u - 1) ** 4), u
             ).all_coeffs()
-            assert list(report.ratio_coefficients) == list(reversed(expected))
+            assert list(ratio_polynomial(weil)) == list(reversed(expected))
 
     def test_ratio_polynomial_vanishes_on_numeric_ratios(self):
         import mpmath
 
-        report = root_ratio_orders(WeilPolynomial(37, 2, 38))
+        ratio = ratio_polynomial(WeilPolynomial(37, 2, 38))
         with mpmath.workdps(60):
             roots = mpmath.polyroots([1, -2, 38, -74, 1369])
-            scale = max(abs(c) for c in report.ratio_coefficients)
+            scale = max(abs(c) for c in ratio)
             for j, a in enumerate(roots):
                 for k, b in enumerate(roots):
                     if j == k:
                         continue
-                    value = mpmath.polyval(
-                        list(reversed(report.ratio_coefficients)), a / b
-                    )
+                    value = mpmath.polyval(list(reversed(ratio)), a / b)
                     assert abs(value) < scale * mpmath.mpf(10) ** -40
 
     def test_repeated_eigenvalues_are_rejected(self):
         with pytest.raises(StructureError):
             root_ratio_orders(WeilPolynomial(5, 0, -10))
 
+    def test_pair_count_on_each_shape(self):
+        # (t^2 - S t + q)(t^2 - S' t + q) with q = 4, so b1 = S + S' and
+        # b2 = S S' + 2q; the count is sum m (m - 1) over the multiplicities
+        # m of the roots
+        u = sympy.symbols("u")
+        shapes = {
+            "distinct": (1, 0, 0),
+            "one double root": (4, 1, 2),
+            "two doubles, S' = -S": (4, -4, 4),
+            "S = S'": (1, 1, 4),
+            "(t - 2)^4": (4, 4, 12),
+        }
+        for name, (s, s_prime, pairs) in shapes.items():
+            quartic = (u**2 - s * u + 4) * (u**2 - s_prime * u + 4)
+            roots = sympy.roots(sympy.Poly(quartic, u))
+            assert sum(m * (m - 1) for m in roots.values()) == pairs, name
+            assert _coinciding_pairs(4, s + s_prime, s * s_prime + 8) == pairs
+
     def test_orders_match_the_old_window_exhaustively(self):
-        # The reference is the wider window every n <= 90 with phi(n) <= 24
-        # whose cyclotomic polynomial fits the degree-12 ratio polynomial.
-        # The 13 orders with phi(n) | 8 find the same orders on every
-        # separable quartic of Weil shape t^4 - a1 t^3 + a2 t^2 - p a1 t
-        # + p^2 in a box around the Weil bounds, p <= 11. A division is
-        # tried only where Phi_n(x) divides R(x) at x = 2^64, which every
-        # factor Phi_n of the ratio polynomial R passes.
+        # The reference is the ratio polynomial scanned over the wider
+        # window every n <= 90 with phi(n) <= 24 whose cyclotomic
+        # polynomial fits its degree 12. The pair count over the 13 orders
+        # with phi(n) | 8 finds the same orders on every separable quartic
+        # of Weil shape t^4 - a1 t^3 + a2 t^2 - p a1 t + p^2 in a box
+        # around the Weil bounds, p <= 11. A division is tried only where
+        # Phi_n(x) divides R(x) at x = 2^64, which every factor Phi_n of
+        # the ratio polynomial R passes.
         x = 2 ** 64
         window = [
             (n, phi_n, _eval_int_poly(phi_n, x))
@@ -487,16 +503,15 @@ class TestRootRatioOrders:
                     weil = WeilPolynomial(p, a1, a2)
                     if not tate_condition(weil):
                         continue
-                    report = root_ratio_orders(weil)
-                    ratio = report.ratio_coefficients
+                    ratio = ratio_polynomial(weil)
                     ratio_x = _eval_int_poly(ratio, x)
                     old = tuple(
                         n for n, phi_n, phi_x in window
                         if len(phi_n) <= len(ratio)
                         and ratio_x % phi_x == 0
-                        and not any(_divmod_monic(ratio, phi_n)[1])
+                        and not any(divmod_monic(ratio, phi_n)[1])
                     )
-                    assert report.orders == old
+                    assert root_ratio_orders(weil).orders == old
                     checked += 1
                     with_orders += bool(old)
         assert (checked, with_orders) == (7801, 569)
@@ -518,11 +533,10 @@ class TestIntegerArithmeticAgainstSympy:
             sympy.cancel(sympy.resultant(fixed, scaled, t) / (u - 1) ** 4), u
         )
         factors = {f for f, _ in ratio.factor_list()[1]}
-        orders = tuple(
+        return tuple(
             n for n in self.SMALL_ORDERS
             if sympy.Poly(sympy.cyclotomic_poly(n, u), u) in factors
         )
-        return tuple(reversed(ratio.all_coeffs())), orders
 
     @given(st.data())
     def test_weil_triples(self, data):
@@ -536,10 +550,7 @@ class TestIntegerArithmeticAgainstSympy:
             with pytest.raises(StructureError):
                 root_ratio_orders(weil)
             return
-        report = root_ratio_orders(weil)
-        coefficients, orders = self.oracle(ascending)
-        assert report.ratio_coefficients == coefficients
-        assert report.orders == orders
+        assert root_ratio_orders(weil).orders == self.oracle(ascending)
 
     @given(
         st.integers(-10**6, 10**6).filter(bool),

@@ -59,9 +59,7 @@ BUILDERS = {
     "QuadraticSubfield": lambda v: QuadraticSubfield(
         (-36, -2, 1), 37, "V4" if v else "D4"
     ),
-    "RootRatioReport": lambda v: RootRatioReport(
-        (2,) if v else (), (1, 0, 1)
-    ),
+    "RootRatioReport": lambda v: RootRatioReport((2,) if v else ()),
     "IgusaInvariants": lambda v: igusa(
         [2, -1, 0, 3, 0, 1, 1] if v else [1, 0, 0, 0, 0, 1]
     ),
