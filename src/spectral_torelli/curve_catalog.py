@@ -53,9 +53,15 @@ class HyperellipticCurve(Frozen):
     Fractions, and refuses anything else (a bool or float included) with
     TypeError; it stores them as Fractions. A curve over F_p comes only
     from `reduce_mod_p`: its coefficients are the residues of f as plain
-    ints in range(p), and `characteristic` is p."""
+    ints in range(p), and `characteristic` is p.
 
-    __slots__ = ("coefficients", "degree", "characteristic")
+    A curve over Q evaluates the sextic discriminant table once, in its
+    constructor, on the integers L*f with L the lcm of the denominators,
+    and keeps D(L f) for `discriminant` and `reduce_mod_p`."""
+
+    __slots__ = (
+        "coefficients", "degree", "characteristic", "_scaled_discriminant"
+    )
 
     def __init__(self, coefficients):
         coeffs = list(coefficients)
@@ -69,10 +75,16 @@ class HyperellipticCurve(Frozen):
                 "degree drops below 5: the model is not genus 2"
             )
         self._fill(coeffs, 0)
-        if not self.discriminant():
+        scale = self._scale()
+        disc = binary_sextic_discriminant(
+            [c.numerator * (scale // c.denominator)
+             for c in self.sextic_coefficients()]
+        )
+        if not disc:
             raise DegenerateCurveError(
                 "f has a repeated root: the model is singular"
             )
+        object.__setattr__(self, "_scaled_discriminant", disc)
 
     @classmethod
     def _over_prime_field(cls, residues, p):
@@ -92,19 +104,19 @@ class HyperellipticCurve(Frozen):
         pad = (zero,) * (7 - len(self.coefficients))
         return self.coefficients + pad
 
+    def _scale(self):
+        """L, the lcm of the denominators of the coefficients."""
+        return math.lcm(*(c.denominator for c in self.coefficients))
+
     def discriminant(self):
-        """The discriminant of f, from the sextic table evaluated on
-        plain integers: the coefficients times L, the lcm of their
-        denominators (the discriminant is homogeneous of degree 10, so it
-        is D(L f) / L^10). Over F_p, L = 1 and the result is the residue
-        of D(f) in range(p)."""
-        coeffs = self.sextic_coefficients()
-        scale = math.lcm(*(c.denominator for c in coeffs))
-        scaled = [c.numerator * (scale // c.denominator) for c in coeffs]
-        disc = binary_sextic_discriminant(scaled)
-        if self.characteristic:
-            return disc % self.characteristic
-        return Fraction(disc, scale**10)
+        """The discriminant of f. Over Q it is D(L f) / L^10, from the
+        value the constructor kept (the table is homogeneous of degree
+        10). Over F_p it is the table evaluated on the residues, reduced
+        into range(p)."""
+        p = self.characteristic
+        if p:
+            return binary_sextic_discriminant(self.sextic_coefficients()) % p
+        return Fraction(self._scaled_discriminant, self._scale() ** 10)
 
     def __eq__(self, other):
         if not isinstance(other, HyperellipticCurve):
@@ -190,9 +202,34 @@ class CurveFamily(Frozen):
             if self.identifier:
                 meta.setdefault("specialized_from", self.identifier)
             return CurveFamily(None, remaining, coeffs, metadata=meta)
-        return HyperellipticCurve(
-            [c.evaluate(values) for c in self.coefficients]
-        )
+        return HyperellipticCurve(self._coefficients_at(values))
+
+    def _coefficients_at(self, values):
+        """The coefficients at a full assignment, evaluated on ints. With
+        the value of parameter i written n_i/d_i and D_i the largest
+        exponent of i in any coefficient, one table per parameter holds
+        n_i^e * d_i^(D_i - e) for e = 0..D_i, shared by all coefficients.
+        A coefficient is then sum(c * prod(table_i[e_i])) over its int
+        numerators, divided once by its denominator times prod d_i^D_i."""
+        keys = [exps for c in self.coefficients for exps in c.numerators]
+        tops = [max(column) for column in zip(*keys)]
+        tables = []
+        scale = 1
+        for name, top in zip(self.parameters, tops):
+            num, den = values[name].numerator, values[name].denominator
+            tables.append([num**e * den ** (top - e) for e in range(top + 1)])
+            scale *= den**top
+        lookup = list.__getitem__
+        return [
+            Fraction(
+                sum(
+                    math.prod(map(lookup, tables, exps), start=n)
+                    for exps, n in c.numerators.items()
+                ),
+                c.denominator * scale,
+            )
+            for c in self.coefficients
+        ]
 
     def __repr__(self):
         name = self.identifier or "<anonymous>"
@@ -442,7 +479,11 @@ def reduce_mod_p(curve, p):
     """Reduce a rational curve modulo an odd prime, requiring good
     reduction: denominators coprime to p, degree preserved, and the
     reduced discriminant nonzero. p must be an int (TypeError otherwise);
-    p = 2 raises BadReductionError and any other non-prime ValueError."""
+    p = 2 raises BadReductionError and any other non-prime ValueError.
+
+    The reduced discriminant is not evaluated: with p prime to L, the lcm
+    of the denominators, the table on the residues is L^-10 D(L f) mod p,
+    so it is 0 exactly when p divides the curve's kept D(L f)."""
     p = _validated_odd_prime(p)
     if curve.characteristic:
         raise AlignmentError("curve is already over a finite field")
@@ -454,12 +495,11 @@ def reduce_mod_p(curve, p):
         raise BadReductionError(
             f"leading coefficient vanishes modulo {p}: the degree drops"
         )
-    reduced = HyperellipticCurve._over_prime_field(residues, p)
-    if not reduced.discriminant():
+    if not curve._scaled_discriminant % p:
         raise BadReductionError(
             f"the reduction modulo {p} is singular (discriminant is 0)"
         )
-    return reduced
+    return HyperellipticCurve._over_prime_field(residues, p)
 
 
 def _rational_from_json(value):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spectral_torelli import curve_catalog
@@ -134,9 +134,8 @@ def test_reduction_mod_p():
 
 
 def test_reduction_evaluates_one_discriminant(monkeypatch):
-    curve = catalog_get("KFS").specialize(KFS_POINT)
-    # x(x - 1)(x - 2)(x - 3)(x - 8) is squarefree, but 8 = 3 modulo 5
-    singular = HyperellipticCurve([0, 48, -94, 59, -14, 1])
+    # a curve over Q evaluates the table once, in its constructor; its
+    # reductions and its own discriminant() read the kept D(L f)
     calls = []
 
     def counted(coefficients):
@@ -144,15 +143,154 @@ def test_reduction_evaluates_one_discriminant(monkeypatch):
         return binary_sextic_discriminant(coefficients)
 
     monkeypatch.setattr(curve_catalog, "binary_sextic_discriminant", counted)
-    reduce_mod_p(curve, 37)
-    assert len(calls) == 1
+    curve = catalog_get("KFS").specialize(KFS_POINT)
+    # x(x - 1)(x - 2)(x - 3)(x - 8) is squarefree, but 8 = 3 modulo 5
+    singular = HyperellipticCurve([0, 48, -94, 59, -14, 1])
+    assert len(calls) == 2
     calls.clear()
+    reduce_mod_p(curve, 37)
+    assert curve.discriminant() == Fraction(binary_sextic_discriminant(
+        [Fraction(c) for c in KFS_RATIONAL]
+    ))
+    assert len(calls) == 0
     with pytest.raises(BadReductionError) as info:
         reduce_mod_p(singular, 5)
     assert str(info.value) == (
         "the reduction modulo 5 is singular (discriminant is 0)"
     )
-    assert len(calls) == 1
+    assert len(calls) == 0
+
+
+# Values assigned to each family's parameters in order (KFS takes the
+# first three): the frozen rank-3 witness point and a point with int and
+# shared-denominator values.
+ORACLE_POINTS = (
+    (Fraction(25, 56), Fraction(37, 80), Fraction(-63, 41), Fraction(72, 53)),
+    (Fraction(-7, 3), 5, Fraction(11, 15), Fraction(-2, 9)),
+)
+ORACLE_PRIMES = [
+    p for p in range(3, 200, 2) if all(p % d for d in range(3, p, 2))
+]
+
+
+def _oracle_curves():
+    for identifier in catalog_ids()[:5]:
+        family = catalog_get(identifier)
+        for values in ORACLE_POINTS:
+            yield family.specialize(dict(zip(family.parameters, values)))
+    # x(x - 1)(x - 2)(x - 3)(x - 8): bad at 3, 5 and 7 by its roots alone
+    yield HyperellipticCurve([0, 48, -94, 59, -14, 1])
+    # a quintic whose degree drops at 3, 7, 11 and 13
+    yield HyperellipticCurve(
+        [Fraction(1, 15), 2, -5, Fraction(7, 187), 1, 3 * 7 * 11 * 13]
+    )
+
+
+def _residue_rule(curve, p):
+    """The error text of the reduction rule that evaluates the table on
+    the residues, or None for good reduction: a denominator divisible by
+    p, then a vanishing leading residue, then a zero table."""
+    for c in curve.coefficients:
+        if not c.denominator % p:
+            return f"denominator {c.denominator} is divisible by {p}"
+    residues = [
+        c.numerator * pow(c.denominator, -1, p) % p
+        for c in curve.coefficients
+    ]
+    if not residues[-1]:
+        return f"leading coefficient vanishes modulo {p}: the degree drops"
+    reduced = HyperellipticCurve._over_prime_field(residues, p)
+    if not reduced.discriminant():
+        return f"the reduction modulo {p} is singular (discriminant is 0)"
+    return None
+
+
+def test_reduction_verdict_matches_the_residue_table():
+    # reduce_mod_p decides singularity from the curve's kept D(L f); the
+    # table evaluated on the residues is the rule it must agree with
+    seen = set()
+    for curve in _oracle_curves():
+        for p in ORACLE_PRIMES:
+            expected = _residue_rule(curve, p)
+            seen.add(expected.split()[0] if expected else None)
+            if expected is None:
+                reduced = reduce_mod_p(curve, p)
+                assert reduced.characteristic == p
+                assert reduced.discriminant()
+                continue
+            with pytest.raises(BadReductionError) as info:
+                reduce_mod_p(curve, p)
+            assert str(info.value) == expected
+    # good reduction and each of the three refusals all occurred
+    assert seen == {None, "denominator", "leading", "the"}
+
+
+def _exact_values(draw, names, shared):
+    """Parameter values of every kind the int path must handle: zero,
+    ints, and Fractions over a shared or an own large denominator, with
+    numerators of either sign."""
+    values = {}
+    for name in names:
+        kind = draw(st.sampled_from(("zero", "int", "shared", "own")))
+        num = draw(st.integers(1, 10**6)) * draw(st.sampled_from((1, -1)))
+        if kind == "zero":
+            values[name] = 0
+        elif kind == "int":
+            values[name] = num
+        elif kind == "shared":
+            values[name] = Fraction(num, shared)
+        else:
+            values[name] = Fraction(num, draw(st.integers(1, 10**12)))
+    return values
+
+
+def _specializes_like_evaluate(family, values):
+    try:
+        expected = HyperellipticCurve(
+            [c.evaluate(values) for c in family.coefficients]
+        )
+    except DegenerateCurveError:
+        with pytest.raises(DegenerateCurveError):
+            family.specialize(values)
+        return
+    got = family.specialize(values)
+    assert got == expected
+    assert got.discriminant() == expected.discriminant()
+
+
+@st.composite
+def _small_families(draw):
+    names = ("a", "b", "c")[: draw(st.integers(1, 3))]
+    exponents = st.tuples(*(st.integers(0, 4) for _ in names))
+    scalars = st.one_of(
+        st.integers(-50, 50),
+        st.fractions(min_value=-50, max_value=50, max_denominator=40),
+    )
+    polys = st.dictionaries(exponents, scalars, max_size=5).map(
+        lambda terms: MultiPoly(names, terms)
+    )
+    coefficients = draw(st.lists(polys, min_size=6, max_size=7))
+    assume(not coefficients[-1].is_zero())
+    return CurveFamily(None, names, coefficients)
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_specialize_on_ints_matches_evaluate_on_small_families(data):
+    family = data.draw(_small_families())
+    shared = data.draw(st.integers(1, 10**6))
+    values = _exact_values(data.draw, family.parameters, shared)
+    _specializes_like_evaluate(family, values)
+
+
+@pytest.mark.parametrize("identifier", catalog_ids()[:5])
+@settings(max_examples=30)
+@given(data=st.data())
+def test_specialize_on_ints_matches_evaluate_on_the_catalog(identifier, data):
+    family = catalog_get(identifier)
+    shared = data.draw(st.integers(1, 10**6))
+    values = _exact_values(data.draw, family.parameters, shared)
+    _specializes_like_evaluate(family, values)
 
 
 def _expect_discriminant(coefficients, zero):
