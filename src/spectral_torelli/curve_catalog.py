@@ -139,7 +139,8 @@ class CurveFamily(Frozen):
     polynomials in the family parameters. Validity (a squarefree f) is
     generic; specialization checks it at each chosen parameter point."""
 
-    __slots__ = ("identifier", "parameters", "coefficients", "degree", "metadata")
+    __slots__ = ("identifier", "parameters", "coefficients", "degree",
+                 "metadata", "_tops")
 
     def __init__(self, identifier, parameters, coefficients, *, metadata=None):
         parameters = tuple(parameters)
@@ -166,6 +167,8 @@ class CurveFamily(Frozen):
         object.__setattr__(self, "coefficients", tuple(lifted))
         object.__setattr__(self, "degree", len(lifted) - 1)
         object.__setattr__(self, "metadata", dict(metadata or {}))
+        columns = zip(*(exps for c in lifted for exps in c.numerators))
+        object.__setattr__(self, "_tops", tuple(map(max, columns)))
 
     def with_identifier(self, identifier, **extra_metadata):
         meta = dict(self.metadata)
@@ -210,12 +213,11 @@ class CurveFamily(Frozen):
         exponent of i in any coefficient, one table per parameter holds
         n_i^e * d_i^(D_i - e) for e = 0..D_i, shared by all coefficients.
         A coefficient is then sum(c * prod(table_i[e_i])) over its int
-        numerators, divided once by its denominator times prod d_i^D_i."""
-        keys = [exps for c in self.coefficients for exps in c.numerators]
-        tops = [max(column) for column in zip(*keys)]
+        numerators, divided once by its denominator times prod d_i^D_i.
+        The maxima D_i are the family's, found once by its constructor."""
         tables = []
         scale = 1
-        for name, top in zip(self.parameters, tops):
+        for name, top in zip(self.parameters, self._tops):
             num, den = values[name].numerator, values[name].denominator
             tables.append([num**e * den ** (top - e) for e in range(top + 1)])
             scale *= den**top

@@ -17,8 +17,10 @@ factor per coefficient (with the weight (-1)^i C(k, i) folded in), the
 products are summed, and the Fraction prefactor is applied once. The
 discriminant J10 comes from a frozen table of 246 integer terms, run as
 one nested Horner program (grouped by the exponent of b0, then b1, ...,
-b6) that every coefficient ring shares; a curve's discriminant mod p is
-the same program run on its residues.
+b6); a curve's discriminant mod p is the same program run on its
+residues. A jet's runs on plain ints, at its values v and at v + q d_k for
+each partial d_k: D(v + q d) = D(v) + q grad D(v) . d mod q^2, because
+each Taylor coefficient of the integer polynomial D has integer terms.
 
 The independence rank evaluates the invariants with jets mod q and takes
 the rank of their Jacobian mod q. A minor that is nonzero mod q is
@@ -105,17 +107,8 @@ def _discriminant_program():
     return tuple(powers), tuple(program)
 
 
-def binary_sextic_discriminant(coefficients):
-    """Discriminant of b0 + b1*x + ... + b6*x^6 from the frozen table.
-
-    `coefficients` is an ascending length-7 sequence over a commutative
-    ring whose elements support x + y, x * y, x ** g (g >= 2), and + and *
-    with an int on either side. Each power is computed once, the Horner
-    program runs on one stack, and `+ b0 * 0` keeps a zero in the ring.
-    """
-    b = tuple(coefficients)
-    if len(b) != 7:
-        raise DegreeBoundError("expected 7 ascending sextic coefficients")
+def _run_discriminant_program(b):
+    """The Horner program on b0..b6: each power computed once, one stack."""
     pairs, program = _discriminant_program()
     powers = [b[i] ** g if g > 1 else b[i] for i, g in pairs]
     stack = []
@@ -127,7 +120,39 @@ def binary_sextic_discriminant(coefficients):
             stack[-1] = powers[x] * stack[-1] + v
         else:
             stack[-1] = powers[x] * stack[-1]
-    return stack.pop() + b[0] * 0
+    return stack.pop()
+
+
+def binary_sextic_discriminant(coefficients):
+    """Discriminant of b0 + b1*x + ... + b6*x^6 from the frozen table.
+
+    `coefficients` is an ascending length-7 sequence over a commutative
+    ring whose elements support x + y, x * y, x ** g (g >= 2), and + and *
+    with an int on either side; `+ b0 * 0` keeps a zero in the ring.
+
+    If any coefficient is a Jet1, the others are lifted by its coercion and
+    no jet arithmetic runs. With q = Jet1.MODULUS, the program runs on the
+    int values v and on v + q d_k, and partial k is (D(v + q d_k) - D(v))
+    // q mod q. That is exact: D(v + q d) = D(v) + q grad D(v) . d mod q^2,
+    as each Taylor coefficient of the integer polynomial D has integer terms.
+    """
+    b = tuple(coefficients)
+    if len(b) != 7:
+        raise DegreeBoundError("expected 7 ascending sextic coefficients")
+    jet = next((c for c in b if isinstance(c, Jet1)), None)
+    if jet is None:
+        return _run_discriminant_program(b) + b[0] * 0
+    jets = [jet._coerce(c) for c in b]
+    if any(j is NotImplemented for j in jets):
+        raise TypeError("a jet discriminant takes Jet1, int or Fraction")
+    q = Jet1.MODULUS
+    values = [j.value for j in jets]
+    base = _run_discriminant_program(values)
+    return Jet1._trusted(base % q, tuple(
+        (_run_discriminant_program([v + q * d for v, d in zip(values, dk)])
+         - base) // q % q
+        for dk in zip(*(j.partials for j in jets))
+    ))
 
 
 def _lift_common(coeffs):
