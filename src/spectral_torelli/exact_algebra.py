@@ -931,8 +931,9 @@ def resultant(f, g):
 
 def _residue(value, q):
     """The image of an exact rational in Z/qZ, as an int in range(q), for
-    a prime q. A denominator divisible by q raises ZeroDivisionError, and
-    anything but an exact rational TypeError (see `_rational`)."""
+    q a prime or a prime's square. A denominator divisible by q raises
+    ZeroDivisionError (one that is otherwise not a unit mod q, ValueError),
+    and anything but an exact rational TypeError (see `_rational`)."""
     if type(value) is int:
         return value % q
     value = _rational(value)

@@ -13,25 +13,23 @@ courbes de genre 2 à partir de leurs modules", 1991): a = (f, f)_6, the
 quartic i = (f, f)_4, b = (i, i)_4, the Hessian (i, i)_2 and
 c = (i, (i, i)_2)_4. A transvectant works straight on ascending
 coefficient lists: each partial derivative it needs is one integer
-factor per coefficient (with the weight (-1)^i C(k, i) folded in), the
-products are summed, and the Fraction prefactor is applied once. The
+factor per coefficient (with the weight (-1)^i C(k, i) folded in), and
+the products are summed; the Fraction prefactors are folded into the
+constants of J2, J4 and J6 (`_weights`), so ints stay ints. The
 discriminant J10 comes from a frozen table of 246 integer terms, run as
 one nested Horner program (grouped by the exponent of b0, then b1, ...,
 b6); a curve's discriminant mod p is the same program run on its
-residues. A jet's runs on plain ints, at its values v and at v + q d_k for
-each partial d_k: D(v + q d) = D(v) + q grad D(v) . d mod q^2, because
-each Taylor coefficient of the integer polynomial D has integer terms.
+residues, and a jet's on ints at its values v and at v + q d_k.
 
-The independence rank evaluates the invariants with jets mod q and takes
-the rank of their Jacobian mod q. A minor that is nonzero mod q is
-nonzero over Q, so the rank found is a certified lower bound on the rank
-over Q. Rejections stay exact: a point is degenerate only when J10 or J2
-is 0 over Q, and wherever one of them, or a denominator, is 0 mod q the
-point is settled with Fraction arithmetic (see `rank_at_point`).
+The independence rank runs the invariant map on ints mod q^2, at the
+point and at the point moved by q along each parameter, and reads the
+Jacobian mod q from the differences; its rank is a certified lower bound
+on the rank over Q, and rejections stay exact (see `rank_at_point`).
 """
 
 import json
 import math
+import numbers
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -50,7 +48,7 @@ from .exact_algebra import (
     MultiPoly,
     _integer,
     _rational,
-    jet_eval,
+    _residue,
     rational_matrix_rank,
 )
 
@@ -128,15 +126,15 @@ def binary_sextic_discriminant(coefficients):
 
     `coefficients` is an ascending length-7 sequence over a commutative
     ring whose elements support x + y, x * y, x ** g (g >= 2), and + and *
-    with an int on either side; `+ b0 * 0` keeps a zero in the ring.
+    with an int on either side; `+ b0 * 0` keeps a zero in the ring. A
+    number or a string among them must be an int or a Fraction.
 
     If any coefficient is a Jet1, the others are lifted by its coercion and
     no jet arithmetic runs. With q = Jet1.MODULUS, the program runs on the
     int values v and on v + q d_k, and partial k is (D(v + q d_k) - D(v))
-    // q mod q. That is exact: D(v + q d) = D(v) + q grad D(v) . d mod q^2,
-    as each Taylor coefficient of the integer polynomial D has integer terms.
+    // q mod q, by the step-q lemma (see `rank_at_point`).
     """
-    b = tuple(coefficients)
+    b = tuple(map(_exact_scalar, coefficients))
     if len(b) != 7:
         raise DegreeBoundError("expected 7 ascending sextic coefficients")
     jet = next((c for c in b if isinstance(c, Jet1)), None)
@@ -155,10 +153,17 @@ def binary_sextic_discriminant(coefficients):
     ))
 
 
+def _exact_scalar(c):
+    """A number or a string must be an exact rational (`_rational`);
+    ring elements, MultiPoly and Jet1 among them, pass unchanged."""
+    return _rational(c) if isinstance(c, (numbers.Number, str)) else c
+
+
 def _lift_common(coeffs):
     """Put every coefficient into one ring by adding that ring's zero:
     ints become Fractions, and int/Fraction scalars join the MultiPoly or
     Jet1 ring of the others. Rings that do not add raise AlignmentError."""
+    coeffs = [_exact_scalar(c) for c in coeffs]
     try:
         zero = sum((c * 0 for c in coeffs), Fraction(0))
     except TypeError:
@@ -176,14 +181,19 @@ def _partial(c, a, b, w):
     ]
 
 
-def _transvectant(f, g, k):
-    """(f, g)_k of two forms given by ascending coefficient lists over one
-    ring: (m-k)! (n-k)! / (m! n!) times the sum over i of (-1)^i C(k, i)
-    d^k f/dx^(k-i) dz^i * d^k g/dx^i dz^(k-i)."""
-    m, n = len(f) - 1, len(g) - 1
+def _prefactor(m, n, k):
+    """(m-k)! (n-k)! / (m! n!), the scale of (f, g)_k for degrees m, n."""
     if k < 0 or k > min(m, n):
         raise DegreeBoundError("transvectant index exceeds a form degree")
-    out = [None] * (m + n - 2 * k + 1)
+    fact = math.factorial
+    return Fraction(fact(m - k) * fact(n - k), fact(m) * fact(n))
+
+
+def _transvectant(f, g, k):
+    """(f, g)_k of two forms given by ascending coefficient lists over one
+    ring, without its prefactor (`_prefactor`, which checks k): the sum
+    over i of (-1)^i C(k, i) d^k f/dx^(k-i) dz^i * d^k g/dx^i dz^(k-i)."""
+    out = [None] * (len(f) + len(g) - 2 * k - 1)
     for i in range(k + 1):
         pf = _partial(f, k - i, i, (-1) ** i * math.comb(k, i))
         pg = _partial(g, i, k - i, 1)
@@ -191,11 +201,7 @@ def _transvectant(f, g, k):
             for t, q in enumerate(pg):
                 pq = p * q
                 out[s + t] = pq if out[s + t] is None else out[s + t] + pq
-    pref = Fraction(
-        math.factorial(m - k) * math.factorial(n - k),
-        math.factorial(m) * math.factorial(n),
-    )
-    return tuple(c * pref for c in out)
+    return out
 
 
 def transvectant(f_coefficients, g_coefficients, k):
@@ -205,7 +211,33 @@ def transvectant(f_coefficients, g_coefficients, k):
     one ring."""
     f = list(f_coefficients)
     lifted = _lift_common(f + list(g_coefficients))
-    return _transvectant(lifted[:len(f)], lifted[len(f):], k)
+    f, g = lifted[:len(f)], lifted[len(f):]
+    pref = _prefactor(len(f) - 1, len(g) - 1, k)
+    return tuple(c * pref for c in _transvectant(f, g, k))
+
+
+@lru_cache(maxsize=None)
+def _weights(modulus=None):
+    """Mestre's -240, 4320, -18000, 34560, -432000 and -1440000 times the
+    prefactors of a, b, c in `_j2_j4_j6`: Fractions, or mod `modulus`."""
+    pa, pi = _prefactor(6, 6, 6), _prefactor(6, 6, 4)
+    pb = _prefactor(4, 4, 4) * pi * pi
+    pc = pb * pi * _prefactor(4, 4, 2)
+    w = (-240 * pa, 4320 * pa**2, -18000 * pb,
+         34560 * pa**3, -432000 * pa * pb, -1440000 * pc)
+    return w if modulus is None else tuple(_residue(x, modulus) for x in w)
+
+
+def _j2_j4_j6(f, w):
+    """J2, J4, J6 of the sextic f (7 coefficients over one ring) from the
+    transvectants [., .]_k without prefactor, a = [f, f]_6, b = [i, i]_4
+    and c = [i, [i, i]_2]_4 with i = [f, f]_4, and w from `_weights`."""
+    (a,) = _transvectant(f, f, 6)
+    i = _transvectant(f, f, 4)
+    (b,) = _transvectant(i, i, 4)
+    (c,) = _transvectant(i, _transvectant(i, i, 2), 4)
+    return (a * w[0], a * a * w[1] + b * w[2],
+            a * a * a * w[3] + a * b * w[4] + c * w[5])
 
 
 def _is_zero_value(x):
@@ -268,14 +300,7 @@ def igusa(source):
     if len(coeffs) != 7:
         raise DegreeBoundError("need 6 or 7 ascending coefficients")
     coeffs = _lift_common(coeffs)
-    (a,) = _transvectant(coeffs, coeffs, 6)
-    quartic = _transvectant(coeffs, coeffs, 4)
-    (b,) = _transvectant(quartic, quartic, 4)
-    hessian = _transvectant(quartic, quartic, 2)
-    (c,) = _transvectant(quartic, hessian, 4)
-    j2 = a * (-240)
-    j4 = (a * a) * 4320 + b * (-18000)
-    j6 = (a * a * a) * 34560 + (a * b) * (-432000) + c * (-1440000)
+    j2, j4, j6 = _j2_j4_j6(coeffs, _weights())
     j8 = (j2 * j6 + (j4 * j4) * (-1)) / 4
     j10 = binary_sextic_discriminant(coeffs)
     return IgusaInvariants(j2, j4, j6, j8, j10)
@@ -291,14 +316,16 @@ class RankReport(Record):
                          seed)
 
 
-def _reject_exactly(family, values):
-    """Raise DegenerateCurveError if J10 or J2 of the family member at the
-    rational point `values` is 0 over Q."""
-    inv = igusa([p.evaluate(values) for p in family.sextic_coefficients()])
-    if inv.j10 == 0:
-        raise DegenerateCurveError("sample hits the discriminant locus")
-    if inv.j2 == 0:
-        raise DegenerateCurveError("sample hits the J2 = 0 locus")
+def _absolute_mod(coefficients, m):
+    """The absolute invariants mod m, run on ints, of rational sextic or
+    quintic coefficients with unit denominators; None if J2 is not a unit."""
+    b = [_residue(c, m) for c in coefficients] + [0] * (7 - len(coefficients))
+    j2, j4, j6 = _j2_j4_j6(b, _weights(m))
+    if math.gcd(j2, m) != 1:
+        return None
+    u = pow(j2, -1, m)
+    j10 = _run_discriminant_program(b)
+    return j4 * u**2 % m, j6 * u**3 % m, j10 * u**5 % m
 
 
 def rank_at_point(family, point):
@@ -309,19 +336,27 @@ def rank_at_point(family, point):
     Point coordinates must be exact rationals, ints or Fractions; a
     bool, float or anything else raises TypeError. A name that is not a
     parameter of the family raises AlignmentError.
-    The Jacobian is evaluated with jets mod q, and its rank is taken mod
-    q (`rational_matrix_rank`). A minor that is nonzero mod q is nonzero
-    over Q, so the result is a lower bound on the rank over Q at the
-    point; `independence_rank` reports it as an observed rank.
+
+    The Jacobian comes from n + 1 exact runs of the invariant map on
+    ints, at the point v and at v + q e_k for each parameter k: the
+    family's coefficients at that rational point (`_coefficients_at`)
+    mod q^2, then A = (J4/J2^2, J6/J2^3, J10/J2^5) mod q^2. Column k is
+    (A(v + q e_k) - A(v)) mod q^2 // q, by the step-q lemma: if F = P/Q
+    with P, Q polynomials over Z_(q) (rationals with denominators prime
+    to q) and Q(v) a unit mod q, then F(v + q e_k) = F(v) + q dF/dx_k(v)
+    mod q^2. Proof: P and Q agree mod q^2 with their first-order Taylor
+    expansions at v, which lie over Z_(q), and 1/(Q + q t) = 1/Q - q t/Q^2
+    mod q^2. Each A_j is such a quotient, Q a power of J2. A minor of
+    the Jacobian that is nonzero mod q (`rational_matrix_rank`) is
+    nonzero over Q, so the result is a lower bound on the rank over Q at
+    the point; `independence_rank` reports it as an observed rank.
 
     Rejections are exact. Points where J10 or J2 vanishes over Q (the
     absolute chart breaks down there) raise DegenerateCurveError. When
-    J10 or J2 is 0 mod q, or a denominator of the point or of the
-    family's coefficients is divisible by q, the point is settled over Q
-    with Fraction arithmetic before anything is reported. A point that
-    passes that exact check but has J2 or a denominator 0 mod q has no
-    certificate mod q: it counts as rank 0, which is still a true lower
-    bound.
+    J10 or J2 is 0 mod q, or q divides a denominator of the point or of
+    the family's coefficients, the point is first settled over Q. If it
+    passes but J2 or a denominator is 0 mod q, it has no certificate mod
+    q and counts as rank 0, which is still a true lower bound.
     """
     params = tuple(family.parameters)
     unknown = sorted(set(point) - set(params))
@@ -332,19 +367,23 @@ def rank_at_point(family, point):
         if name not in point:
             raise AlignmentError(f"no value for parameter {name!r}")
         values[name] = _rational(point[name])
-    try:
-        coeffs = [
-            jet_eval(p, values, params) for p in family.sextic_coefficients()
-        ]
-    except ZeroDivisionError:
-        inv = None
-    else:
-        inv = igusa(coeffs)
-    if inv is None or not (inv.j10.value and inv.j2.value):
-        _reject_exactly(family, values)
-        if inv is None or not inv.j2.value:
+    q = Jet1.MODULUS
+    qq = q * q
+    exact = family._coefficients_at(values)
+    dens = (x.denominator for x in (*values.values(), *family.coefficients))
+    base = _absolute_mod(exact, qq) if all(d % q for d in dens) else None
+    if base is None or not base[2] % q:
+        inv = igusa(exact)
+        if inv.j10 == 0:
+            raise DegenerateCurveError("sample hits the discriminant locus")
+        if inv.j2 == 0:
+            raise DegenerateCurveError("sample hits the J2 = 0 locus")
+        if base is None:
             return 0
-    rows = [list(coord.partials) for coord in inv.absolute()]
+    steps = [_absolute_mod(family._coefficients_at(
+        {**values, name: values[name] + q}), qq) for name in params]
+    rows = [[(s - a) % qq // q for s in col]
+            for a, col in zip(base, zip(*steps))]
     return rational_matrix_rank(rows)
 
 

@@ -42,7 +42,13 @@ from spectral_torelli.galois_certificates import (
     resolvent_cubic,
     squarefree_part,
 )
-from spectral_torelli.igusa_invariants import independence_rank, rank_at_point
+from spectral_torelli.igusa_invariants import (
+    binary_sextic_discriminant,
+    igusa,
+    independence_rank,
+    rank_at_point,
+    transvectant,
+)
 from spectral_torelli.series_kernel import (
     HAMILTONIAN_VARIABLES,
     TruncatedSeries,
@@ -86,6 +92,13 @@ ENTRIES = {
     ),
     "rank_at_point": (
         lambda v: rank_at_point(catalog_get("KFS"), kfs_point(v)), 12
+    ),
+    # MultiPoly and Jet1 coefficients pass; numbers and strings are
+    # checked one by one
+    "igusa": (lambda v: igusa([v, 2, 3, 4, 5, 6, 7]), 1),
+    "transvectant": (lambda v: transvectant([1, 2, 3], [1, v, 3], 2), 2),
+    "binary_sextic_discriminant": (
+        lambda v: binary_sextic_discriminant([1, 2, 3, 4, 5, 6, v]), 7
     ),
     "independence_rank seed": (
         lambda v: independence_rank(catalog_get("KFS"), trials=1, seed=v), 7

@@ -7,13 +7,15 @@ import math
 import random
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from spectral_torelli import igusa_invariants
 from spectral_torelli.curve_catalog import (
     CurveFamily,
     catalog_get,
@@ -27,7 +29,12 @@ from spectral_torelli.errors import (
     InconclusiveError,
     UndefinedChartError,
 )
-from spectral_torelli.exact_algebra import Jet1, MultiPoly
+from spectral_torelli.exact_algebra import (
+    Jet1,
+    MultiPoly,
+    jet_eval,
+    rational_matrix_rank,
+)
 from spectral_torelli.igusa_invariants import (
     IgusaInvariants,
     binary_sextic_discriminant,
@@ -417,6 +424,164 @@ def test_small_modulus_keeps_rejections_exact_and_ranks_below(monkeypatch):
                 assert r_small <= r_full
                 seen.add("no certificate" if r_small == 0 < r_full else "rank")
     assert seen == {"degenerate", "no certificate", "rank"}
+
+
+def jet_route(fam, point):
+    """The Jet1 route `rank_at_point` took before its integer runs, kept
+    as the oracle: jets of the coefficients, `igusa` on them, and the
+    partials of `absolute()`. Returns (rank, rows), rows None where it
+    gives 0 without a certificate; raises as `rank_at_point` does."""
+    params = tuple(fam.parameters)
+    try:
+        coeffs = [jet_eval(p, point, params)
+                  for p in fam.sextic_coefficients()]
+    except ZeroDivisionError:
+        inv = None
+    else:
+        inv = igusa(coeffs)
+    if inv is None or not (inv.j10.value and inv.j2.value):
+        if degenerate_over_q(fam, point):
+            raise DegenerateCurveError("degenerate over Q")
+        if inv is None or not inv.j2.value:
+            return 0, None
+    rows = [list(coord.partials) for coord in inv.absolute()]
+    return rational_matrix_rank(rows), rows
+
+
+def integer_route(fam, point):
+    """`rank_at_point` and the rows it ranks (None if it ranks none)."""
+    seen = []
+
+    def recording(rows):
+        seen.append(rows)
+        return rational_matrix_rank(rows)
+
+    with mock.patch.object(igusa_invariants, "rational_matrix_rank",
+                           recording):
+        rank = rank_at_point(fam, point)
+    return rank, (seen[0] if seen else None)
+
+
+def outcome(route, fam, point):
+    try:
+        return route(fam, point)
+    except DegenerateCurveError:
+        return "degenerate"
+
+
+# 11 and 101 make denominators, J2 and J10 vanish mod q at many points
+MODULI = st.sampled_from([Jet1.MODULUS, 11, 101])
+DENOMINATORS = st.sampled_from([1, 2, 3, 7, 11, 22, 33, 101, 121, 202])
+RATIONALS = st.one_of(
+    st.integers(-30, 30),
+    st.builds(Fraction, st.integers(-30, 30), DENOMINATORS),
+)
+SMALL_VARS = ("a", "b", "c")
+
+
+@st.composite
+def small_families(draw):
+    """A CurveFamily in 1-3 parameters: 6 or 7 coefficients with 0-3
+    terms each, exponents up to 2 and small rational coefficients, the
+    leading one kept nonzero by a constant term."""
+    names = SMALL_VARS[:draw(st.integers(1, 3))]
+    term = st.tuples(
+        st.tuples(*[st.integers(0, 2)] * len(names)), RATIONALS
+    )
+    coeffs = [
+        MultiPoly(names, dict(draw(st.lists(term, max_size=3))))
+        for _ in range(draw(st.sampled_from([6, 7])))
+    ]
+    coeffs[-1] = coeffs[-1] + draw(st.integers(1, 5))
+    return CurveFamily(None, names, coeffs)
+
+
+FAMILY_AND_POINT = st.one_of(
+    st.sampled_from(FAMILIES).map(catalog_get), small_families()
+).flatmap(lambda fam: st.tuples(
+    st.just(fam), st.fixed_dictionaries({n: RATIONALS for n in fam.parameters})
+))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(FAMILY_AND_POINT, MODULI)
+def test_integer_runs_give_the_jet_rows(family_and_point, q):
+    """The rows `rank_at_point` ranks are the partials of the absolute
+    invariants of `igusa` on jets of the coefficients, at every catalog
+    family and at random small families, at int, Fraction and mixed
+    points; both routes give the same rank, the same 0 and the same
+    DegenerateCurveError, at q = 2^61 - 1 and at the small q 11 and 101."""
+    fam, point = family_and_point
+    with mock.patch.object(Jet1, "MODULUS", q):
+        assert outcome(integer_route, fam, point) == outcome(
+            jet_route, fam, point
+        )
+
+
+def counting_jet_arithmetic(monkeypatch):
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
+                 "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+                 "__pow__"):
+        def counted(*args, _name=name, _f=getattr(Jet1, name)):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(Jet1, name, counted)
+    return calls
+
+
+def test_rank_at_point_runs_no_jet_arithmetic(monkeypatch):
+    cases = [(w["family"], w["point"], 3) for w in frozen_rank_witnesses()]
+    cases.append(("KFS", {"h1": 12, "h2": 17, "s": 29}, 2))
+    calls = counting_jet_arithmetic(monkeypatch)
+    for ident, point, rank in cases:
+        assert rank_at_point(catalog_get(ident), point) == rank
+    with pytest.raises(DegenerateCurveError):
+        rank_at_point(catalog_get("Gar9/2"), dict.fromkeys(GAR_PARAMS, 0))
+    monkeypatch.setattr(Jet1, "MODULUS", 11)
+    assert rank_at_point(catalog_get("Gar9/2"), {
+        "h1": Fraction(1, 11), "h2": 2, "s1": 3, "s2": 5}) == 0
+    assert calls == []
+
+
+def test_denominators_divisible_by_a_small_q_are_settled_over_q(
+        monkeypatch):
+    """With q = 11, a point with a denominator of 11, 22 or 121, or a
+    family coefficient with denominator 33, has no certificate mod q: it
+    gives 0 when it is not degenerate over Q and DegenerateCurveError
+    when it is, never a ValueError from an inverse mod q^2, and the Jet1
+    route agrees."""
+    a, b = (MultiPoly.variable(n, ("a", "b")) for n in ("a", "b"))
+    thirds = CurveFamily(None, ("a", "b"), [
+        a, b * Fraction(1, 33) + 1, 0, 1, 0, a * b + 2, 1,
+    ])
+    square = CurveFamily(None, ("h1",), [
+        MultiPoly.parse(t, ("h1",))
+        for t in ("h1^2", "-2*h1", "1", "h1^2", "-2*h1", "1")
+    ])
+    cases = [
+        (catalog_get("Gar9/2"),
+         {"h1": Fraction(5, 11), "h2": 2, "s1": 3, "s2": 5}),
+        (catalog_get("Gar9/2"),
+         {"h1": 1, "h2": Fraction(7, 22), "s1": 3, "s2": 5}),
+        (catalog_get("MatI"), dict.fromkeys(
+            catalog_get("MatI").parameters, Fraction(3, 22))),
+        (catalog_get("KFS"), {"h1": 12, "h2": 17, "s": Fraction(2, 121)}),
+        (thirds, {"a": 2, "b": 5}),
+        (thirds, {"a": Fraction(1, 3), "b": -1}),
+        (square, {"h1": Fraction(5, 11)}),
+        (square, {"h1": Fraction(-3, 22)}),
+    ]
+    monkeypatch.setattr(Jet1, "MODULUS", 11)
+    seen = set()
+    for fam, point in cases:
+        got = outcome(integer_route, fam, point)
+        assert got == outcome(jet_route, fam, point)
+        assert got == ("degenerate" if degenerate_over_q(fam, point)
+                       else (0, None))
+        seen.add(got)
+    assert seen == {"degenerate", (0, None)}
 
 
 def test_independence_rank_determinism_and_bounds():
