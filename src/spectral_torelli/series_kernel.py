@@ -3,19 +3,22 @@ coefficients, plus the transcribed three-parameter Laurent solution of the
 degree-9/2 Garnier flow and the machinery to compose Hamiltonians with it.
 
 A series is known on a window [valuation, truncation); everything at or
-beyond the truncation is unknown, never silently zero. Compositions account
-for the unknown tails with one placeholder symbol per input series and
-report a coefficient only when no placeholder survives in it.
+beyond the truncation is unknown, never silently zero. Its terms are one
+flat fraction-free map, which a product cuts at the truncation inside its
+loop; MultiPoly coefficients are built only on access. Compositions
+account for the unknown tails with one placeholder symbol per input
+series and report a coefficient only when no placeholder survives in it.
 """
 
 import json
+import math
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
-from ._record import Frozen, Record
+from ._record import Record
 from .errors import AlignmentError, TruncationError
-from .exact_algebra import MultiPoly, _integer, _power
+from .exact_algebra import MultiPoly, _add, _integer, _power, _reduced
 
 # effectively +infinity for truncation bookkeeping of exactly-known series
 EXACT = 10 ** 9
@@ -31,15 +34,22 @@ def _clamp(n):
     return EXACT if n >= EXACT else n
 
 
-class TruncatedSeries(Frozen):
+class TruncatedSeries(Record):
     """Laurent series known modulo O(t^truncation).
 
-    Coefficients are MultiPoly over a fixed variable list; exponents absent
-    from the map but below the truncation are exact zeros. Exponents and
-    the truncation must be ints (TypeError otherwise, see `_integer`).
+    Stored as `MultiPoly` is: a map `numerators` from keys (t-exponent,
+    *exponents of `variables`) to nonzero ints over one positive int
+    `denominator`, in lowest terms, so the fields compare as the series
+    do; absent keys below the truncation are exact zeros. A product walks
+    the term pairs once, the right factor sorted by t-exponent, and leaves
+    each inner loop at the first pair that reaches the truncation.
+    `coefficients` (t-exponent -> MultiPoly) is built on access, and
+    `coefficient(e)` builds only that one. The constructor takes int,
+    Fraction or MultiPoly coefficients at int exponents below an int
+    truncation (TypeError otherwise, see `_integer`).
     """
 
-    __slots__ = ("variables", "coefficients", "truncation")
+    __slots__ = ("variables", "numerators", "denominator", "truncation")
 
     def __init__(self, variables, coefficients, truncation):
         variables = tuple(variables)
@@ -58,11 +68,26 @@ class TruncatedSeries(Frozen):
                 raise ValueError(
                     f"stored exponent {exp} at or beyond truncation {truncation}"
                 )
-            if not poly.is_zero():
-                clean[exp] = poly
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "coefficients", clean)
-        object.__setattr__(self, "truncation", truncation)
+            clean[exp] = poly
+        # coprime over the lcm of lowest-terms denominators, as in MultiPoly
+        den = math.lcm(*(poly.denominator for poly in clean.values()))
+        super().__init__(variables, {
+            (exp, *e): n * (den // poly.denominator)
+            for exp, poly in clean.items() for e, n in poly.numerators.items()
+        }, den, truncation)
+
+    @classmethod
+    def _reduced(cls, variables, numerators, denominator, truncation):
+        """A series from nonzero int numerators over a positive
+        denominator, in lowest terms by one content gcd."""
+        if denominator != 1:
+            g = math.gcd(denominator, *numerators.values())
+            if g != 1:
+                numerators = {k: n // g for k, n in numerators.items()}
+                denominator //= g
+        self = object.__new__(cls)
+        Record.__init__(self, variables, numerators, denominator, truncation)
+        return self
 
     @classmethod
     def exact_constant(cls, variables, value):
@@ -72,15 +97,18 @@ class TruncatedSeries(Frozen):
     def exact_zero(cls, variables):
         return cls(variables, {}, EXACT)
 
+    @property
+    def coefficients(self):
+        """t-exponent -> nonzero MultiPoly coefficient, built on access."""
+        return {e: self.coefficient(e) for e in self.known_exponents()}
+
     def valuation(self):
         """Order of the lowest known nonzero term; equals the truncation
         when no nonzero term is known (lower bound semantics)."""
-        if not self.coefficients:
-            return self.truncation
-        return min(self.coefficients)
+        return min((k[0] for k in self.numerators), default=self.truncation)
 
     def is_known_zero(self):
-        return not self.coefficients
+        return not self.numerators
 
     def coefficient(self, exp):
         if exp >= self.truncation:
@@ -88,10 +116,11 @@ class TruncatedSeries(Frozen):
                 f"coefficient of t^{exp} is beyond the computed window "
                 f"O(t^{self.truncation})"
             )
-        return self.coefficients.get(exp, MultiPoly.zero(self.variables))
+        nums = {k[1:]: n for k, n in self.numerators.items() if k[0] == exp}
+        return _reduced(self.variables, nums, self.denominator)
 
     def known_exponents(self):
-        return sorted(self.coefficients)
+        return sorted({key[0] for key in self.numerators})
 
     def _check(self, other):
         if self.variables != other.variables:
@@ -115,20 +144,21 @@ class TruncatedSeries(Frozen):
         if other is NotImplemented:
             return NotImplemented
         trunc = min(self.truncation, other.truncation)
-        out = {e: c for e, c in self.coefficients.items() if e < trunc}
-        for e, d in other.coefficients.items():
-            if e < trunc:
-                out[e] = out[e] + d if e in out else d
-        return TruncatedSeries(self.variables, out, trunc)
+        den = math.lcm(self.denominator, other.denominator)
+        s1, s2 = den // self.denominator, den // other.denominator
+        out = {k: n * s1 for k, n in self.numerators.items() if k[0] < trunc}
+        get = out.get
+        for k, n in other.numerators.items():
+            if k[0] < trunc:
+                out[k] = get(k, 0) + n * s2
+        if 0 in out.values():
+            out = {k: n for k, n in out.items() if n}
+        return TruncatedSeries._reduced(self.variables, out, den, trunc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries(
-            self.variables,
-            {e: -c for e, c in self.coefficients.items()},
-            self.truncation,
-        )
+        return self * -1
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -136,12 +166,23 @@ class TruncatedSeries(Frozen):
             return NotImplemented
         return self + (-other)
 
+    def __rsub__(self, other):
+        return (-self) + other
+
     def __mul__(self, other):
+        if type(other) in (int, Fraction) and other:
+            # a nonzero scalar keeps the window; zero (or a bool) goes below
+            return TruncatedSeries._reduced(
+                self.variables,
+                {k: n * other.numerator for k, n in self.numerators.items()},
+                self.denominator * other.denominator,
+                self.truncation,
+            )
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         for factor in (self, other):
-            if factor.truncation >= EXACT and not factor.coefficients:
+            if factor.truncation >= EXACT and not factor.numerators:
                 # zero times an unknown tail is still exactly zero
                 return factor
         # the unknown tail of one factor meets the valuation of the other;
@@ -153,12 +194,20 @@ class TruncatedSeries(Frozen):
             bounds.append(other.truncation + self.valuation())
         trunc = _clamp(min(bounds)) if bounds else EXACT
         out = {}
-        for e1, c1 in self.coefficients.items():
-            for e2, c2 in other.coefficients.items():
-                e = e1 + e2
-                if e < trunc:
-                    out[e] = out[e] + c1 * c2 if e in out else c1 * c2
-        return TruncatedSeries(self.variables, out, trunc)
+        get = out.get
+        right = sorted(other.numerators.items())
+        for k1, n1 in self.numerators.items():
+            cut = trunc - k1[0]
+            for k2, n2 in right:
+                if k2[0] >= cut:
+                    break
+                key = tuple(map(_add, k1, k2))
+                out[key] = get(key, 0) + n1 * n2
+        if 0 in out.values():
+            out = {k: n for k, n in out.items() if n}
+        return TruncatedSeries._reduced(
+            self.variables, out, self.denominator * other.denominator, trunc
+        )
 
     __rmul__ = __mul__
 
@@ -172,39 +221,26 @@ class TruncatedSeries(Frozen):
 
     def differentiate(self):
         """d/dt: c*t^k maps to k*c*t^(k-1)."""
-        out = {}
-        for exp, c in self.coefficients.items():
-            if exp == 0:
-                continue
-            out[exp - 1] = c * exp
+        out = {
+            (k[0] - 1, *k[1:]): n * k[0]
+            for k, n in self.numerators.items() if k[0]
+        }
         trunc = EXACT if self.truncation >= EXACT else self.truncation - 1
-        return TruncatedSeries(self.variables, out, trunc)
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return (
-            self.variables == other.variables
-            and self.truncation == other.truncation
-            and self.coefficients == other.coefficients
+        return TruncatedSeries._reduced(
+            self.variables, out, self.denominator, trunc
         )
 
     __hash__ = None
 
     def agrees_with(self, other):
-        """Equality of all coefficients on the shared known window."""
+        """Equality of all coefficients on the shared known window, which
+        is where their difference is known."""
         self._check(other)
-        trunc = min(self.truncation, other.truncation)
-        return all(
-            self.coefficient(e) == other.coefficient(e)
-            for e in set(self.coefficients) | set(other.coefficients)
-            if e < trunc
-        )
+        return (self - other).is_known_zero()
 
     def __str__(self):
         parts = []
-        for exp in self.known_exponents():
-            c = self.coefficients[exp]
+        for exp, c in self.coefficients.items():
             body = str(c)
             if " " in body:
                 body = f"({body})"
@@ -361,25 +397,29 @@ def substitute_hamiltonian(H, sol, max_order=4):
         v: TruncatedSeries.exact_constant(
             ext, MultiPoly.variable(v, ext) if v in base else 0
         )
-        for v in H.variables
+        for v in H.variables if v not in PHASE_VARIABLES
     }
+    pad = (0,) * len(tails)
     for name in PHASE_VARIABLES:
         s = sol.series(name)
-        window = {e: c.with_variables(ext) for e, c in s.coefficients.items()}
+        window = {k + pad: n for k, n in s.numerators.items()}
         if name in tails:
-            window[s.truncation] = MultiPoly.variable(tails[name], ext)
-        values[name] = TruncatedSeries(ext, window, max(tail_top, s.truncation))
+            # the placeholder times 1, over the window's denominator
+            key = (s.truncation, *(int(v == tails[name]) for v in ext))
+            window[key] = s.denominator
+        values[name] = TruncatedSeries._reduced(
+            ext, window, s.denominator, max(tail_top, s.truncation)
+        )
     composed = H.evaluate(values)
 
-    placeholders = set(tails.values())
-    truncation = min(max_order, composed.truncation)
-    determined = {}
-    for exp, c in sorted(composed.coefficients.items()):
-        if exp >= truncation or c.used_variables() & placeholders:
-            truncation = min(truncation, exp)
-            break
-        determined[exp] = c.drop_to_variables(base)
-    result = TruncatedSeries(base, determined, truncation)
+    # keys are (t-exponent, *base exponents, *placeholder exponents)
+    width = 1 + len(base)
+    reached = [k[0] for k in composed.numerators if any(k[width:])]
+    truncation = min(max_order, composed.truncation, *reached)
+    result = TruncatedSeries._reduced(base, {
+        k[:width]: n for k, n in composed.numerators.items()
+        if k[0] < truncation
+    }, composed.denominator, truncation)
     if result.is_known_zero() and max_order > truncation <= min(lowest):
         raise TruncationError(
             "series truncations are too short to determine any coefficient "

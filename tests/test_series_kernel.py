@@ -1,8 +1,9 @@
 """Windowed Laurent arithmetic and the transcribed pole expansion.
 
-Products of exactly known series are checked against sympy; the window
-bookkeeping and the composition machinery are checked on hand-built cases
-with known answers.
+Products of exactly known series are checked against sympy, and the
+term-map arithmetic against the per-exponent oracle in series_reference.py;
+the window bookkeeping and the composition machinery are checked on
+hand-built cases with known answers.
 """
 
 import json
@@ -27,6 +28,15 @@ from spectral_torelli.series_kernel import (
     garnier92_solution,
     substitute_hamiltonian,
     verify_hamilton_flow,
+)
+
+from series_reference import (
+    negated,
+    series_derivative,
+    series_power,
+    series_product,
+    series_sum,
+    valuation,
 )
 
 VARS = ("u",)
@@ -384,9 +394,106 @@ def test_scalars_coerce_to_exact_constants_on_both_sides(scalar):
     exact = TruncatedSeries.exact_constant(VARS, scalar)
     assert a + scalar == scalar + a == a + exact
     assert a * scalar == scalar * a == a * exact
+    assert scalar - a == exact - a
+    assert (scalar - a) + a == exact + series({}, truncation=3)
     assert (a * scalar).coefficient(1) == const(1) * scalar
     # a constant at t^0 lands inside the window only below the truncation
     assert (series({}, truncation=0) + scalar).is_known_zero()
+
+
+COEFFICIENT_VARS = ("u", "v")
+_denominators = st.sampled_from((1, 2, 3, 6, 35))
+
+
+@st.composite
+def _coefficient(draw, den):
+    """A MultiPoly in two variables; its terms share `den`, or draw their
+    own denominators when it is None."""
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        st.integers(-3, 3),
+        max_size=3,
+    ))
+    return MultiPoly(COEFFICIENT_VARS, {
+        e: Fraction(n, den or draw(_denominators)) for e, n in terms.items()
+    })
+
+
+@st.composite
+def _laurent_series(draw, den):
+    """Poles up to t^-4; exactly known, or truncated just past its last
+    drawn exponent."""
+    exps = draw(st.lists(st.integers(-4, 3), max_size=4, unique=True))
+    if draw(st.booleans()):
+        truncation = EXACT
+    else:
+        truncation = max(exps, default=-4) + draw(st.integers(-1, 2))
+        exps = [e for e in exps if e < truncation]
+    coeffs = {e: draw(_coefficient(den)) for e in exps}
+    return TruncatedSeries(COEFFICIENT_VARS, coeffs, truncation)
+
+
+@st.composite
+def _series_pairs(draw):
+    """Two series over one denominator or their own; the second may be
+    the negated first plus a third series, so that their sum cancels,
+    to zero where the third is an exact zero."""
+    den = draw(st.one_of(st.none(), _denominators))
+    a = draw(_laurent_series(den))
+    b = draw(_laurent_series(den))
+    if draw(st.booleans()):
+        rest = draw(st.one_of(
+            st.just(TruncatedSeries.exact_zero(COEFFICIENT_VARS)),
+            _laurent_series(den),
+        ))
+        b = series_sum(negated(a), rest)
+    return a, b
+
+
+@settings(max_examples=150)
+@given(pair=_series_pairs(), n=st.integers(0, 4))
+def test_term_map_arithmetic_matches_the_per_exponent_oracle(pair, n):
+    a, b = pair
+    assert TruncatedSeries(a.variables, a.coefficients, a.truncation) == a
+    assert a + b == series_sum(a, b)
+    assert a - b == series_sum(a, negated(b))
+    assert -a == negated(a)
+    product = a * b
+    assert product == series_product(a, b)
+    assert product.truncation == series_product(a, b).truncation
+    assert a ** n == series_power(a, n)
+    assert a.differentiate() == series_derivative(a)
+    assert a.valuation() == valuation(a)
+    for e in range(-8, 7):
+        if e < product.truncation:
+            expected = product.coefficients.get(e, MultiPoly.zero(a.variables))
+            assert product.coefficient(e) == expected
+
+
+def test_series_arithmetic_makes_no_coefficient_polynomials(monkeypatch):
+    a = TruncatedSeries(COEFFICIENT_VARS, {
+        -2: MultiPoly.parse("u^2 - 1/2*v", COEFFICIENT_VARS),
+        0: Fraction(1, 3),
+        1: MultiPoly.parse("u*v + 2", COEFFICIENT_VARS),
+    }, 3)
+    b = TruncatedSeries(COEFFICIENT_VARS, {
+        -1: MultiPoly.parse("v - 1/6", COEFFICIENT_VARS), 2: 5,
+    }, EXACT)
+    calls = []
+    for name in ("__mul__", "__add__"):
+        def counted(*args, _name=name, _f=getattr(MultiPoly, name)):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(MultiPoly, name, counted)
+    results = (a * b, a + b, a - b, b * a * a, a * 3, a ** 3)
+    assert calls == []
+    monkeypatch.undo()
+    three = TruncatedSeries.exact_constant(COEFFICIENT_VARS, 3)
+    assert results == (
+        series_product(a, b), series_sum(a, b), series_sum(a, negated(b)),
+        series_product(series_product(b, a), a), series_product(a, three),
+        series_power(a, 3),
+    )
 
 
 def test_zero_scalars_are_exact_zeros():
