@@ -21,11 +21,12 @@ from ._record import Record
 from .errors import AlignmentError, BadReductionError, InconsistentCountsError
 from .exact_algebra import MultiPoly, _integer
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n):
-    """Deterministic Miller-Rabin, exact for every int n below 3.3e24;
+    """Deterministic Miller-Rabin, exact for every int n below psi_13 =
+    3317044064679887385961981 (Sorenson and Webster, Math. Comp. 2017);
     anything but an int raises TypeError."""
     n = _integer(n)
     if n < 2:
@@ -306,17 +307,6 @@ def _order_test(f, p, a1, candidates):
         if len(alive) <= 1:
             return [candidates[j] for j in alive]
     return None
-
-
-def _within_weil_bounds(p, a1, a2):
-    """The real Weil polynomial t^2 - a1*t + (a2 - 2p) has two real
-    roots in [-2*sqrt(p), 2*sqrt(p)]."""
-    edge = 2 * p + a2
-    return (
-        4 * (a2 - 2 * p) <= a1 * a1 <= 16 * p
-        and edge >= 0
-        and edge * edge >= 4 * p * a1 * a1
-    )
 
 
 def _hasse_witt(model, p):
@@ -617,6 +607,23 @@ class WeilPolynomial(Record):
     def frobenius_coefficients(self):
         p, a1, a2 = self.p, self.a1, self.a2
         return (p * p, -a1 * p, a2, -a1, 1)
+
+
+def _weil_squares(q, b1, b2):
+    """(D, E) = (b1^2 - 4 b2 + 8q, (b2 + 2q)^2 - 4q b1^2) of the quartic
+    t^4 - b1 t^3 + b2 t^2 - q b1 t + q^2 (see `galois_certificates`)."""
+    return b1 * b1 - 4 * b2 + 8 * q, (b2 + 2 * q) ** 2 - 4 * q * b1 * b1
+
+
+def _within_weil_bounds(p, a1, a2):
+    """The real Weil polynomial h(x) = x^2 - a1*x + (a2 - 2p) has two real
+    roots in [-2*sqrt(p), 2*sqrt(p)]. Each condition is needed:
+    D >= 0 is the discriminant of h, so the roots are real; E = h(2 sqrt p)
+    * h(-2 sqrt p) >= 0 and h(2 sqrt p) + h(-2 sqrt p) = 2(2p + a2) >= 0
+    leave neither end strictly between the roots; and a1^2 <= 16p puts
+    their midpoint a1/2 inside, so they are not both beyond one end."""
+    d, e = _weil_squares(p, a1, a2)
+    return d >= 0 and e >= 0 and 2 * p + a2 >= 0 and a1 * a1 <= 16 * p
 
 
 def _validated_weil(weil):

@@ -11,12 +11,15 @@ a2 t^2 - a1 p t + p^2 is (t^2 - s t + p)(t^2 - s' t + p), s and s' the
 roots of s^2 - a1 s + (a2 - 2p), so K0 = Q(pi + p/pi) = Q(sqrt D) with
 D = a1^2 - 4 a2 + 8p. The two factors have resultant pD, and
 E = (a2 + 2p)^2 - 4p a1^2 = (s^2 - 4p)(s'^2 - 4p) is the norm of their
-discriminants, so disc P = p^2 D^2 E. Inside the Weil bounds s and s'
-are real with s^2 <= 4p, so K0 is real and complex conjugation maps a
-root r to p/r. If D is a square, s is rational and P splits. If not, a
-rational factor without a real root would hold a pair r, p/r and make s
-rational, so a reducible P has a real root +-sqrt(p) and is (t^2 - p)^2,
-the only case with E = 0. Otherwise s^2 < 4p and Q(pi) = K0(sqrt(s^2 -
+discriminants, so disc P = p^2 D^2 E. The Weil bounds (s, s' real,
+s^2 <= 4p) are D >= 0, E >= 0, 2p + a2 >= 0 and a1^2 <= 16p, kept with
+D and E beside `WeilPolynomial` in `finite_arithmetic`. Inside them K0
+is real and complex conjugation maps a root r to p/r. If D is a square,
+s, s' = (a1 +- sqrt D)/2 are integers. If not, a rational factor without
+a real root would hold a pair r, p/r and make s rational, so a reducible
+P has a real root +-sqrt(p), E = 0, s' = -s and P = (t^2 - p)^2. Each
+quadratic splits when its discriminant is a square: closed-form
+factors, no divisor scan. Otherwise s^2 < 4p and Q(pi) = K0(sqrt(s^2 -
 4p)) is a quartic CM field, Galois over Q iff its norm E is a square in
 K0: V4 when E is a square, C4 when D E is, D4 otherwise (Kappe and
 Warren, Amer. Math. Monthly 96, 1989). That is `quadratic_subfield`. At
@@ -62,10 +65,11 @@ for a separable quartic. That is `root_ratio_orders`.
 The Frobenius entry points `quadratic_subfield`, `tate_condition` and
 `root_ratio_orders` take a `WeilPolynomial` (p, a1, a2), the only
 Frobenius data a genus-2 reduction yields, and raise TypeError on
-anything else; `factor_quartic`, `galois_group` and `resolvent_cubic`
-take any monic integer quartic, as five ascending ints (see
-`_monic_quartic`). Everything is exact integer/rational arithmetic;
-nothing here needs the curve modules.
+anything else, and read every answer from D and E. `factor_quartic`,
+`galois_group` and `resolvent_cubic` take any monic integer quartic as
+five ascending ints (`_monic_quartic`) and scan divisors; only the
+`galois` command and the tests use them. Everything is exact
+integer/rational arithmetic; nothing here needs the curve modules.
 """
 
 import math
@@ -74,7 +78,8 @@ from ._record import Record
 from .errors import InconsistentCountsError, ReducibleQuarticError
 from .errors import StructureError
 from .exact_algebra import _integer
-from .finite_arithmetic import _validated_weil, _within_weil_bounds
+from .finite_arithmetic import _validated_weil, _weil_squares
+from .finite_arithmetic import _within_weil_bounds
 
 _TRIAL_LIMIT = 10 ** 6
 _CERTIFIED_COFACTOR_BOUND = 10 ** 18
@@ -312,10 +317,16 @@ class QuadraticSubfield(Record):
     __slots__ = ("minimal_polynomial", "core", "group")
 
 
-def _weil_squares(q, b1, b2):
-    """(D, E) of the Weil-shaped quartic t^4 - b1 t^3 + b2 t^2 - q b1 t
-    + q^2 (see the module docstring)."""
-    return b1 * b1 - 4 * b2 + 8 * q, (b2 + 2 * q) ** 2 - 4 * q * b1 * b1
+def _weil_factors(p, a1, d):
+    """The factors of a reducible Weil quartic, as `factor_quartic` gives
+    them, from their closed form (see the module docstring): each
+    quadratic factor splits by its discriminant, with no divisor scan."""
+    if _is_square(d):
+        r = math.isqrt(d)
+        quadratics = ((p, -(a1 + r) // 2, 1), (p, (r - a1) // 2, 1))
+    else:
+        quadratics = ((-p, 0, 1),) * 2
+    return tuple(sorted(f for q in quadratics for f in _factor_monic(q)))
 
 
 def quadratic_subfield(weil):
@@ -332,7 +343,7 @@ def quadratic_subfield(weil):
             f"(a1, a2) = ({a1}, {a2}) breaks the Weil bounds at p={p}"
         )
     if _is_square(d) or not e:
-        raise ReducibleQuarticError(factor_quartic(weil.frobenius_coefficients))
+        raise ReducibleQuarticError(_weil_factors(p, a1, d))
     group = "V4" if _is_square(e) else "C4" if _is_square(d * e) else "D4"
     return QuadraticSubfield((a2 - 2 * p, -a1, 1), squarefree_part(d), group)
 

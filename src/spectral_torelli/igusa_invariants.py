@@ -19,7 +19,7 @@ constants of J2, J4 and J6 (`_weights`), so ints stay ints. The
 discriminant J10 comes from a frozen table of 246 integer terms, run as
 one nested Horner program (grouped by the exponent of b0, then b1, ...,
 b6); a curve's discriminant mod p is the same program run on its
-residues, and a jet's on ints at its values v and at v + q d_k.
+residues.
 
 The independence rank runs the invariant map on ints mod q^2, at the
 point and at the point moved by q along each parameter, and reads the
@@ -128,29 +128,11 @@ def binary_sextic_discriminant(coefficients):
     ring whose elements support x + y, x * y, x ** g (g >= 2), and + and *
     with an int on either side; `+ b0 * 0` keeps a zero in the ring. A
     number or a string among them must be an int or a Fraction.
-
-    If any coefficient is a Jet1, the others are lifted by its coercion and
-    no jet arithmetic runs. With q = Jet1.MODULUS, the program runs on the
-    int values v and on v + q d_k, and partial k is (D(v + q d_k) - D(v))
-    // q mod q, by the step-q lemma (see `rank_at_point`).
     """
     b = tuple(map(_exact_scalar, coefficients))
     if len(b) != 7:
         raise DegreeBoundError("expected 7 ascending sextic coefficients")
-    jet = next((c for c in b if isinstance(c, Jet1)), None)
-    if jet is None:
-        return _run_discriminant_program(b) + b[0] * 0
-    jets = [jet._coerce(c) for c in b]
-    if any(j is NotImplemented for j in jets):
-        raise TypeError("a jet discriminant takes Jet1, int or Fraction")
-    q = Jet1.MODULUS
-    values = [j.value for j in jets]
-    base = _run_discriminant_program(values)
-    return Jet1._trusted(base % q, tuple(
-        (_run_discriminant_program([v + q * d for v, d in zip(values, dk)])
-         - base) // q % q
-        for dk in zip(*(j.partials for j in jets))
-    ))
+    return _run_discriminant_program(b) + b[0] * 0
 
 
 def _exact_scalar(c):

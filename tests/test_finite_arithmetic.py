@@ -196,6 +196,9 @@ class TestPrimality:
         assert not is_prime(561)
         assert not is_prime(1105)
         assert not is_prime(41041)
+        # psi_12, the least strong pseudoprime to the twelve prime bases
+        # up to 37 (399165290221 * 798330580441); base 41 exposes it
+        assert not is_prime(318665857834031151167461)
 
     def test_large_inputs(self):
         assert is_prime(2**61 - 1)

@@ -3,6 +3,7 @@ eigenvalue ratios that are roots of unity, checked against sympy's
 number-field machinery, the reference ratio polynomial and
 hand-computable small cases."""
 
+import json
 import math
 import random
 
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 from sympy.abc import t
 from sympy.polys.numberfields.galoisgroups import galois_group as sympy_galois
 
+from spectral_torelli import cli, galois_certificates
+from spectral_torelli.endo_pipeline import frobenius_verdict
 from spectral_torelli.errors import (
     InconsistentCountsError,
     ReducibleQuarticError,
@@ -385,6 +388,116 @@ class TestQuadraticSubfield:
             assert squarefree_part(square) == quadratic_subfield(weil).core
             checked += 1
         assert checked > 100
+
+
+def old_weil_bounds(p, a1, a2):
+    """The closed form of the Weil bounds before they were written in D
+    and E, kept as the oracle of `_within_weil_bounds`."""
+    edge = 2 * p + a2
+    return (
+        4 * (a2 - 2 * p) <= a1 * a1 <= 16 * p
+        and edge >= 0
+        and edge * edge >= 4 * p * a1 * a1
+    )
+
+
+def reducible_weil_table():
+    """(Weil polynomial, `factor_quartic` factors, `galois_group` error
+    text) for every reducible triple inside the Weil bounds with int p in
+    0..80: primes, composites, squares and 0 alike. A reducible quartic
+    has D a square, or E = 0, which off a square p means (a1, a2) =
+    (0, -2p); the candidates come from those two shapes, and the
+    reference decides."""
+    table = []
+    for p in range(81):
+        bound = math.isqrt(16 * p)
+        for a1 in range(-bound, bound + 1):
+            top = math.isqrt(a1 * a1 + 16 * p)
+            shapes = {(a1 * a1 + 8 * p - k * k) // 4
+                      for k in range(a1 % 2, top + 1, 2)}
+            shapes |= {-2 * p} if not a1 else set()
+            for a2 in sorted(shapes):
+                if not old_weil_bounds(p, a1, a2):
+                    continue
+                weil = WeilPolynomial(p, a1, a2)
+                factors = factor_quartic(weil.frobenius_coefficients)
+                if len(factors) == 1:
+                    continue
+                with pytest.raises(ReducibleQuarticError) as reference:
+                    galois_group(weil.frobenius_coefficients)
+                table.append((weil, factors, str(reference.value)))
+    return table
+
+
+def refuse_divisor_scans(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a divisor scan reached on a Weil quartic")
+
+    for name in ("factor_quartic", "_int_divisors"):
+        monkeypatch.setattr(galois_certificates, name, refuse)
+
+
+class TestClosedFormFactors:
+    def test_bounds_agree_with_their_old_closed_form(self):
+        # D >= 0, E >= 0, 2p + a2 >= 0 and a1^2 <= 16p, one for one with
+        # the old four conditions, on a box that reaches past every bound
+        inside = checked = 0
+        for p in range(61):
+            bound = math.isqrt(16 * p) + 2
+            for a1 in range(-bound, bound + 1):
+                for a2 in range(-2 * p - 2, 6 * p + 3):
+                    expected = old_weil_bounds(p, a1, a2)
+                    assert _within_weil_bounds(p, a1, a2) == expected
+                    inside += expected
+                    checked += 1
+        assert 0 < inside < checked
+
+    def test_closed_forms_match_the_general_code_with_no_scan(
+        self, monkeypatch
+    ):
+        # the closed forms in p, a1 and D give `factor_quartic`'s tuples
+        # and `galois_group`'s error text on every reducible triple, and
+        # neither the subfield nor the verdict scans a divisor
+        table = reducible_weil_table()
+        # as many as a scan of the whole box with `factor_quartic` finds
+        assert len(table) == 26997
+        refuse_divisor_scans(monkeypatch)
+        for weil, factors, text in table:
+            with pytest.raises(ReducibleQuarticError) as info:
+                quadratic_subfield(weil)
+            assert info.value.factors == factors
+            assert str(info.value) == text
+            # the ratio orders read no factors; they run at the large p
+            verdict = frobenius_verdict(weil, ratios=False)
+            if verdict["tate"]:
+                assert verdict["irreducible"] is False
+                assert verdict["notes"] == [text]
+        # at p = 10^9 + 7 a scan of the divisors of p^2 up to p would run
+        # for minutes; D = 4 gives s, s' = 1, -1 at once
+        p = 10**9 + 7
+        weil = WeilPolynomial(p, 0, 2 * p - 1)
+        note = (f"quartic splits as (({p}, -1, 1), ({p}, 1, 1)); "
+                "no Galois class is assigned")
+        with pytest.raises(ReducibleQuarticError) as info:
+            quadratic_subfield(weil)
+        assert str(info.value) == note
+        verdict = frobenius_verdict(weil)
+        assert (verdict["tate"], verdict["irreducible"]) == (True, False)
+        assert verdict["notes"] == [note]
+
+    def test_frobenius_command_at_a_large_prime(self, monkeypatch, capsys):
+        # (a1, a2) = (0, 2p - 1): N1 = p + 1 and N2 = p^2 + 4p - 1
+        refuse_divisor_scans(monkeypatch)
+        p = 10**9 + 7
+        argv = ["frobenius", "--p", str(p), "--n1", str(p + 1),
+                "--n2", str(p * p + 4 * p - 1), "--json"]
+        assert cli.main(argv) == 0
+        outputs = json.loads(capsys.readouterr().out)["outputs"]
+        assert (outputs["a1"], outputs["a2"]) == (0, 2 * p - 1)
+        assert outputs["notes"] == [
+            f"quartic splits as (({p}, -1, 1), ({p}, 1, 1)); "
+            "no Galois class is assigned"
+        ]
 
 
 class TestTateCondition:

@@ -1,7 +1,7 @@
 """The sextic discriminant kernel: exact expansion of the nested-Horner
 program, agreement with the term-by-term table loop on every coefficient
-ring, a guard on the number of ring products one evaluation makes, and
-the jet route (plain-int runs at v and v + q d) with the lemma behind it."""
+ring (jets included), a guard on the number of ring products one
+evaluation makes, and the step-q lemma behind the integer rank runs."""
 
 from fractions import Fraction
 from unittest import mock
@@ -100,26 +100,6 @@ def test_jet_kernel_matches_term_by_term_loop_mod_11(pairs, shape):
         assert disc == reference_discriminant(coeffs)
 
 
-JET_ARITHMETIC = (
-    "__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
-    "__rmul__", "__truediv__", "__rtruediv__", "__pow__",
-)
-
-
-def test_jet_discriminant_runs_no_jet_arithmetic(monkeypatch):
-    coeffs = [Jet1(3 * i + 1, (i, 2, 7 - i)) for i in range(6)] + [5]
-    expected = reference_discriminant(coeffs)
-    calls = []
-    for name in JET_ARITHMETIC:
-        def counted(*args, _name=name, _f=getattr(Jet1, name)):
-            calls.append(_name)
-            return _f(*args)
-        monkeypatch.setattr(Jet1, name, counted)
-    disc = binary_sextic_discriminant(coeffs)
-    assert calls == []
-    assert disc == expected
-
-
 def test_jet_discriminant_lifts_ints_and_fractions_anywhere():
     # a scalar may stand at any index, first and last included; the result
     # is the Jet1 the jet arithmetic gives on the same mixed list
@@ -189,8 +169,8 @@ def _at(poly, point):
 @given(lemma_cases())
 def test_step_q_difference_is_the_directional_derivative_mod_q(case):
     # P(v + q d) = P(v) + q grad P(v) . d mod q^2 for an integer polynomial
-    # P: the jet route rests on this, and a small q would expose a wrong
-    # version of it
+    # P: the rank runs of `rank_at_point` rest on this, and a small q would
+    # expose a wrong version of it
     poly, v, d, q = case
     step = _at(poly, [a + q * b for a, b in zip(v, d)]) - _at(poly, v)
     assert step % q == 0
