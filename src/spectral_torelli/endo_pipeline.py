@@ -41,6 +41,7 @@ from .errors import (
 from .exact_algebra import MultiPoly, _integer, _rational
 from .finite_arithmetic import point_counts, weil_polynomial
 from .galois_certificates import (
+    _is_square,
     quadratic_subfield,
     root_ratio_orders,
     tate_condition,
@@ -162,6 +163,13 @@ def frobenius_verdict(weil, *, ratios=True):
         verdict["subfield_minimal_polynomial"] = list(
             subfield.minimal_polynomial
         )
+        if subfield.core is None:
+            d = _subfield_discriminant(verdict)
+            verdict["notes"].append(
+                f"the squarefree part of D = {d} is not certified, so no "
+                "subfield core is reported; the pair rule compares the "
+                "fields Q(sqrt D) without it"
+            )
     if ratios:
         verdict["ratio_orders"] = list(root_ratio_orders(weil).orders)
     return verdict
@@ -195,16 +203,37 @@ def _prime_record(curve, p, geometric):
     return record
 
 
+def _subfield_discriminant(record):
+    """D = a1^2 - 4(a2 - 2p) of an irreducible record: the discriminant
+    of its subfield minimal polynomial (a2 - 2p, -a1, 1)."""
+    c0, c1, _ = record["subfield_minimal_polynomial"]
+    return c1 * c1 - 4 * c0
+
+
+def _core_text(record):
+    """The subfield core for the reasons text: where `squarefree_part`
+    could not certify it, the squarefree part of D."""
+    core = record["subfield_core"]
+    if core is None and record["usable"]:
+        return f"the squarefree part of {_subfield_discriminant(record)}"
+    return core
+
+
 def _pair_verdict(first, second, geometric):
     """The two-prime rule on two prime records: (verdict, reasons).
 
     TRIVIAL needs two usable records with different real cores, at least
-    one of them with group D4 or C4 (see the module docstring).
+    one of them with group D4 or C4 (see the module docstring). The
+    cores differ exactly when D1 * D2 is not a square, so the rule needs
+    no factorization; a core that `squarefree_part` could not certify is
+    quoted as the squarefree part of its D.
     """
     (p1, core1), (p2, core2) = (
-        (r["p"], r["subfield_core"]) for r in (first, second)
+        (r["p"], _core_text(r)) for r in (first, second)
     )
-    differ = first["usable"] and second["usable"] and core1 != core2
+    differ = first["usable"] and second["usable"] and not _is_square(
+        _subfield_discriminant(first) * _subfield_discriminant(second)
+    )
     both_v4 = first["galois_group"] == second["galois_group"] == "V4"
     if differ and not both_v4:
         reasons = [

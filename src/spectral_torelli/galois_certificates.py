@@ -311,8 +311,9 @@ def galois_group(coefficients):
 class QuadraticSubfield(Record):
     """The real quadratic subfield of a quartic Frobenius field,
     presented by the minimal polynomial of the sum of an eigenvalue and
-    its companion p/eigenvalue and by its squarefree discriminant core,
-    with the Galois group (V4, C4 or D4) of the quartic field."""
+    its companion p/eigenvalue and by its squarefree discriminant core
+    (None where `squarefree_part` cannot certify it), with the Galois
+    group (V4, C4 or D4) of the quartic field."""
 
     __slots__ = ("minimal_polynomial", "core", "group")
 
@@ -345,7 +346,11 @@ def quadratic_subfield(weil):
     if _is_square(d) or not e:
         raise ReducibleQuarticError(_weil_factors(p, a1, d))
     group = "V4" if _is_square(e) else "C4" if _is_square(d * e) else "D4"
-    return QuadraticSubfield((a2 - 2 * p, -a1, 1), squarefree_part(d), group)
+    try:
+        core = squarefree_part(d)
+    except ValueError:
+        core = None
+    return QuadraticSubfield((a2 - 2 * p, -a1, 1), core, group)
 
 
 def tate_condition(weil):

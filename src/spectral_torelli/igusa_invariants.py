@@ -16,15 +16,16 @@ coefficient lists: each partial derivative it needs is one integer
 factor per coefficient (with the weight (-1)^i C(k, i) folded in), and
 the products are summed; the Fraction prefactors are folded into the
 constants of J2, J4 and J6 (`_weights`), so ints stay ints. The
-discriminant J10 comes from a frozen table of 246 integer terms, run as
-one nested Horner program (grouped by the exponent of b0, then b1, ...,
-b6); a curve's discriminant mod p is the same program run on its
-residues.
+discriminant J10 comes from a frozen table of 246 integer terms, written
+out at first use as one Python function of b0..b6 in nested Horner form
+(`_straight_line`); it serves every ring, and a curve's discriminant mod
+p is the same function on its residues.
 
 The independence rank runs the invariant map on ints mod q^2, at the
 point and at the point moved by q along each parameter, and reads the
 Jacobian mod q from the differences; its rank is a certified lower bound
 on the rank over Q, and rejections stay exact (see `rank_at_point`).
+The runs take a, b, c from functions written the same way (`_integer_abc`).
 """
 
 import json
@@ -76,53 +77,52 @@ def _discriminant_terms():
     return terms
 
 
+def _horner(terms, powers, i=0):
+    """Source of integer terms (exponents of b0..b6, coefficient) as
+    nested Horner in b_i, then b_(i+1), ..., b6, highest exponent first;
+    each power b_i^g it uses is named in `powers`."""
+    if i == 7:
+        return str(terms[0][1])
+
+    def times(g, x):
+        name = powers.setdefault((i, g), f"b{i}_{g}" if g > 1 else f"b{i}")
+        return f"{name} * ({x})"
+
+    groups = {}
+    for term in terms:
+        groups.setdefault(term[0][i], []).append(term)
+    expr = above = None
+    for e in sorted(groups, reverse=True):
+        inner = _horner(groups[e], powers, i + 1)
+        if above is not None:
+            inner = f"{times(above - e, expr)} + ({inner})"
+        expr, above = inner, e
+    return times(above, expr) if above else expr
+
+
+def _straight_line(name, tables):
+    """One function of b0..b6, compiled once, that binds each power to a
+    local and returns the term tables in the Horner form of `_horner`."""
+    powers = {}
+    result = ", ".join(_horner(terms, powers) for terms in tables)
+    lines = [f"def {name}(b0, b1, b2, b3, b4, b5, b6):"]
+    lines += [f"    {v} = b{i} ** {g}" for (i, g), v in powers.items()
+              if g > 1]
+    lines.append(f"    return {result}")
+    namespace = {}
+    exec(compile("\n".join(lines), f"<{name}>", "exec"), namespace)
+    return namespace[name]
+
+
 @lru_cache(maxsize=1)
-def _discriminant_program():
-    """The table as nested Horner in b0, then b1, ..., b6, in postorder:
-    the powers (i, g) = b_i^g it uses, and ops (c, None) that push the int
-    c, (k, False) that multiply the top by power k, and (k, True) that pop
-    v and replace the top t by t * (power k) + v."""
-    powers, program = {}, []
-
-    def emit(terms, i):
-        if i == 7:
-            program.append((terms[0][1], None))
-            return
-        groups = {}
-        for term in terms:
-            groups.setdefault(term[0][i], []).append(term)
-        above = None
-        for e in sorted(groups, reverse=True):
-            emit(groups[e], i + 1)
-            if above is not None:
-                key = powers.setdefault((i, above - e), len(powers))
-                program.append((key, True))
-            above = e
-        if above:
-            program.append((powers.setdefault((i, above), len(powers)), False))
-
-    emit(_discriminant_terms(), 0)
-    return tuple(powers), tuple(program)
-
-
-def _run_discriminant_program(b):
-    """The Horner program on b0..b6: each power computed once, one stack."""
-    pairs, program = _discriminant_program()
-    powers = [b[i] ** g if g > 1 else b[i] for i, g in pairs]
-    stack = []
-    for x, fma in program:
-        if fma is None:
-            stack.append(x)
-        elif fma:
-            v = stack.pop()
-            stack[-1] = powers[x] * stack[-1] + v
-        else:
-            stack[-1] = powers[x] * stack[-1]
-    return stack.pop()
+def _discriminant():
+    """The frozen table as one function of b0..b6: 26 powers, then the
+    Horner products, 703 ring products in all, on no int but the table's."""
+    return _straight_line("discriminant", [_discriminant_terms()])
 
 
 def binary_sextic_discriminant(coefficients):
-    """Discriminant of b0 + b1*x + ... + b6*x^6 from the frozen table.
+    """Discriminant of b0 + b1*x + ... + b6*x^6 (`_discriminant`).
 
     `coefficients` is an ascending length-7 sequence over a commutative
     ring whose elements support x + y, x * y, x ** g (g >= 2), and + and *
@@ -132,7 +132,7 @@ def binary_sextic_discriminant(coefficients):
     b = tuple(map(_exact_scalar, coefficients))
     if len(b) != 7:
         raise DegreeBoundError("expected 7 ascending sextic coefficients")
-    return _run_discriminant_program(b) + b[0] * 0
+    return _discriminant()(*b) + b[0] * 0
 
 
 def _exact_scalar(c):
@@ -201,7 +201,7 @@ def transvectant(f_coefficients, g_coefficients, k):
 @lru_cache(maxsize=None)
 def _weights(modulus=None):
     """Mestre's -240, 4320, -18000, 34560, -432000 and -1440000 times the
-    prefactors of a, b, c in `_j2_j4_j6`: Fractions, or mod `modulus`."""
+    prefactors of a, b, c in `_abc`: Fractions, or mod `modulus`."""
     pa, pi = _prefactor(6, 6, 6), _prefactor(6, 6, 4)
     pb = _prefactor(4, 4, 4) * pi * pi
     pc = pb * pi * _prefactor(4, 4, 2)
@@ -210,14 +210,29 @@ def _weights(modulus=None):
     return w if modulus is None else tuple(_residue(x, modulus) for x in w)
 
 
-def _j2_j4_j6(f, w):
-    """J2, J4, J6 of the sextic f (7 coefficients over one ring) from the
-    transvectants [., .]_k without prefactor, a = [f, f]_6, b = [i, i]_4
-    and c = [i, [i, i]_2]_4 with i = [f, f]_4, and w from `_weights`."""
+def _abc(f):
+    """a = [f, f]_6, b = [i, i]_4 and c = [i, [i, i]_2]_4 with
+    i = [f, f]_4, the transvectants [., .]_k without prefactor of the
+    sextic f (7 coefficients over one ring)."""
     (a,) = _transvectant(f, f, 6)
     i = _transvectant(f, f, 4)
     (b,) = _transvectant(i, i, 4)
     (c,) = _transvectant(i, _transvectant(i, i, 2), 4)
+    return a, b, c
+
+
+@lru_cache(maxsize=1)
+def _integer_abc():
+    """`_abc` as one function of seven ints: a, b and c expanded once on
+    the coordinate MultiPolys (4, 17 and 50 integer terms). Symbolic
+    `igusa` keeps `_abc`, which is faster on MultiPoly."""
+    names = tuple(f"b{i}" for i in range(7))
+    forms = _abc([MultiPoly.variable(n, names) for n in names])
+    return _straight_line("integer_abc", [x.numerators.items() for x in forms])
+
+
+def _j2_j4_j6(a, b, c, w):
+    """J2, J4, J6 from a, b, c of `_abc` and w from `_weights`."""
     return (a * w[0], a * a * w[1] + b * w[2],
             a * a * a * w[3] + a * b * w[4] + c * w[5])
 
@@ -282,7 +297,7 @@ def igusa(source):
     if len(coeffs) != 7:
         raise DegreeBoundError("need 6 or 7 ascending coefficients")
     coeffs = _lift_common(coeffs)
-    j2, j4, j6 = _j2_j4_j6(coeffs, _weights())
+    j2, j4, j6 = _j2_j4_j6(*_abc(coeffs), _weights())
     j8 = (j2 * j6 + (j4 * j4) * (-1)) / 4
     j10 = binary_sextic_discriminant(coeffs)
     return IgusaInvariants(j2, j4, j6, j8, j10)
@@ -302,11 +317,11 @@ def _absolute_mod(coefficients, m):
     """The absolute invariants mod m, run on ints, of rational sextic or
     quintic coefficients with unit denominators; None if J2 is not a unit."""
     b = [_residue(c, m) for c in coefficients] + [0] * (7 - len(coefficients))
-    j2, j4, j6 = _j2_j4_j6(b, _weights(m))
+    j2, j4, j6 = _j2_j4_j6(*_integer_abc()(*b), _weights(m))
     if math.gcd(j2, m) != 1:
         return None
     u = pow(j2, -1, m)
-    j10 = _run_discriminant_program(b)
+    j10 = _discriminant()(*b)
     return j4 * u**2 % m, j6 * u**3 % m, j10 * u**5 % m
 
 
@@ -421,14 +436,9 @@ def frozen_rank_witnesses():
     blob = _data("rank_witnesses.json")
     if blob.get("schema_version") != 1:
         raise ValueError("unsupported rank witness table version")
-    out = []
-    for entry in blob["witnesses"]:
-        point = {k: Fraction(v) for k, v in entry["point"].items()}
-        out.append(
-            {
-                "family": entry["family"],
-                "point": point,
-                "rank": int(entry["rank"]),
-            }
-        )
-    return out
+    return [
+        {"family": entry["family"],
+         "point": {k: Fraction(v) for k, v in entry["point"].items()},
+         "rank": int(entry["rank"])}
+        for entry in blob["witnesses"]
+    ]

@@ -115,6 +115,57 @@ def test_import_loads_only_the_standard_library():
     assert not {"dataclasses", "inspect"} & set(modules["all"])
 
 
+_BUILD_PROBE = """
+import contextlib, io, json
+import spectral_torelli
+from spectral_torelli import cli, igusa_invariants as ig
+
+def built():
+    return [f.cache_info().currsize for f in (ig._discriminant, ig._integer_abc)]
+
+seen = [built()]
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["frobenius", "--p", "37", "--n1", "36", "--n2", "1442"])
+    cli.main(["galois", "--poly", "1,0,0,0,9"])
+seen.append(built())
+spectral_torelli.igusa([1, 2, 0, 0, 0, 1, 3])
+seen.append(built())
+print(json.dumps(seen))
+"""
+
+
+def test_import_builds_no_generated_function():
+    # The discriminant and the integer transvectants are compiled at
+    # first use, so commands that never touch a sextic do not pay for it.
+    src = str(Path(spectral_torelli.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", _BUILD_PROBE], env=env, capture_output=True,
+        text=True, check=True,
+    ).stdout
+    # symbolic `igusa` builds the discriminant only
+    assert json.loads(out) == [[0, 0], [0, 0], [1, 0]]
+
+
+def test_frobenius_at_a_prime_whose_core_is_not_certified(capsys):
+    # D = 8p + 1 leaves a cofactor above 10^18 after trial division to
+    # 10^6: the verdict stands without the core, which reads null (it
+    # exited 2 with "cofactor ... is too large to certify squarefree")
+    p = 10**23 + 117
+    code, envelope = run(["frobenius", "--p", str(p), "--n1", str(p),
+                          "--n2", str(p * p), "--json"], capsys)
+    assert code == 0
+    out = envelope["outputs"]
+    assert (out["a1"], out["a2"], out["irreducible"]) == (1, 0, True)
+    assert out["subfield_core"] is None
+    assert out["subfield_minimal_polynomial"] == [-2 * p, -1, 1]
+    assert out["notes"] == [
+        f"the squarefree part of D = {8 * p + 1} is not certified, so no "
+        "subfield core is reported; the pair rule compares the fields "
+        "Q(sqrt D) without it"
+    ]
+
+
 def test_certify_rejects_equal_primes(capsys):
     code, envelope = run(
         ["certify-endo", "--family", "KFS4/3+4/3", "--at", "h1=12,h2=17,s=29",

@@ -112,6 +112,60 @@ def test_two_v4_primes_stay_inconclusive():
     assert _pair_verdict(d4, first, False)[0] == TRIVIAL_END
 
 
+def records_by_discriminant():
+    """One prime record per D = a1^2 - 4 a2 + 8p of the irreducible
+    triples inside the Weil bounds at the odd primes up to 50."""
+    records = {}
+    for p in filter(is_prime, range(3, 51, 2)):
+        bound = math.isqrt(16 * p)
+        for a1 in range(-bound, bound + 1):
+            for a2 in range(-2 * p, 6 * p + 1):
+                d = a1 * a1 - 4 * a2 + 8 * p
+                if (d in records or not _within_weil_bounds(p, a1, a2)
+                        or math.isqrt(d) ** 2 == d):
+                    continue
+                record = weil_record(WeilPolynomial(p, a1, a2))
+                if record["irreducible"]:
+                    records[d] = record
+    return records
+
+
+def test_square_product_of_discriminants_is_the_old_core_test():
+    # The pair rule reads "the real cores differ" from D1 * D2 not being
+    # a square. On every ordered pair of the D values it gives the verdict
+    # and the V4 note of the rule that compared the squarefree cores.
+    records = records_by_discriminant()
+    assert len(records) == 336
+    for first, second in itertools.product(records.values(), repeat=2):
+        old_differ = first["subfield_core"] != second["subfield_core"]
+        both_v4 = first["galois_group"] == second["galois_group"] == "V4"
+        verdict, reasons = _pair_verdict(first, second, False)
+        assert verdict == (
+            TRIVIAL_END if old_differ and not both_v4 else INCONCLUSIVE
+        )
+        if both_v4:
+            assert ("differ, but both" in reasons[-1]) == old_differ
+
+
+def test_pair_rule_needs_no_certified_core():
+    # at p = 10^23 + 117, D = 8p + 1 leaves a cofactor above 10^18 after
+    # trial division to 10^6, so its core is not certified
+    p = 10**23 + 117
+    big = weil_record(WeilPolynomial(p, 1, 0))
+    assert big["usable"] and big["subfield_core"] is None
+    core = f"the squarefree part of {8 * p + 1}"
+    d4 = weil_record(WeilPolynomial(37, 2, 38))
+    verdict, reasons = _pair_verdict(big, d4, False)
+    assert verdict == TRIVIAL_END
+    assert reasons[0].startswith(
+        f"subfield cores {core} (p={p}) and 37 (p=37) differ:"
+    )
+    # the same D at a second prime: equal fields, whatever the cores
+    verdict, reasons = _pair_verdict(big, {**big, "p": 7}, False)
+    assert verdict == INCONCLUSIVE
+    assert f"both primes give subfield core {core}:" in reasons[-1]
+
+
 @st.composite
 def irreducible_weil_data(draw, p):
     # t^2 - a1 t + (a2 - 2p) has its roots in [-2 sqrt p, 2 sqrt p]

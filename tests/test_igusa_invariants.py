@@ -32,6 +32,7 @@ from spectral_torelli.errors import (
 from spectral_torelli.exact_algebra import (
     Jet1,
     MultiPoly,
+    _residue,
     jet_eval,
     rational_matrix_rank,
 )
@@ -517,6 +518,75 @@ def test_integer_runs_give_the_jet_rows(family_and_point, q):
         assert outcome(integer_route, fam, point) == outcome(
             jet_route, fam, point
         )
+
+
+@settings(max_examples=150)
+@given(
+    st.lists(st.one_of(
+        st.integers(-(2**130), 2**130),
+        st.builds(Fraction, st.integers(-(10**9), 10**9),
+                  st.sampled_from([1, 2, 3, 5, 7, 9, 10**6 + 3])),
+    ), min_size=7, max_size=7),
+    st.sampled_from([Jet1.MODULUS**2, 11**2, 101**2]),
+)
+def test_integer_j2_j4_j6_are_the_fraction_ones_mod_m(coeffs, m):
+    # the generated integer a, b, c with the weights mod m give J2, J4,
+    # J6 over Q from the transvectants, reduced mod m
+    ig = igusa_invariants
+    abc = ig._integer_abc()(*(_residue(c, m) for c in coeffs))
+    got = ig._j2_j4_j6(*abc, ig._weights(m))
+    exact = ig._j2_j4_j6(*ig._abc(coeffs), ig._weights())
+    assert [x % m for x in got] == [_residue(x, m) for x in exact]
+
+
+# sha256 of the JSON of (rank, rows) that `rank_at_point` ranks, or of
+# "degenerate", as the stack interpreter of the discriminant and the
+# transvectant loop gave them: at each frozen witness, and over 8 points
+# per family drawn by `seeded_points`
+JACOBIAN_ROWS = {
+    "witness Gar9/2":
+        "c507db9c1826477ed9e00279fac44dd3585d556c49441324b14f8c75a1dd2002",
+    "witness Gar5/2+3/2":
+        "00fe695b5d513d9dff6763778a4997c84c6a6a471723f038f6c485f0e0d39d37",
+    "witness MatI":
+        "09d035a4a4bc4b846ad016a089701dc0005be391ca35d8995b8e8c32f0e8cad4",
+    "witness MatIII(D8)":
+        "3e42068f9c06af7ec513ade26b9179766433ad8995cb9512685a48473d5bb614",
+    "Gar9/2":
+        "dfbeb09716fd2eb7bf88d8bce9018c3ad992d6ec8d97d5a1b987434a8501683d",
+    "Gar5/2+3/2":
+        "c6f519c8a481d9d271642cd436d5770f824b2dc5e960320c1976a13fe57776d4",
+    "MatI":
+        "fbe5a6f4f1926d7b0b318b50fc6f24f0185ce7d470fda254c9d42387943612c4",
+    "MatIII(D8)":
+        "dfa18dc454f51c9dcabfae5e9faf39eba2130803c60bc3b770d5fe77383a6ec5",
+    "KFS4/3+4/3":
+        "32cd477897d8892abb2e561d4a19613a5aaa4f5cb909ab6bb5ffc5381fd86abb",
+}
+
+
+def seeded_points(fam, ident):
+    rng = random.Random(ident)
+    return [{n: Fraction(rng.randint(-100, 100), rng.randint(1, 100))
+             for n in fam.parameters} for _ in range(8)]
+
+
+def rows_digest(outcomes):
+    return hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+
+
+def test_jacobian_rows_are_pinned():
+    got = {}
+    for w in frozen_rank_witnesses():
+        fam = catalog_get(w["family"])
+        got["witness " + w["family"]] = rows_digest(
+            outcome(integer_route, fam, w["point"])
+        )
+    for ident in FAMILIES:
+        fam = catalog_get(ident)
+        got[ident] = rows_digest([outcome(integer_route, fam, point)
+                                  for point in seeded_points(fam, ident)])
+    assert got == JACOBIAN_ROWS
 
 
 def counting_jet_arithmetic(monkeypatch):

@@ -1,7 +1,8 @@
-"""The sextic discriminant kernel: exact expansion of the nested-Horner
-program, agreement with the term-by-term table loop on every coefficient
-ring (jets included), a guard on the number of ring products one
-evaluation makes, and the step-q lemma behind the integer rank runs."""
+"""The sextic discriminant kernel: exact expansion of the generated
+nested-Horner function, agreement with the term-by-term table loop on
+every coefficient ring (jets included), a guard on the number of ring
+products one evaluation makes, and the step-q lemma behind the integer
+rank runs."""
 
 from fractions import Fraction
 from unittest import mock
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from spectral_torelli.errors import AlignmentError
 from spectral_torelli.exact_algebra import Jet1, MultiPoly
 from spectral_torelli.igusa_invariants import (
+    _discriminant,
     _discriminant_terms,
     binary_sextic_discriminant,
 )
@@ -81,6 +83,27 @@ def test_kernel_matches_term_by_term_loop(coeffs, shape):
     assert disc == reference_discriminant(coeffs)
     if shape == "zero":
         assert disc == zero
+
+
+UV = ("u", "v")
+# seven polynomials in u, v with up to two terms of degree up to 1
+SMALL_SEXTICS = seven(st.dictionaries(
+    st.sampled_from([(0, 0), (1, 0), (0, 1)]),
+    st.integers(-9, 9) | st.builds(Fraction, small, st.integers(1, 50)),
+    max_size=2,
+).map(lambda terms: MultiPoly(UV, terms)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(
+    seven(st.integers(-(2**130), 2**130)),
+    seven(st.builds(Fraction, small, st.integers(1, 10**4))),
+    SMALL_SEXTICS,
+))
+def test_generated_function_is_the_table(coeffs):
+    # the compiled Horner expression, called straight, on each ring
+    disc = _discriminant()(*coeffs)
+    assert disc == reference_discriminant(coeffs)
 
 
 @settings(max_examples=60)
