@@ -1,9 +1,10 @@
 """Immutable value types.
 
 `Frozen` refuses attribute assignment and deletion; its subclasses set
-their slots in their constructors with `object.__setattr__`. `Record`
-adds a constructor, field-wise equality and hashing, and a repr, all
-driven by the subclass's `__slots__`, which name its fields in order.
+their slots in their constructors with `object.__setattr__`, or all of
+them in `__slots__` order with `_set`. `Record` adds a constructor,
+field-wise equality and hashing, and a repr, all driven by the
+subclass's `__slots__`, which name its fields in order.
 """
 
 
@@ -15,6 +16,11 @@ class Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _set(self, *fields):
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+        return self
 
 
 class Record(Frozen):

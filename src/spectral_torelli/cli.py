@@ -260,16 +260,6 @@ def _cmd_verify_divisor(args):
     return {"flow": args.flow}, outputs, 0 if report.identical else 1
 
 
-def _add_curve_source(parser):
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--family", help="catalog family identifier")
-    group.add_argument("--file", help="path to a curve JSON file")
-    parser.add_argument(
-        "--at",
-        help="parameter point, e.g. h1=12,h2=17,s=29 (rationals allowed)",
-    )
-
-
 @functools.cache
 def build_parser():
     """The argument parser, built once per process and reused by every
@@ -288,79 +278,48 @@ def build_parser():
     common.add_argument(
         "--verbose", action="store_true", help="log progress to stderr"
     )
+    curve = argparse.ArgumentParser(add_help=False)
+    group = curve.add_mutually_exclusive_group(required=True)
+    group.add_argument("--family", help="catalog family identifier")
+    group.add_argument("--file", help="path to a curve JSON file")
+    curve.add_argument(
+        "--at",
+        help="parameter point, e.g. h1=12,h2=17,s=29 (rationals allowed)",
+    )
+    counts = argparse.ArgumentParser(add_help=False)
+    for flag in ("--p", "--n1", "--n2"):
+        counts.add_argument(flag, type=int, required=True)
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    q = sub.add_parser(
-        "catalog", parents=[common], help="list the registered spectral families"
-    )
-    q.set_defaults(handler=_cmd_catalog)
+    def command(name, handler, summary, *parents):
+        q = sub.add_parser(name, parents=[common, *parents], help=summary)
+        q.set_defaults(handler=handler)
+        return q
 
-    q = sub.add_parser(
-        "invariants",
-        parents=[common],
-        help="Igusa invariants of a curve or of a family member",
-    )
-    _add_curve_source(q)
-    q.set_defaults(handler=_cmd_invariants)
-
-    q = sub.add_parser(
-        "independence",
-        parents=[common],
-        help="rank of the absolute-invariant map of a family",
-    )
+    command("catalog", _cmd_catalog, "list the registered spectral families")
+    command("invariants", _cmd_invariants,
+            "Igusa invariants of a curve or of a family member", curve)
+    q = command("independence", _cmd_independence,
+                "rank of the absolute-invariant map of a family")
     q.add_argument("--family", required=True)
     q.add_argument("--trials", type=int, default=16)
     q.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    q.set_defaults(handler=_cmd_independence)
-
-    q = sub.add_parser(
-        "count-points",
-        parents=[common],
-        help="point counts of a curve reduced modulo p",
-    )
-    _add_curve_source(q)
+    q = command("count-points", _cmd_count_points,
+                "point counts of a curve reduced modulo p", curve)
     q.add_argument("--p", type=int, required=True)
     q.add_argument("--ext", type=int, choices=(1, 2), default=2)
-    q.set_defaults(handler=_cmd_count_points)
-
-    q = sub.add_parser(
-        "zeta",
-        parents=[common],
-        help="Weil data and zeta numerator from two point counts",
-    )
-    q.add_argument("--p", type=int, required=True)
-    q.add_argument("--n1", type=int, required=True)
-    q.add_argument("--n2", type=int, required=True)
-    q.set_defaults(handler=_cmd_zeta)
-
-    q = sub.add_parser(
-        "galois",
-        parents=[common],
-        help="Galois class of a monic integer quartic",
-    )
+    command("zeta", _cmd_zeta,
+            "Weil data and zeta numerator from two point counts", counts)
+    q = command("galois", _cmd_galois, "Galois class of a monic integer quartic")
     q.add_argument(
         "--poly",
         required=True,
         help="descending coefficients c4,c3,c2,c1,c0 with c4=1",
     )
-    q.set_defaults(handler=_cmd_galois)
-
-    q = sub.add_parser(
-        "frobenius",
-        parents=[common],
-        help="endomorphism-field verdict from counts at one prime",
-    )
-    q.add_argument("--p", type=int, required=True)
-    q.add_argument("--n1", type=int, required=True)
-    q.add_argument("--n2", type=int, required=True)
-    q.set_defaults(handler=_cmd_frobenius)
-
-    q = sub.add_parser(
-        "certify-endo",
-        parents=[common],
-        help="two-prime endomorphism-triviality certificate",
-    )
-    _add_curve_source(q)
+    command("frobenius", _cmd_frobenius,
+            "endomorphism-field verdict from counts at one prime", counts)
+    q = command("certify-endo", _cmd_certify,
+                "two-prime endomorphism-triviality certificate", curve)
     q.add_argument("--p1", type=int, required=True)
     q.add_argument("--p2", type=int, required=True)
     q.add_argument(
@@ -369,15 +328,9 @@ def build_parser():
         help="also run the root-of-unity ratio tests and, when they "
         "pass, upgrade the verdict to the geometric one",
     )
-    q.set_defaults(handler=_cmd_certify)
-
-    q = sub.add_parser(
-        "verify-divisor",
-        parents=[common],
-        help="replay the divisor/spectral-curve identity",
-    )
+    q = command("verify-divisor", _cmd_verify_divisor,
+                "replay the divisor/spectral-curve identity")
     q.add_argument("flow", choices=("gar92",))
-    q.set_defaults(handler=_cmd_verify_divisor)
     return parser
 
 

@@ -6,6 +6,11 @@ plane covers (two of the families arrive in that shape) are reduced to
 genus-2 models by splitting off the branch radical; the reduction clears
 denominators with a fixed weight so every output coefficient stays
 polynomial in the parameters.
+
+A curve over Q is one integer model, ints over one positive denominator
+in lowest terms. A family evaluates a rational point on ints, and
+reduction mod p and the rank runs of `igusa_invariants` read the ints;
+Fractions are made only when a caller asks for `coefficients`.
 """
 
 import json
@@ -25,7 +30,7 @@ from .errors import (
     StructureError,
     UnknownFamilyError,
 )
-from .exact_algebra import MultiPoly, _integer, _rational, _residue
+from .exact_algebra import MultiPoly, _integer, _rational
 from .finite_arithmetic import _validated_odd_prime
 from .igusa_invariants import binary_sextic_discriminant
 from .series_kernel import garnier92_hamiltonians
@@ -51,62 +56,61 @@ class HyperellipticCurve(Frozen):
 
     The constructor takes exact rational coefficients, ints or
     Fractions, and refuses anything else (a bool or float included) with
-    TypeError; it stores them as Fractions. A curve over F_p comes only
-    from `reduce_mod_p`: its coefficients are the residues of f as plain
-    ints in range(p), and `characteristic` is p.
+    TypeError. Over Q the curve is one integer model: the ints
+    `numerators` of L*f over the positive `denominator` L, in lowest
+    terms, with D(L f) kept from the one evaluation of the sextic
+    discriminant table, for `discriminant` and `reduce_mod_p`. A curve
+    over F_p comes only from `reduce_mod_p`: its numerators are the
+    residues of f in range(p), over 1, and `characteristic` is p.
+    `coefficients` gives f: Fractions over Q, the residues over F_p."""
 
-    A curve over Q evaluates the sextic discriminant table once, in its
-    constructor, on the integers L*f with L the lcm of the denominators,
-    and keeps D(L f) for `discriminant` and `reduce_mod_p`."""
-
-    __slots__ = (
-        "coefficients", "degree", "characteristic", "_scaled_discriminant"
-    )
+    __slots__ = ("numerators", "denominator", "degree", "characteristic",
+                 "_scaled_discriminant")
 
     def __init__(self, coefficients):
         coeffs = list(coefficients)
         if len(coeffs) not in (6, 7):
             raise DegreeBoundError("need 6 or 7 ascending coefficients")
-        coeffs = [Fraction(_rational(c)) for c in coeffs]
-        if len(coeffs) == 7 and not coeffs[6]:
-            coeffs = coeffs[:6]
-        if not coeffs[-1]:
-            raise DegenerateCurveError(
-                "degree drops below 5: the model is not genus 2"
-            )
-        self._fill(coeffs, 0)
-        scale = self._scale()
-        disc = binary_sextic_discriminant(
-            [c.numerator * (scale // c.denominator)
-             for c in self.sextic_coefficients()]
-        )
-        if not disc:
-            raise DegenerateCurveError(
-                "f has a repeated root: the model is singular"
-            )
-        object.__setattr__(self, "_scaled_discriminant", disc)
+        coeffs = [_rational(c) for c in coeffs]
+        scale = math.lcm(*(c.denominator for c in coeffs))
+        self._fill([c.numerator * (scale // c.denominator) for c in coeffs],
+                   scale)
 
     @classmethod
     def _over_prime_field(cls, residues, p):
         """The curve with these residues mod p, unchecked: `reduce_mod_p`
         checks the degree and the discriminant."""
         curve = object.__new__(cls)
-        curve._fill(residues, p)
-        return curve
+        return curve._set(tuple(residues), 1, len(residues) - 1, p)
 
-    def _fill(self, coeffs, characteristic):
-        object.__setattr__(self, "coefficients", tuple(coeffs))
-        object.__setattr__(self, "degree", len(coeffs) - 1)
-        object.__setattr__(self, "characteristic", characteristic)
+    def _fill(self, numerators, denominator):
+        """The curve numerators / denominator over Q (ints, the
+        denominator positive): divide once by their gcd, then check the
+        degree and the discriminant, evaluated on the ints."""
+        g = math.gcd(denominator, *numerators)
+        nums = [n // g for n in numerators]
+        if len(nums) == 7 and not nums[6]:
+            nums.pop()
+        if not nums[-1]:
+            raise DegenerateCurveError(
+                "degree drops below 5: the model is not genus 2"
+            )
+        disc = binary_sextic_discriminant(nums + [0] * (7 - len(nums)))
+        if not disc:
+            raise DegenerateCurveError(
+                "f has a repeated root: the model is singular"
+            )
+        return self._set(tuple(nums), denominator // g, len(nums) - 1, 0, disc)
+
+    @property
+    def coefficients(self):
+        if self.characteristic:
+            return self.numerators
+        return tuple(Fraction(n, self.denominator) for n in self.numerators)
 
     def sextic_coefficients(self):
-        zero = self.coefficients[0] * 0
-        pad = (zero,) * (7 - len(self.coefficients))
-        return self.coefficients + pad
-
-    def _scale(self):
-        """L, the lcm of the denominators of the coefficients."""
-        return math.lcm(*(c.denominator for c in self.coefficients))
+        coeffs = self.coefficients
+        return coeffs + (coeffs[0] * 0,) * (7 - len(coeffs))
 
     def discriminant(self):
         """The discriminant of f. Over Q it is D(L f) / L^10, from the
@@ -116,15 +120,13 @@ class HyperellipticCurve(Frozen):
         p = self.characteristic
         if p:
             return binary_sextic_discriminant(self.sextic_coefficients()) % p
-        return Fraction(self._scaled_discriminant, self._scale() ** 10)
+        return Fraction(self._scaled_discriminant, self.denominator ** 10)
 
     def __eq__(self, other):
         if not isinstance(other, HyperellipticCurve):
             return NotImplemented
-        return (
-            self.characteristic == other.characteristic
-            and self.coefficients == other.coefficients
-        )
+        return (self.characteristic, self.denominator, self.numerators) == (
+            other.characteristic, other.denominator, other.numerators)
 
     def __repr__(self):
         field = "QQ" if not self.characteristic else f"GF({self.characteristic})"
@@ -140,7 +142,7 @@ class CurveFamily(Frozen):
     generic; specialization checks it at each chosen parameter point."""
 
     __slots__ = ("identifier", "parameters", "coefficients", "degree",
-                 "metadata", "_tops")
+                 "metadata", "_tops", "_denominator")
 
     def __init__(self, identifier, parameters, coefficients, *, metadata=None):
         parameters = tuple(parameters)
@@ -162,13 +164,10 @@ class CurveFamily(Frozen):
             raise DegenerateCurveError(
                 "leading coefficient is identically zero"
             )
-        object.__setattr__(self, "identifier", identifier)
-        object.__setattr__(self, "parameters", parameters)
-        object.__setattr__(self, "coefficients", tuple(lifted))
-        object.__setattr__(self, "degree", len(lifted) - 1)
-        object.__setattr__(self, "metadata", dict(metadata or {}))
         columns = zip(*(exps for c in lifted for exps in c.numerators))
-        object.__setattr__(self, "_tops", tuple(map(max, columns)))
+        self._set(identifier, parameters, tuple(lifted), len(lifted) - 1,
+                  dict(metadata or {}), tuple(map(max, columns)),
+                  math.lcm(*(c.denominator for c in lifted)))
 
     def with_identifier(self, identifier, **extra_metadata):
         meta = dict(self.metadata)
@@ -191,10 +190,7 @@ class CurveFamily(Frozen):
         (anything else raises TypeError). A full assignment returns a
         validated HyperellipticCurve; a partial one returns the smaller
         family."""
-        values = {k: _rational(v) for k, v in values.items()}
-        unknown = sorted(set(values) - set(self.parameters))
-        if unknown:
-            raise AlignmentError(f"not parameters of this family: {unknown!r}")
+        values = self._values(values, full=False)
         remaining = tuple(p for p in self.parameters if p not in values)
         if remaining:
             coeffs = [
@@ -205,33 +201,48 @@ class CurveFamily(Frozen):
             if self.identifier:
                 meta.setdefault("specialized_from", self.identifier)
             return CurveFamily(None, remaining, coeffs, metadata=meta)
-        return HyperellipticCurve(self._coefficients_at(values))
+        curve = object.__new__(HyperellipticCurve)
+        return curve._fill(*self._coefficients_at(values))
+
+    def _values(self, point, *, full):
+        """`point` with each value checked by `_rational`. Names that are
+        not parameters, and with `full` parameters without a value, raise
+        one AlignmentError that names them all."""
+        values = {k: _rational(v) for k, v in point.items()}
+        faults = [f"{label}: {names!r}" for label, names in (
+            ("not parameters of this family",
+             sorted(set(values) - set(self.parameters))),
+            ("missing parameter values",
+             [p for p in self.parameters if full and p not in values]),
+        ) if names]
+        if faults:
+            raise AlignmentError("; ".join(faults))
+        return values
 
     def _coefficients_at(self, values):
-        """The coefficients at a full assignment, evaluated on ints. With
-        the value of parameter i written n_i/d_i and D_i the largest
+        """The coefficients at a full assignment as ints N over one
+        denominator lam > 0, not in lowest terms, built from no Fraction.
+        With the value of parameter i written n_i/d_i and D_i the largest
         exponent of i in any coefficient, one table per parameter holds
         n_i^e * d_i^(D_i - e) for e = 0..D_i, shared by all coefficients.
-        A coefficient is then sum(c * prod(table_i[e_i])) over its int
-        numerators, divided once by its denominator times prod d_i^D_i.
-        The maxima D_i are the family's, found once by its constructor."""
+        N_j is sum(c * prod(table_i[e_i])) over the int numerators of
+        coefficient j, times L over its denominator; lam = L * prod
+        d_i^D_i. The maxima D_i and the lcm L of the coefficient
+        denominators are the family's, found once by its constructor."""
         tables = []
-        scale = 1
+        scale = self._denominator
         for name, top in zip(self.parameters, self._tops):
             num, den = values[name].numerator, values[name].denominator
             tables.append([num**e * den ** (top - e) for e in range(top + 1)])
             scale *= den**top
         lookup = list.__getitem__
         return [
-            Fraction(
-                sum(
-                    math.prod(map(lookup, tables, exps), start=n)
-                    for exps, n in c.numerators.items()
-                ),
-                c.denominator * scale,
+            self._denominator // c.denominator * sum(
+                math.prod(map(lookup, tables, exps), start=n)
+                for exps, n in c.numerators.items()
             )
             for c in self.coefficients
-        ]
+        ], scale
 
     def __repr__(self):
         name = self.identifier or "<anonymous>"
@@ -483,16 +494,18 @@ def reduce_mod_p(curve, p):
     reduced discriminant nonzero. p must be an int (TypeError otherwise);
     p = 2 raises BadReductionError and any other non-prime ValueError.
 
-    The reduced discriminant is not evaluated: with p prime to L, the lcm
-    of the denominators, the table on the residues is L^-10 D(L f) mod p,
-    so it is 0 exactly when p divides the curve's kept D(L f)."""
+    The residues take one inverse of the curve's denominator L. The
+    reduced discriminant is not evaluated: with p prime to L it is
+    L^-10 D(L f) mod p, 0 exactly when p divides the kept D(L f)."""
     p = _validated_odd_prime(p)
     if curve.characteristic:
         raise AlignmentError("curve is already over a finite field")
-    try:
-        residues = [_residue(c, p) for c in curve.coefficients]
-    except ZeroDivisionError as exc:
-        raise BadReductionError(str(exc)) from None
+    if not curve.denominator % p:
+        den = next(c.denominator for c in curve.coefficients
+                   if not c.denominator % p)
+        raise BadReductionError(f"denominator {den} is divisible by {p}")
+    inverse = pow(curve.denominator, -1, p)
+    residues = [n * inverse % p for n in curve.numerators]
     if not residues[-1]:
         raise BadReductionError(
             f"leading coefficient vanishes modulo {p}: the degree drops"

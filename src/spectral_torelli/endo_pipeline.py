@@ -38,7 +38,7 @@ from .errors import (
     ReducibleQuarticError,
     StructureError,
 )
-from .exact_algebra import MultiPoly, _integer, _rational
+from .exact_algebra import MultiPoly, _integer
 from .finite_arithmetic import point_counts, weil_polynomial
 from .galois_certificates import (
     _is_square,
@@ -79,10 +79,8 @@ def resolve_curve(source, point=None):
             raise AlignmentError(
                 "a parameter point is needed to specialize the family"
             )
-        point = {k: Fraction(_rational(v)) for k, v in point.items()}
-        missing = [p for p in source.parameters if p not in point]
-        if missing:
-            raise AlignmentError(f"missing parameter values: {missing!r}")
+        values = source._values(point, full=True)
+        point = {k: Fraction(v) for k, v in values.items()}
         return source.specialize(point), label, point
     if isinstance(source, HyperellipticCurve):
         if point:

@@ -25,7 +25,9 @@ The independence rank runs the invariant map on ints mod q^2, at the
 point and at the point moved by q along each parameter, and reads the
 Jacobian mod q from the differences; its rank is a certified lower bound
 on the rank over Q, and rejections stay exact (see `rank_at_point`).
-The runs take a, b, c from functions written the same way (`_integer_abc`).
+Each run reads the family's coefficients as ints over one denominator, a
+scale the absolute invariants do not see, and takes a, b, c from
+functions written the same way as the discriminant (`_integer_abc`).
 """
 
 import json
@@ -314,9 +316,10 @@ class RankReport(Record):
 
 
 def _absolute_mod(coefficients, m):
-    """The absolute invariants mod m, run on ints, of rational sextic or
-    quintic coefficients with unit denominators; None if J2 is not a unit."""
-    b = [_residue(c, m) for c in coefficients] + [0] * (7 - len(coefficients))
+    """The absolute invariants mod m, run on ints, of int sextic or
+    quintic coefficients; None if J2 is not a unit. They are those of
+    any rational multiple of the coefficients by a unit mod m."""
+    b = [c % m for c in coefficients] + [0] * (7 - len(coefficients))
     j2, j4, j6 = _j2_j4_j6(*_integer_abc()(*b), _weights(m))
     if math.gcd(j2, m) != 1:
         return None
@@ -332,43 +335,42 @@ def rank_at_point(family, point):
 
     Point coordinates must be exact rationals, ints or Fractions; a
     bool, float or anything else raises TypeError. A name that is not a
-    parameter of the family raises AlignmentError.
+    parameter of the family, or a parameter without a value, raises
+    AlignmentError.
 
     The Jacobian comes from n + 1 exact runs of the invariant map on
     ints, at the point v and at v + q e_k for each parameter k: the
-    family's coefficients at that rational point (`_coefficients_at`)
-    mod q^2, then A = (J4/J2^2, J6/J2^3, J10/J2^5) mod q^2. Column k is
-    (A(v + q e_k) - A(v)) mod q^2 // q, by the step-q lemma: if F = P/Q
-    with P, Q polynomials over Z_(q) (rationals with denominators prime
-    to q) and Q(v) a unit mod q, then F(v + q e_k) = F(v) + q dF/dx_k(v)
-    mod q^2. Proof: P and Q agree mod q^2 with their first-order Taylor
-    expansions at v, which lie over Z_(q), and 1/(Q + q t) = 1/Q - q t/Q^2
-    mod q^2. Each A_j is such a quotient, Q a power of J2. A minor of
-    the Jacobian that is nonzero mod q (`rational_matrix_rank`) is
-    nonzero over Q, so the result is a lower bound on the rank over Q at
-    the point; `independence_rank` reports it as an observed rank.
+    family's coefficients at that point as ints N = lam f over one
+    denominator lam (`_coefficients_at`), then A = (J4/J2^2, J6/J2^3,
+    J10/J2^5) of N mod q^2. As J2, ..., J10 have weights 2, ..., 10,
+    A(N) = A(f), which is A(f) mod q^2 when lam is a unit mod q; lam is
+    the same at every run, since n/d + q = (n + q d)/d keeps d. Column k
+    is (A(v + q e_k) - A(v)) mod q^2 // q, by the step-q lemma: if
+    F = P/Q with P, Q polynomials over Z_(q) (rationals with denominators
+    prime to q) and Q(v) a unit mod q, then F(v + q e_k) = F(v) +
+    q dF/dx_k(v) mod q^2. Proof: P and Q agree mod q^2 with their
+    first-order Taylor expansions at v, which lie over Z_(q), and
+    1/(Q + q t) = 1/Q - q t/Q^2 mod q^2. Each A_j is such a quotient, Q a
+    power of J2. A minor of the Jacobian that is nonzero mod q
+    (`rational_matrix_rank`) is nonzero over Q, so the result is a lower
+    bound on the rank over Q at the point; `independence_rank` reports
+    it as an observed rank.
 
     Rejections are exact. Points where J10 or J2 vanishes over Q (the
-    absolute chart breaks down there) raise DegenerateCurveError. When
-    J10 or J2 is 0 mod q, or q divides a denominator of the point or of
-    the family's coefficients, the point is first settled over Q. If it
-    passes but J2 or a denominator is 0 mod q, it has no certificate mod
-    q and counts as rank 0, which is still a true lower bound.
+    absolute chart breaks down there) raise DegenerateCurveError; `igusa`
+    decides that on N, since lam scales J2 and J10 by lam^2 and lam^10.
+    When J10 or J2 is 0 mod q, or q divides lam or the denominator of a
+    value (a parameter of degree 0 does not enter lam), the point is
+    first settled over Q. If it passes but J2 or a denominator is 0 mod
+    q, it has no certificate mod q and counts as rank 0, which is still
+    a true lower bound.
     """
-    params = tuple(family.parameters)
-    unknown = sorted(set(point) - set(params))
-    if unknown:
-        raise AlignmentError(f"not parameters of this family: {unknown!r}")
-    values = {}
-    for name in params:
-        if name not in point:
-            raise AlignmentError(f"no value for parameter {name!r}")
-        values[name] = _rational(point[name])
+    values = family._values(point, full=True)
     q = Jet1.MODULUS
     qq = q * q
-    exact = family._coefficients_at(values)
-    dens = (x.denominator for x in (*values.values(), *family.coefficients))
-    base = _absolute_mod(exact, qq) if all(d % q for d in dens) else None
+    exact, scale = family._coefficients_at(values)
+    units = scale % q and all(v.denominator % q for v in values.values())
+    base = _absolute_mod(exact, qq) if units else None
     if base is None or not base[2] % q:
         inv = igusa(exact)
         if inv.j10 == 0:
@@ -378,7 +380,8 @@ def rank_at_point(family, point):
         if base is None:
             return 0
     steps = [_absolute_mod(family._coefficients_at(
-        {**values, name: values[name] + q}), qq) for name in params]
+        {**values, name: values[name] + q})[0], qq)
+        for name in family.parameters]
     rows = [[(s - a) % qq // q for s in col]
             for a, col in zip(base, zip(*steps))]
     return rational_matrix_rank(rows)

@@ -16,7 +16,9 @@ Hasse-Witt matrix and a Jacobian order test; the four frozen-point
 `certify-endo --geometric` witnesses (one End = Z certificate per
 family, next to KFS 37/53) while V4 primes still had no subfield core.
 Giving V4 primes their real core changed only `certify_gar92_101_103`
-(now TRIVIAL_END through its D4 prime) and `frobenius_3_4_10`.
+(now TRIVIAL_END through its D4 prime) and `frobenius_3_4_10`. The
+`--help` texts in `cli_help` were recorded while each subcommand's
+parser was still written out in full.
 """
 
 import json
@@ -73,6 +75,22 @@ def test_golden_envelopes(name, capsys):
     assert json.loads(out) == golden["envelope"]
     # the bytes too: key order and layout are part of the contract
     assert out == json.dumps(golden["envelope"], indent=2) + "\n"
+
+
+HELP = json.loads((GOLDEN / "cli_help.json").read_text())
+
+
+@pytest.mark.skipif(
+    "%d.%d" % sys.version_info[:2] != HELP["python"],
+    reason="argparse lays out help differently in other Python versions",
+)
+@pytest.mark.parametrize("command", sorted(HELP["help"]))
+def test_help_texts_are_golden(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", str(HELP["columns"]))
+    with pytest.raises(SystemExit) as info:
+        build_parser().parse_args(command.split() + ["--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out == HELP["help"][command]
 
 
 def test_consecutive_commands_reuse_one_parser(capsys):

@@ -2,6 +2,7 @@
 reductions, pinned against transcribed data and hand-checkable algebra."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from spectral_torelli.curve_catalog import (
     quadratic_resolvent_curve,
     reduce_mod_p,
 )
+from spectral_torelli.endo_pipeline import resolve_curve
 from spectral_torelli.errors import (
     AlignmentError,
     BadReductionError,
@@ -39,7 +41,10 @@ from spectral_torelli.errors import (
     UnknownFamilyError,
 )
 from spectral_torelli.exact_algebra import MultiPoly
-from spectral_torelli.igusa_invariants import binary_sextic_discriminant
+from spectral_torelli.igusa_invariants import (
+    binary_sextic_discriminant,
+    rank_at_point,
+)
 
 KFS_POINT = {"h1": 12, "h2": 17, "s": 29}
 KFS_RATIONAL = (173, 408, 110, 10, 25, -2, 1)
@@ -109,6 +114,28 @@ def test_specialization():
         kfs.specialize({"bogus": 1})
     with pytest.raises(DegenerateCurveError):
         kfs.specialize({"h1": 0, "h2": 0, "s": 0})
+
+
+@pytest.mark.parametrize("entry", [rank_at_point, resolve_curve])
+def test_full_point_entries_share_one_check(entry):
+    # rank_at_point and resolve_curve check a full point the same way:
+    # one AlignmentError names the unknown and the missing parameters,
+    # and an inexact value raises TypeError
+    gar = catalog_get("Gar9/2")
+    with pytest.raises(AlignmentError) as info:
+        entry(gar, {"h1": 1, "h2": 2, "s1": 3, "typo": 4, "bogus": 5})
+    assert str(info.value) == (
+        "not parameters of this family: ['bogus', 'typo']; "
+        "missing parameter values: ['s2']"
+    )
+    with pytest.raises(AlignmentError, match=r"^missing parameter values: "
+                       r"\['h2', 's2'\]$"):
+        entry(gar, {"h1": 1, "s1": 3})
+    with pytest.raises(AlignmentError, match=r"^not parameters of this "
+                       r"family: \['typo'\]$"):
+        entry(gar, {"h1": 1, "h2": 2, "s1": 3, "s2": 4, "typo": 5})
+    with pytest.raises(TypeError, match="exact rational"):
+        entry(gar, {"h1": 0.5, "h2": 2, "s1": 3, "s2": 4})
 
 
 def test_reduction_mod_p():
@@ -248,10 +275,13 @@ def _exact_values(draw, names, shared):
 
 
 def _specializes_like_evaluate(family, values):
+    """`specialize` against the Fraction route: evaluate each coefficient
+    over Q. The integer model is the Fractions over their lcm, in lowest
+    terms, and every reduction at an odd prime up to 50 gives the
+    residues of the Fractions, or the refusal text of `_residue_rule`."""
+    fractions = [c.evaluate(values) for c in family.coefficients]
     try:
-        expected = HyperellipticCurve(
-            [c.evaluate(values) for c in family.coefficients]
-        )
+        expected = HyperellipticCurve(fractions)
     except DegenerateCurveError:
         with pytest.raises(DegenerateCurveError):
             family.specialize(values)
@@ -259,6 +289,26 @@ def _specializes_like_evaluate(family, values):
     got = family.specialize(values)
     assert got == expected
     assert got.discriminant() == expected.discriminant()
+    while len(fractions) > 6 and not fractions[-1]:
+        fractions.pop()
+    scale = math.lcm(*(c.denominator for c in fractions))
+    assert got.denominator == scale > 0
+    assert got.numerators == tuple(int(c * scale) for c in fractions)
+    assert math.gcd(scale, *got.numerators) == 1
+    assert got.coefficients == tuple(fractions)
+    for p in ORACLE_PRIMES:
+        if p > 50:
+            break
+        refusal = _residue_rule(got, p)
+        if refusal is None:
+            assert reduce_mod_p(got, p).coefficients == tuple(
+                c.numerator * pow(c.denominator, -1, p) % p
+                for c in fractions
+            )
+            continue
+        with pytest.raises(BadReductionError) as info:
+            reduce_mod_p(got, p)
+        assert str(info.value) == refusal
 
 
 @st.composite

@@ -12,10 +12,10 @@ from unittest import mock
 import numpy
 import pytest
 import sympy
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from spectral_torelli import igusa_invariants
+from spectral_torelli import curve_catalog, exact_algebra, igusa_invariants
 from spectral_torelli.curve_catalog import (
     CurveFamily,
     catalog_get,
@@ -537,6 +537,62 @@ def test_integer_j2_j4_j6_are_the_fraction_ones_mod_m(coeffs, m):
     got = ig._j2_j4_j6(*abc, ig._weights(m))
     exact = ig._j2_j4_j6(*ig._abc(coeffs), ig._weights())
     assert [x % m for x in got] == [_residue(x, m) for x in exact]
+
+
+@settings(max_examples=150)
+@given(
+    st.lists(st.integers(-(2**130), 2**130), min_size=6, max_size=7),
+    st.integers(-(2**130), 2**130),
+    st.sampled_from([Jet1.MODULUS, 11, 101]),
+)
+def test_absolute_invariants_mod_m_ignore_a_unit_scale(b, scale, q):
+    # rank_at_point runs _absolute_mod on the ints lam * f over the point's
+    # common denominator lam, which is exact because a unit scale (here
+    # one not divisible by q, below and above m = q^2) changes nothing
+    assume(scale % q)
+    m = q * q
+    scaled = [scale * c for c in b]
+    absolute = igusa_invariants._absolute_mod
+    assert absolute(scaled, m) == absolute(b, m)
+
+
+def test_rank_path_makes_no_fraction_round_trip(monkeypatch):
+    """Once `_weights(q^2)` is cached, `rank_at_point` at each frozen
+    witness maps no rational into Z/q^2 one at a time (`_residue`), and
+    the family's coefficients at the point, and the curve `specialize`
+    makes there, are built from no Fraction."""
+    witnesses = [(catalog_get(w["family"]), w["point"], w["rank"])
+                 for w in frozen_rank_witnesses()]
+    q = Jet1.MODULUS
+    igusa_invariants._weights(q * q)
+    residues = []
+
+    def counted_residue(value, modulus):
+        residues.append(value)
+        return _residue(value, modulus)
+
+    for module in (igusa_invariants, exact_algebra):
+        monkeypatch.setattr(module, "_residue", counted_residue)
+    for fam, point, rank in witnesses:
+        assert rank_at_point(fam, point) == rank
+    assert not hasattr(curve_catalog, "_residue")
+    assert residues == []
+
+    made = []
+    new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+    Fraction(1, 3)
+    assert made == [(1, 3)]  # the patch sees every construction
+    made.clear()
+    for fam, point, _ in witnesses:
+        fam._coefficients_at(point)
+        fam.specialize(point)
+    assert made == []
 
 
 # sha256 of the JSON of (rank, rows) that `rank_at_point` ranks, or of
