@@ -142,7 +142,7 @@ class CurveFamily(Frozen):
     generic; specialization checks it at each chosen parameter point."""
 
     __slots__ = ("identifier", "parameters", "coefficients", "degree",
-                 "metadata", "_tops", "_denominator")
+                 "metadata", "_tops", "_denominator", "_integer_terms")
 
     def __init__(self, identifier, parameters, coefficients, *, metadata=None):
         parameters = tuple(parameters)
@@ -164,10 +164,13 @@ class CurveFamily(Frozen):
             raise DegenerateCurveError(
                 "leading coefficient is identically zero"
             )
-        columns = zip(*(exps for c in lifted for exps in c.numerators))
+        terms = [tuple(c.numerators.items()) for c in lifted]
+        columns = zip(*(exps for t in terms for exps, _ in t))
+        den = math.lcm(*(c.denominator for c in lifted))
         self._set(identifier, parameters, tuple(lifted), len(lifted) - 1,
-                  dict(metadata or {}), tuple(map(max, columns)),
-                  math.lcm(*(c.denominator for c in lifted)))
+                  dict(metadata or {}), tuple(map(max, columns)), den,
+                  tuple((den // c.denominator, t)
+                        for c, t in zip(lifted, terms)))
 
     def with_identifier(self, identifier, **extra_metadata):
         meta = dict(self.metadata)
@@ -227,8 +230,10 @@ class CurveFamily(Frozen):
         n_i^e * d_i^(D_i - e) for e = 0..D_i, shared by all coefficients.
         N_j is sum(c * prod(table_i[e_i])) over the int numerators of
         coefficient j, times L over its denominator; lam = L * prod
-        d_i^D_i. The maxima D_i and the lcm L of the coefficient
-        denominators are the family's, found once by its constructor."""
+        d_i^D_i. The maxima D_i, the lcm L of the coefficient
+        denominators and each coefficient's (exponent tuple, numerator)
+        pairs with its factor L / denominator are the family's, found once
+        by its constructor."""
         tables = []
         scale = self._denominator
         for name, top in zip(self.parameters, self._tops):
@@ -237,11 +242,11 @@ class CurveFamily(Frozen):
             scale *= den**top
         lookup = list.__getitem__
         return [
-            self._denominator // c.denominator * sum(
+            factor * sum(
                 math.prod(map(lookup, tables, exps), start=n)
-                for exps, n in c.numerators.items()
+                for exps, n in terms
             )
-            for c in self.coefficients
+            for factor, terms in self._integer_terms
         ], scale
 
     def __repr__(self):

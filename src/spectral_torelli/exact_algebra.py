@@ -7,9 +7,12 @@ The multivariate layer is fraction-free: a `MultiPoly` is int numerators
 over one positive denominator, in lowest terms, and its arithmetic runs on
 those ints with one content gcd per result. Fractions appear only at its
 edges: the constructor accepts them, and `terms`, `constant_value` and
-`evaluate` hand them out. The univariate layer is domain-generic: anything
-with ring arithmetic works as a coefficient (Fraction, MultiPoly, Jet1),
-which is what the resultant routine relies on.
+`evaluate` hand them out. A monomial is one int key with a 16-bit field
+per variable (`_pack`, `_unpack`; layout and overflow rule in `MultiPoly`).
+
+The univariate layer is domain-generic: anything with ring arithmetic
+works as a coefficient (Fraction, MultiPoly, Jet1), which is what the
+resultant routine relies on.
 
 `Jet1` and `rational_matrix_rank` work mod q instead of over Q. That is
 sound for lower bounds on ranks, because a minor that is nonzero mod q is
@@ -18,7 +21,6 @@ for callers to settle over Q (see `Jet1`).
 """
 
 import math
-import operator
 from fractions import Fraction
 
 from ._record import Frozen
@@ -73,47 +75,92 @@ def _check_distinct(variables):
         raise ValueError(f"duplicate variable in {variables!r}")
 
 
-_add = operator.add
+# the key layout of MultiPoly
+FIELD_BITS = 16
+EXPONENT_LIMIT = 1 << (FIELD_BITS - 1)
+_FIELD_MASK = (1 << FIELD_BITS) - 1
 
 
-def _reduced(variables, numerators, denominator):
+def _pack(exponents):
+    """The packed key of a tuple of exponents, each in range(EXPONENT_LIMIT):
+    the last exponent in the lowest field, so int order is lex order."""
+    key = 0
+    for e in exponents:
+        key = key << FIELD_BITS | e
+    return key
+
+
+def _unpack(key, n):
+    """The exponent tuple held in the n lowest fields of a packed key;
+    anything above them (the t field of a series key) is ignored."""
+    return tuple(
+        key >> s & _FIELD_MASK
+        for s in range((n - 1) * FIELD_BITS, -1, -FIELD_BITS)
+    )
+
+
+def _bounded(top):
+    """`top`, a bound on every exponent of a result, if the guard bit
+    stays clear; DegreeBoundError otherwise."""
+    if top >= EXPONENT_LIMIT:
+        raise DegreeBoundError(
+            f"an exponent could reach {top}, beyond the limit "
+            f"{EXPONENT_LIMIT - 1} of a {FIELD_BITS}-bit field"
+        )
+    return top
+
+
+def _reduced(variables, packed, denominator, top):
     """A MultiPoly from int numerators with no zero among them and a
     positive denominator, brought to lowest terms by one content gcd."""
     if denominator != 1:
-        g = math.gcd(denominator, *numerators.values())
+        g = math.gcd(denominator, *packed.values())
         if g != 1:
-            numerators = {e: n // g for e, n in numerators.items()}
+            packed = {k: n // g for k, n in packed.items()}
             denominator //= g
-    return MultiPoly._trusted(variables, numerators, denominator)
+    return MultiPoly._trusted(variables, packed, denominator, top)
 
 
 class MultiPoly(Frozen):
     """Sparse multivariate polynomial over Q.
 
     Stored fraction-free, as a content times a primitive integer
-    polynomial would be: one positive int `denominator` and a map
-    `numerators` from exponent tuples to nonzero int numerators, so the
+    polynomial would be: one positive int `denominator` and a private map
+    from packed monomial keys to nonzero int numerators, so the
     polynomial is sum(n * monomial) / denominator. Arithmetic runs on the
     ints and brings each result to lowest terms with one gcd, not one per
-    term. `terms` is the same polynomial as a fresh dict of Fractions.
+    term. `numerators` (exponent tuple -> int) and `terms` (exponent tuple
+    -> Fraction) are the same polynomial as fresh dicts, built on access.
     Instances are treated as immutable; no operation mutates its operands.
 
+    Key layout. A monomial is one int: the exponent of variable i sits in
+    the FIELD_BITS-wide field n - 1 - i (the last variable in the lowest
+    bits), so a product key is the sum of its factors' keys and int order
+    is lex order of the exponent tuples. The top bit of each field is a
+    guard bit: every exponent stays below EXPONENT_LIMIT = 2^15, so no sum
+    of two keys carries into a neighbouring field. Each instance keeps a
+    bound `_top` on its exponents (the largest one, or more after a
+    cancellation); a product's bound is the sum of its factors', and a
+    construction, product or power whose bound reaches the guard bit
+    raises DegreeBoundError instead of returning a wrapped result.
+
     Canonical form: `variables` is a tuple of distinct names; every key
-    of `numerators` is a tuple of `len(variables)` non-negative ints,
-    mapped to a nonzero int; `denominator` is a positive int, and the gcd
-    of it and every numerator is 1 (so the zero polynomial has
-    denominator 1). The form is unique, so equality compares the fields.
-    The public constructor establishes it from int or Fraction terms; the
-    class's own arithmetic preserves it and hands its results to
-    `_trusted`, which skips the checks.
+    packs `len(variables)` exponents in range(EXPONENT_LIMIT) and maps to
+    a nonzero int; `denominator` is a positive int, and the gcd of it and
+    every numerator is 1 (so the zero polynomial has denominator 1). The
+    form is unique and packing is injective for a fixed variable list, so
+    equality compares the fields. The public constructor establishes it
+    from int or Fraction terms; the class's own arithmetic preserves it
+    and hands its results to `_trusted`, which skips the checks.
     """
 
-    __slots__ = ("variables", "numerators", "denominator")
+    __slots__ = ("variables", "_packed", "denominator", "_top")
 
     def __init__(self, variables, terms):
         variables = tuple(variables)
         _check_distinct(variables)
         clean = {}
+        top = 0
         for exponents, coeff in terms.items():
             coeff = _rational(coeff)
             if not coeff:
@@ -126,32 +173,42 @@ class MultiPoly(Frozen):
                 )
             if any(e < 0 for e in exponents):
                 raise ValueError(f"negative exponent in {exponents!r}")
-            clean[exponents] = coeff
+            top = _bounded(max(top, 0, *exponents))
+            clean[_pack(exponents)] = coeff
         # Over the lcm of lowest-terms denominators the numerators are
         # already coprime to it: no further reduction is needed.
         den = math.lcm(*(c.denominator for c in clean.values()))
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(
-            self,
-            "numerators",
-            {e: c.numerator * (den // c.denominator) for e, c in clean.items()},
-        )
-        object.__setattr__(self, "denominator", den)
+        _SET_VARIABLES(self, variables)
+        _SET_PACKED(self, {
+            k: c.numerator * (den // c.denominator) for k, c in clean.items()
+        })
+        _SET_DENOMINATOR(self, den)
+        _SET_TOP(self, top)
 
     @classmethod
-    def _trusted(cls, variables, numerators, denominator):
-        """An instance from data already in canonical form, unchecked."""
+    def _trusted(cls, variables, packed, denominator, top):
+        """An instance from data already in canonical form, unchecked; the
+        bound of an empty map is 0."""
         self = object.__new__(cls)
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "numerators", numerators)
-        object.__setattr__(self, "denominator", denominator)
+        _SET_VARIABLES(self, variables)
+        _SET_PACKED(self, packed)
+        _SET_DENOMINATOR(self, denominator)
+        _SET_TOP(self, top if packed else 0)
         return self
+
+    @property
+    def numerators(self):
+        """Exponent tuple -> nonzero int numerator, built on access."""
+        n = len(self.variables)
+        return {_unpack(k, n): c for k, c in self._packed.items()}
 
     @property
     def terms(self):
         """Exponent tuple -> nonzero Fraction coefficient, built on access."""
-        den = self.denominator
-        return {e: Fraction(n, den) for e, n in self.numerators.items()}
+        n, den = len(self.variables), self.denominator
+        return {
+            _unpack(k, n): Fraction(c, den) for k, c in self._packed.items()
+        }
 
     # construction helpers
 
@@ -175,39 +232,41 @@ class MultiPoly(Frozen):
     # predicates and accessors
 
     def is_zero(self):
-        return not self.numerators
+        return not self._packed
 
     def is_constant(self):
-        return all(not any(e) for e in self.numerators)
+        return not any(self._packed)
 
     def constant_value(self):
         """The value of a constant polynomial, as a Fraction."""
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        zero = (0,) * len(self.variables)
-        return Fraction(self.numerators.get(zero, 0), self.denominator)
+        return Fraction(self._packed.get(0, 0), self.denominator)
 
     def total_degree(self):
-        if not self.numerators:
-            return -1
-        return max(sum(e) for e in self.numerators)
+        n = len(self.variables)
+        return max((sum(_unpack(k, n)) for k in self._packed), default=-1)
+
+    def _shift(self, name):
+        """The bit offset of variable `name`'s field."""
+        return (len(self.variables) - 1 - self._index(name)) * FIELD_BITS
 
     def degree_in(self, name):
-        i = self._index(name)
-        if not self.numerators:
-            return -1
-        return max(e[i] for e in self.numerators)
+        s = self._shift(name)
+        return max((k >> s & _FIELD_MASK for k in self._packed), default=-1)
 
     def coefficient_of(self, name, power):
         """Coefficient of name**power, as a MultiPoly over the remaining
         variables."""
         i = self._index(name)
+        s = self._shift(name)
+        low = (1 << s) - 1
+        picked = {
+            (k >> (s + FIELD_BITS) << s) | (k & low): c
+            for k, c in self._packed.items() if k >> s & _FIELD_MASK == power
+        }
         rest = self.variables[:i] + self.variables[i + 1:]
-        picked = {}
-        for exps, n in self.numerators.items():
-            if exps[i] == power:
-                picked[exps[:i] + exps[i + 1:]] = n
-        return _reduced(rest, picked, self.denominator)
+        return _reduced(rest, picked, self.denominator, self._top)
 
     def _index(self, name):
         try:
@@ -232,12 +291,11 @@ class MultiPoly(Frozen):
                 )
             return other
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return MultiPoly._trusted(self.variables, {}, 1)
             return MultiPoly._trusted(
                 self.variables,
-                {(0,) * len(self.variables): other.numerator},
+                {0: other.numerator} if other else {},
                 other.denominator,
+                0,
             )
         return NotImplemented
 
@@ -248,28 +306,30 @@ class MultiPoly(Frozen):
         den = math.lcm(self.denominator, other.denominator)
         s1, s2 = den // self.denominator, den // other.denominator
         if s1 == 1:
-            out = dict(self.numerators)
+            out = dict(self._packed)
         else:
-            out = {e: n * s1 for e, n in self.numerators.items()}
-        for exps, n in other.numerators.items():
+            out = {k: n * s1 for k, n in self._packed.items()}
+        for k, n in other._packed.items():
             n *= s2
-            if exps in out:
-                s = out[exps] + n
+            if k in out:
+                s = out[k] + n
                 if s:
-                    out[exps] = s
+                    out[k] = s
                 else:
-                    del out[exps]
+                    del out[k]
             else:
-                out[exps] = n
-        return _reduced(self.variables, out, den)
+                out[k] = n
+        top = self._top if self._top > other._top else other._top
+        return _reduced(self.variables, out, den, top)
 
     __radd__ = __add__
 
     def __neg__(self):
         return MultiPoly._trusted(
             self.variables,
-            {e: -n for e, n in self.numerators.items()},
+            {k: -n for k, n in self._packed.items()},
             self.denominator,
+            self._top,
         )
 
     def __sub__(self, other):
@@ -288,25 +348,27 @@ class MultiPoly(Frozen):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             if not other:
-                return MultiPoly._trusted(self.variables, {}, 1)
+                return MultiPoly._trusted(self.variables, {}, 1, 0)
             k = other.numerator
             return _reduced(
                 self.variables,
-                {e: n * k for e, n in self.numerators.items()},
+                {key: n * k for key, n in self._packed.items()},
                 self.denominator * other.denominator,
+                self._top,
             )
         other = self._coerce(other)
+        top = _bounded(self._top + other._top)
         out = {}
         get = out.get
-        right = other.numerators.items()
-        for e1, n1 in self.numerators.items():
-            for e2, n2 in right:
-                key = tuple(map(_add, e1, e2))
+        right = other._packed.items()
+        for k1, n1 in self._packed.items():
+            for k2, n2 in right:
+                key = k1 + k2
                 out[key] = get(key, 0) + n1 * n2
         if 0 in out.values():
-            out = {e: n for e, n in out.items() if n}
+            out = {k: n for k, n in out.items() if n}
         return _reduced(
-            self.variables, out, self.denominator * other.denominator
+            self.variables, out, self.denominator * other.denominator, top
         )
 
     __rmul__ = __mul__
@@ -338,32 +400,47 @@ class MultiPoly(Frozen):
         equivalent to divisibility. The leading monomial of the remainder
         falls at every step, so each quotient monomial is produced
         exactly once.
+
+        No remainder monomial exceeds the dividend's total degree, which
+        must stay below EXPONENT_LIMIT (DegreeBoundError otherwise). A
+        quotient key is the remainder's leading key with every guard bit
+        set minus the divisor's: no borrow crosses a field, and a negative
+        quotient exponent leaves its field's guard bit clear, which raises
+        ExactDivisionError.
         """
         divisor = self._coerce(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division of polynomial by zero")
         if self.is_zero():
             return self
-        content = math.gcd(*self.numerators.values())
-        div_content = math.gcd(*divisor.numerators.values())
+        n = len(self.variables)
+
+        def grlex(key):
+            return (sum(_unpack(key, n)), key)
+
+        _bounded(max(map(grlex, self._packed))[0])
+        guard = _pack((EXPONENT_LIMIT,) * n)
+        content = math.gcd(*self._packed.values())
+        div_content = math.gcd(*divisor._packed.values())
         div_terms = sorted(
-            ((e, n // div_content) for e, n in divisor.numerators.items()),
-            key=lambda kv: _grlex_key(kv[0]),
+            ((k, c // div_content) for k, c in divisor._packed.items()),
+            key=lambda kv: grlex(kv[0]),
         )
-        lead_e, lead_c = div_terms[-1]
+        lead_k, lead_c = div_terms[-1]
         quotient = {}
-        rem = {e: n // content for e, n in self.numerators.items()}
+        rem = {k: c // content for k, c in self._packed.items()}
         while rem:
-            e = max(rem, key=_grlex_key)
-            q_e = tuple(a - b for a, b in zip(e, lead_e))
-            q_c, r = divmod(rem[e], lead_c)
-            if r or any(x < 0 for x in q_e):
+            k = max(rem, key=grlex)
+            q_k = (k | guard) - lead_k
+            q_c, r = divmod(rem[k], lead_c)
+            if r or q_k & guard != guard:
                 raise ExactDivisionError(
                     f"{divisor} does not divide the dividend exactly"
                 )
-            quotient[q_e] = q_c
-            for de, dc in div_terms:
-                key = tuple(map(_add, q_e, de))
+            q_k ^= guard
+            quotient[q_k] = q_c
+            for dk, dc in div_terms:
+                key = q_k + dk
                 if key in rem:
                     s = rem[key] - q_c * dc
                     if s:
@@ -373,15 +450,17 @@ class MultiPoly(Frozen):
                 else:
                     rem[key] = -(q_c * dc)
         # The quotient is primitive, so scaling it by a fraction in lowest
-        # terms leaves it in lowest terms.
+        # terms leaves it in lowest terms; its degree in each variable is
+        # at most the dividend's.
         scale = Fraction(
             content * divisor.denominator, div_content * self.denominator
         )
         k = scale.numerator
         return MultiPoly._trusted(
             self.variables,
-            {e: n * k for e, n in quotient.items()},
+            {key: c * k for key, c in quotient.items()},
             scale.denominator,
+            self._top,
         )
 
     def __eq__(self, other):
@@ -389,7 +468,7 @@ class MultiPoly(Frozen):
             return (
                 self.variables == other.variables
                 and self.denominator == other.denominator
-                and self.numerators == other.numerators
+                and self._packed == other._packed
             )
         if isinstance(other, (int, Fraction)):
             return self.is_constant() and self.constant_value() == other
@@ -403,14 +482,14 @@ class MultiPoly(Frozen):
     # calculus and substitution
 
     def derivative(self, name):
-        i = self._index(name)
+        s = self._shift(name)
+        one = 1 << s
         out = {}
-        for exps, n in self.numerators.items():
-            e = exps[i]
-            if e == 0:
-                continue
-            out[exps[:i] + (e - 1,) + exps[i + 1:]] = n * e
-        return _reduced(self.variables, out, self.denominator)
+        for k, n in self._packed.items():
+            e = k >> s & _FIELD_MASK
+            if e:
+                out[k - one] = n * e
+        return _reduced(self.variables, out, self.denominator, self._top)
 
     def evaluate(self, values):
         """Evaluate with values from any commutative ring.
@@ -421,23 +500,30 @@ class MultiPoly(Frozen):
         when the polynomial is constant and no value is consulted). Each
         power values[name] ** e is computed once; the terms are summed
         with their int numerators, and the sum is divided by the
-        denominator once.
+        denominator once. A term's factors are multiplied in the order of
+        `variables`.
         """
         missing = [v for v in self.variables if v not in values]
         if missing:
             raise AlignmentError(f"missing assignment for {missing!r}")
+        n = len(self.variables)
+        fields = [
+            (name, (n - 1 - i) * FIELD_BITS)
+            for i, name in enumerate(self.variables)
+        ]
         powers = {}
         total = None
-        for exps, n in self.numerators.items():
+        for key, c in self._packed.items():
             factor = None
-            for i, e in enumerate(exps):
-                if e == 0:
+            for name, s in fields:
+                e = key >> s & _FIELD_MASK
+                if not e:
                     continue
-                p = powers.get((i, e))
+                p = powers.get((name, e))
                 if p is None:
-                    p = powers[i, e] = values[self.variables[i]] ** e
+                    p = powers[name, e] = values[name] ** e
                 factor = p if factor is None else factor * p
-            contrib = n if factor is None else factor * n
+            contrib = c if factor is None else factor * c
             total = contrib if total is None else total + contrib
         if total is None:
             for v in values.values():
@@ -477,54 +563,55 @@ class MultiPoly(Frozen):
             result = MultiPoly.constant(target, result)
         return result
 
+    def _moved(self, variables, pairs):
+        """The terms with each exponent moved from position i to position
+        j of `variables`, for (j, i) in `pairs`."""
+        n, m = len(self.variables), len(variables)
+        out = {}
+        for k, c in self._packed.items():
+            exps = _unpack(k, n)
+            moved = [0] * m
+            for j, i in pairs:
+                moved[j] = exps[i]
+            out[_pack(moved)] = c
+        _check_distinct(variables)
+        return MultiPoly._trusted(variables, out, self.denominator, self._top)
+
     def with_variables(self, variables):
         """The same polynomial viewed over a superset variable list."""
         variables = tuple(variables)
-        positions = []
-        for name in self.variables:
+        pairs = []
+        for i, name in enumerate(self.variables):
             if name not in variables:
                 raise AlignmentError(
                     f"{name!r} missing from target list {variables!r}"
                 )
-            positions.append(variables.index(name))
-        out = {}
-        for exps, n in self.numerators.items():
-            key = [0] * len(variables)
-            for pos, e in zip(positions, exps):
-                key[pos] = e
-            out[tuple(key)] = n
-        _check_distinct(variables)
-        return MultiPoly._trusted(variables, out, self.denominator)
+            pairs.append((variables.index(name), i))
+        return self._moved(variables, pairs)
 
     def drop_to_variables(self, variables):
         """Restrict to a smaller variable list; the dropped variables must
         not occur."""
         variables = tuple(variables)
-        keep = []
+        pairs = []
+        used = self.used_variables()
         for i, name in enumerate(self.variables):
             if name in variables:
-                keep.append((variables.index(name), i))
-            else:
-                if any(e[i] for e in self.numerators):
-                    raise AlignmentError(
-                        f"{name!r} occurs but is absent from {variables!r}"
-                    )
-        out = {}
-        for exps, n in self.numerators.items():
-            key = [0] * len(variables)
-            for pos, i in keep:
-                key[pos] = exps[i]
-            out[tuple(key)] = n
-        _check_distinct(variables)
-        return MultiPoly._trusted(variables, out, self.denominator)
+                pairs.append((variables.index(name), i))
+            elif name in used:
+                raise AlignmentError(
+                    f"{name!r} occurs but is absent from {variables!r}"
+                )
+        return self._moved(variables, pairs)
 
     def used_variables(self):
-        used = set()
-        for exps in self.numerators:
-            for name, e in zip(self.variables, exps):
-                if e:
-                    used.add(name)
-        return used
+        seen = 0
+        for k in self._packed:
+            seen |= k
+        n = len(self.variables)
+        return {
+            name for name, e in zip(self.variables, _unpack(seen, n)) if e
+        }
 
     # text form
 
@@ -561,6 +648,14 @@ class MultiPoly(Frozen):
         names, +, -, *, ^ and parentheses. A / is accepted for rational
         constants (numerator and denominator must be constant)."""
         return _Parser(text, tuple(variables)).parse()
+
+
+# The slots' own setters fill a new MultiPoly past Frozen's refusal; they
+# cost less than object.__setattr__, which every arithmetic result pays.
+_SET_VARIABLES = MultiPoly.variables.__set__
+_SET_PACKED = MultiPoly._packed.__set__
+_SET_DENOMINATOR = MultiPoly.denominator.__set__
+_SET_TOP = MultiPoly._top.__set__
 
 
 class _Parser:

@@ -94,12 +94,28 @@ def _is_square(n):
     return r * r == n
 
 
+def _trial_stop(m):
+    """The last trial divisor for cofactor m: its integer cube root,
+    capped at the trial limit."""
+    if m >= (_TRIAL_LIMIT + 1) ** 3:
+        return _TRIAL_LIMIT
+    c = round(m ** (1 / 3))  # m < ~10^18, so the float is off by < 1
+    while c ** 3 > m:
+        c -= 1
+    while (c + 1) ** 3 <= m:
+        c += 1
+    return c
+
+
 def squarefree_part(n):
     """The squarefree integer d with n = d * (square), sign preserved.
 
     Exact as long as the part of |n| left after removing prime factors
     up to 10^6 stays below 10^18 (then it has at most two prime factors
     and its shape is decidable); larger uncertified cofactors raise.
+    Trial division stops as soon as d^3 exceeds the cofactor m: every
+    prime factor of m is at least d, so m is 1, p, p*q or p^2, and the
+    square test decides it.
     """
     n = _integer(n)
     if n == 0:
@@ -108,7 +124,8 @@ def squarefree_part(n):
     m = abs(n)
     core = 1
     d = 2
-    while d * d <= m and d <= _TRIAL_LIMIT:
+    stop = _trial_stop(m)
+    while d <= stop:
         if m % d == 0:
             e = 0
             while m % d == 0:
@@ -116,13 +133,14 @@ def squarefree_part(n):
                 e += 1
             if e % 2:
                 core *= d
+            stop = _trial_stop(m)
         d += 1 if d == 2 else 2
     if m > 1:
         if _is_square(m):
             pass
         elif m <= _CERTIFIED_COFACTOR_BOUND:
-            # all prime factors exceed 10^6, so m is p, p*q, or p^2;
-            # the square case was just excluded
+            # every prime factor is at least d and m < d^3 (or d > 10^6
+            # and m <= 10^18), so m is p or p*q: p^2 was just excluded
             core *= m
         else:
             raise ValueError(

@@ -357,8 +357,10 @@ def rank_at_point(family, point):
     it as an observed rank.
 
     Rejections are exact. Points where J10 or J2 vanishes over Q (the
-    absolute chart breaks down there) raise DegenerateCurveError; `igusa`
-    decides that on N, since lam scales J2 and J10 by lam^2 and lam^10.
+    absolute chart breaks down there) raise DegenerateCurveError, decided
+    on the ints N, since lam scales J2 and J10 by lam^2 and lam^10: J10
+    is `_discriminant` of N, and J2 is a nonzero multiple of the `a` of
+    `_integer_abc`.
     When J10 or J2 is 0 mod q, or q divides lam or the denominator of a
     value (a parameter of degree 0 does not enter lam), the point is
     first settled over Q. If it passes but J2 or a denominator is 0 mod
@@ -372,10 +374,10 @@ def rank_at_point(family, point):
     units = scale % q and all(v.denominator % q for v in values.values())
     base = _absolute_mod(exact, qq) if units else None
     if base is None or not base[2] % q:
-        inv = igusa(exact)
-        if inv.j10 == 0:
+        b = exact + [0] * (7 - len(exact))
+        if not _discriminant()(*b):
             raise DegenerateCurveError("sample hits the discriminant locus")
-        if inv.j2 == 0:
+        if not _integer_abc()(*b)[0]:
             raise DegenerateCurveError("sample hits the J2 = 0 locus")
         if base is None:
             return 0

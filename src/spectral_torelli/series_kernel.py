@@ -18,7 +18,15 @@ from importlib import resources
 
 from ._record import Record
 from .errors import AlignmentError, TruncationError
-from .exact_algebra import MultiPoly, _add, _integer, _power, _reduced
+from .exact_algebra import (
+    FIELD_BITS,
+    MultiPoly,
+    _bounded,
+    _integer,
+    _power,
+    _reduced,
+    _unpack,
+)
 
 # effectively +infinity for truncation bookkeeping of exactly-known series
 EXACT = 10 ** 9
@@ -37,19 +45,24 @@ def _clamp(n):
 class TruncatedSeries(Record):
     """Laurent series known modulo O(t^truncation).
 
-    Stored as `MultiPoly` is: a map `numerators` from keys (t-exponent,
-    *exponents of `variables`) to nonzero ints over one positive int
-    `denominator`, in lowest terms, so the fields compare as the series
-    do; absent keys below the truncation are exact zeros. A product walks
-    the term pairs once, the right factor sorted by t-exponent, and leaves
-    each inner loop at the first pair that reaches the truncation.
-    `coefficients` (t-exponent -> MultiPoly) is built on access, and
-    `coefficient(e)` builds only that one. The constructor takes int,
-    Fraction or MultiPoly coefficients at int exponents below an int
-    truncation (TypeError otherwise, see `_integer`).
+    Stored as `MultiPoly` is: a private map from packed keys to nonzero
+    ints over one positive int `denominator`, in lowest terms, so the
+    fields compare as the series do; absent keys below the truncation are
+    exact zeros. The key of t^k * monomial is (k << FIELD_BITS * n) plus
+    the monomial's `MultiPoly` key, n = len(variables): the signed
+    t-exponent sits on top and a floor shift reads it back, so sorted keys
+    run by t-exponent and t^k is cut by one comparison with k << FIELD_BITS
+    * n. The exponent bound `_top` (not part of the value) follows the
+    MultiPoly rule. A product walks the term pairs once, the right factor
+    sorted, and leaves each inner loop at the first pair that reaches the
+    truncation. `coefficients` (t-exponent -> MultiPoly) is built on
+    access, and `coefficient(e)` builds only that one, both from the
+    monomial keys as they are. The constructor takes int, Fraction or
+    MultiPoly coefficients at int exponents below an int truncation
+    (TypeError otherwise, see `_integer`).
     """
 
-    __slots__ = ("variables", "numerators", "denominator", "truncation")
+    __slots__ = ("variables", "_packed", "denominator", "truncation", "_top")
 
     def __init__(self, variables, coefficients, truncation):
         variables = tuple(variables)
@@ -71,23 +84,29 @@ class TruncatedSeries(Record):
             clean[exp] = poly
         # coprime over the lcm of lowest-terms denominators, as in MultiPoly
         den = math.lcm(*(poly.denominator for poly in clean.values()))
+        shift = FIELD_BITS * len(variables)
         super().__init__(variables, {
-            (exp, *e): n * (den // poly.denominator)
-            for exp, poly in clean.items() for e, n in poly.numerators.items()
-        }, den, truncation)
+            (exp << shift) + k: n * (den // poly.denominator)
+            for exp, poly in clean.items() for k, n in poly._packed.items()
+        }, den, truncation, max((p._top for p in clean.values()), default=0))
 
     @classmethod
-    def _reduced(cls, variables, numerators, denominator, truncation):
+    def _reduced(cls, variables, packed, denominator, truncation, top):
         """A series from nonzero int numerators over a positive
         denominator, in lowest terms by one content gcd."""
         if denominator != 1:
-            g = math.gcd(denominator, *numerators.values())
+            g = math.gcd(denominator, *packed.values())
             if g != 1:
-                numerators = {k: n // g for k, n in numerators.items()}
+                packed = {k: n // g for k, n in packed.items()}
                 denominator //= g
-        self = object.__new__(cls)
-        Record.__init__(self, variables, numerators, denominator, truncation)
-        return self
+        return object.__new__(cls)._set(
+            variables, packed, denominator, truncation, top if packed else 0
+        )
+
+    def _fields(self):
+        # the exponent bound is bookkeeping, not part of the value
+        return (self.variables, self._packed, self.denominator,
+                self.truncation)
 
     @classmethod
     def exact_constant(cls, variables, value):
@@ -98,6 +117,11 @@ class TruncatedSeries(Record):
         return cls(variables, {}, EXACT)
 
     @property
+    def _t_shift(self):
+        """The bit offset of the t field."""
+        return FIELD_BITS * len(self.variables)
+
+    @property
     def coefficients(self):
         """t-exponent -> nonzero MultiPoly coefficient, built on access."""
         return {e: self.coefficient(e) for e in self.known_exponents()}
@@ -105,10 +129,12 @@ class TruncatedSeries(Record):
     def valuation(self):
         """Order of the lowest known nonzero term; equals the truncation
         when no nonzero term is known (lower bound semantics)."""
-        return min((k[0] for k in self.numerators), default=self.truncation)
+        if not self._packed:
+            return self.truncation
+        return min(self._packed) >> self._t_shift
 
     def is_known_zero(self):
-        return not self.numerators
+        return not self._packed
 
     def coefficient(self, exp):
         if exp >= self.truncation:
@@ -116,11 +142,14 @@ class TruncatedSeries(Record):
                 f"coefficient of t^{exp} is beyond the computed window "
                 f"O(t^{self.truncation})"
             )
-        nums = {k[1:]: n for k, n in self.numerators.items() if k[0] == exp}
-        return _reduced(self.variables, nums, self.denominator)
+        low = exp << self._t_shift
+        high = (exp + 1) << self._t_shift
+        nums = {k - low: n for k, n in self._packed.items() if low <= k < high}
+        return _reduced(self.variables, nums, self.denominator, self._top)
 
     def known_exponents(self):
-        return sorted({key[0] for key in self.numerators})
+        shift = self._t_shift
+        return sorted({k >> shift for k in self._packed})
 
     def _check(self, other):
         if self.variables != other.variables:
@@ -144,16 +173,19 @@ class TruncatedSeries(Record):
         if other is NotImplemented:
             return NotImplemented
         trunc = min(self.truncation, other.truncation)
+        cut = trunc << self._t_shift
         den = math.lcm(self.denominator, other.denominator)
         s1, s2 = den // self.denominator, den // other.denominator
-        out = {k: n * s1 for k, n in self.numerators.items() if k[0] < trunc}
+        out = {k: n * s1 for k, n in self._packed.items() if k < cut}
         get = out.get
-        for k, n in other.numerators.items():
-            if k[0] < trunc:
+        for k, n in other._packed.items():
+            if k < cut:
                 out[k] = get(k, 0) + n * s2
         if 0 in out.values():
             out = {k: n for k, n in out.items() if n}
-        return TruncatedSeries._reduced(self.variables, out, den, trunc)
+        return TruncatedSeries._reduced(
+            self.variables, out, den, trunc, max(self._top, other._top)
+        )
 
     __radd__ = __add__
 
@@ -174,15 +206,16 @@ class TruncatedSeries(Record):
             # a nonzero scalar keeps the window; zero (or a bool) goes below
             return TruncatedSeries._reduced(
                 self.variables,
-                {k: n * other.numerator for k, n in self.numerators.items()},
+                {k: n * other.numerator for k, n in self._packed.items()},
                 self.denominator * other.denominator,
                 self.truncation,
+                self._top,
             )
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         for factor in (self, other):
-            if factor.truncation >= EXACT and not factor.numerators:
+            if factor.truncation >= EXACT and not factor._packed:
                 # zero times an unknown tail is still exactly zero
                 return factor
         # the unknown tail of one factor meets the valuation of the other;
@@ -193,20 +226,24 @@ class TruncatedSeries(Record):
         if other.truncation < EXACT:
             bounds.append(other.truncation + self.valuation())
         trunc = _clamp(min(bounds)) if bounds else EXACT
+        top = _bounded(self._top + other._top)
+        # k1 + k2 is below `cut` exactly when its t-exponent is below trunc
+        cut = trunc << self._t_shift
         out = {}
         get = out.get
-        right = sorted(other.numerators.items())
-        for k1, n1 in self.numerators.items():
-            cut = trunc - k1[0]
+        right = sorted(other._packed.items())
+        for k1, n1 in self._packed.items():
+            rest = cut - k1
             for k2, n2 in right:
-                if k2[0] >= cut:
+                if k2 >= rest:
                     break
-                key = tuple(map(_add, k1, k2))
+                key = k1 + k2
                 out[key] = get(key, 0) + n1 * n2
         if 0 in out.values():
             out = {k: n for k, n in out.items() if n}
         return TruncatedSeries._reduced(
-            self.variables, out, self.denominator * other.denominator, trunc
+            self.variables, out, self.denominator * other.denominator, trunc,
+            top,
         )
 
     __rmul__ = __mul__
@@ -221,13 +258,16 @@ class TruncatedSeries(Record):
 
     def differentiate(self):
         """d/dt: c*t^k maps to k*c*t^(k-1)."""
-        out = {
-            (k[0] - 1, *k[1:]): n * k[0]
-            for k, n in self.numerators.items() if k[0]
-        }
+        shift = self._t_shift
+        one = 1 << shift
+        out = {}
+        for k, n in self._packed.items():
+            exp = k >> shift
+            if exp:
+                out[k - one] = n * exp
         trunc = EXACT if self.truncation >= EXACT else self.truncation - 1
         return TruncatedSeries._reduced(
-            self.variables, out, self.denominator, trunc
+            self.variables, out, self.denominator, trunc, self._top
         )
 
     __hash__ = None
@@ -373,9 +413,10 @@ def substitute_hamiltonian(H, sol, max_order=4):
     valuations = {name: sol.series(name).valuation() for name in PHASE_VARIABLES}
 
     rests, lowest = [], []
-    for exps in H.numerators:
+    for key in H._packed:
         phase = [
-            (valuations[v], e) for v, e in zip(H.variables, exps)
+            (valuations[v], e)
+            for v, e in zip(H.variables, _unpack(key, len(H.variables)))
             if e and v in valuations
         ]
         lowest.append(sum(o * e for o, e in phase))
@@ -399,27 +440,31 @@ def substitute_hamiltonian(H, sol, max_order=4):
         )
         for v in H.variables if v not in PHASE_VARIABLES
     }
-    pad = (0,) * len(tails)
+    # the placeholders take the lowest fields of the extended keys, so a
+    # key over `base` moves up by `lift` bits
+    lift = FIELD_BITS * len(tails)
+    t_shift = FIELD_BITS * len(ext)
+    placeholder = 1 << lift
     for name in PHASE_VARIABLES:
         s = sol.series(name)
-        window = {k + pad: n for k, n in s.numerators.items()}
+        window = {k << lift: n for k, n in s._packed.items()}
         if name in tails:
             # the placeholder times 1, over the window's denominator
-            key = (s.truncation, *(int(v == tails[name]) for v in ext))
-            window[key] = s.denominator
+            placeholder >>= FIELD_BITS
+            window[(s.truncation << t_shift) + placeholder] = s.denominator
         values[name] = TruncatedSeries._reduced(
-            ext, window, s.denominator, max(tail_top, s.truncation)
+            ext, window, s.denominator, max(tail_top, s.truncation),
+            max(s._top, 1),
         )
     composed = H.evaluate(values)
 
-    # keys are (t-exponent, *base exponents, *placeholder exponents)
-    width = 1 + len(base)
-    reached = [k[0] for k in composed.numerators if any(k[width:])]
+    tail_mask = (1 << lift) - 1
+    reached = [k >> t_shift for k in composed._packed if k & tail_mask]
     truncation = min(max_order, composed.truncation, *reached)
+    cut = truncation << t_shift
     result = TruncatedSeries._reduced(base, {
-        k[:width]: n for k, n in composed.numerators.items()
-        if k[0] < truncation
-    }, composed.denominator, truncation)
+        k >> lift: n for k, n in composed._packed.items() if k < cut
+    }, composed.denominator, truncation, composed._top)
     if result.is_known_zero() and max_order > truncation <= min(lowest):
         raise TruncationError(
             "series truncations are too short to determine any coefficient "

@@ -10,7 +10,7 @@ import random
 import numpy
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.abc import t
 from sympy.polys.numberfields.galoisgroups import galois_group as sympy_galois
@@ -86,7 +86,72 @@ def sympy_squarefree_part(n):
     return core if n > 0 else -core
 
 
+def full_trial_division(n):
+    """`squarefree_part` as it was before its trial division stopped once
+    d^3 exceeds the cofactor: it divided by every d up to sqrt(m) (at
+    most 10^6), kept here as the reference."""
+    if n == 0:
+        raise ValueError("0 has no squarefree part")
+    m, core, d = abs(n), 1, 2
+    while d * d <= m and d <= galois_certificates._TRIAL_LIMIT:
+        e = 0
+        while m % d == 0:
+            m //= d
+            e += 1
+        if e % 2:
+            core *= d
+        d += 1 if d == 2 else 2
+    if m > 1 and not galois_certificates._is_square(m):
+        if m > galois_certificates._CERTIFIED_COFACTOR_BOUND:
+            raise ValueError(f"cofactor {m} is too large to certify squarefree")
+        core *= m
+    return core if n > 0 else -core
+
+
+def squarefree_outcome(function, n):
+    try:
+        return function(n)
+    except ValueError:
+        return "refused"
+
+
+# primes around the points where the loops stop: the trial limit 10^6,
+# cube roots of the cofactors and their squares
+EDGE_PRIMES = [int(sympy.nextprime(x)) for x in (
+    2, 97, 997, 9973, 46340, 10**5, 999_000, 10**6 - 100, 10**6, 2 * 10**6,
+)]
+
+
 class TestSquarefreePart:
+    @settings(max_examples=300)
+    @given(st.integers(-10**10, 10**10).filter(bool))
+    def test_matches_the_full_trial_division(self, n):
+        assert squarefree_part(n) == full_trial_division(n)
+
+    @settings(max_examples=60)
+    @given(st.lists(st.sampled_from(EDGE_PRIMES), min_size=1, max_size=4),
+           st.integers(1, 60), st.sampled_from((1, -1)))
+    def test_prime_products_match_the_full_trial_division(
+            self, primes, k, sign):
+        """Semiprimes, squares and cubes of primes near the stopping
+        points, times a small square part, refused or not on both
+        sides."""
+        n = sign * math.prod(primes) * k
+        assert squarefree_outcome(squarefree_part, n) == squarefree_outcome(
+            full_trial_division, n)
+
+    def test_small_values_match_the_full_trial_division(self):
+        for n in range(1, 3001):
+            assert squarefree_part(n) == full_trial_division(n)
+            assert squarefree_part(-n) == full_trial_division(-n)
+
+    def test_a_large_prime_cofactor_is_decided_without_full_division(self):
+        # 8 * (10^12 + 39) + 1 is 3 * 2666666666771, a prime cofactor
+        # whose square root is above the 10^6 trial limit
+        n = 8 * (10**12 + 39) + 1
+        assert squarefree_part(n) == sympy_squarefree_part(n)
+        assert squarefree_part(n) == full_trial_division(n)
+
     def test_against_factorization(self):
         rng = random.Random(5)
         values = [rng.randrange(1, 10**6) for _ in range(40)]

@@ -394,6 +394,66 @@ def rank_or_none(fam, point):
         return None
 
 
+# rational points of each family where J10 or J2 vanishes, found as
+# rational roots along lines through small int points (at h1 = -1/2
+# MatIII(D8) has J10 and J2 zero together; its J2-only point is a root of
+# the other factor of J2)
+DEGENERATE_POINTS = {
+    "Gar9/2": [
+        {"h1": 0, "h2": 0, "s1": 2, "s2": -2},
+        {"h1": -4, "h2": 2, "s1": -3, "s2": 4},
+        {"h1": Fraction(-3, 20), "h2": 4, "s1": -1, "s2": 0},
+        {"h1": Fraction(-3, 5), "h2": 0, "s1": 2, "s2": -2},
+    ],
+    "Gar5/2+3/2": [
+        {"h1": -3, "h2": -1, "s1": -1, "s2": 2},
+        {"h1": -3, "h2": -5, "s1": -4, "s2": 0},
+        {"h1": -3, "h2": Fraction(127, 32), "s1": -4, "s2": 5},
+        {"h1": -3, "h2": -1, "s1": Fraction(67, 8), "s2": 2},
+    ],
+    "MatI": [
+        {"h1": -1, "h2": 4, "s": 3, "theta": 0},
+        {"h1": -3, "h2": -2, "s": 5, "theta": 0},
+        {"h1": 3, "h2": 5, "s": Fraction(-1391, 132), "theta": 1},
+        {"h1": 2, "h2": 4, "s": Fraction(-78341, 11250), "theta": 5},
+    ],
+    "MatIII(D8)": [
+        {"h1": Fraction(-1, 2), "h2": -1, "s": 2, "theta": -1},
+        {"h1": -3, "h2": 117, "s": 2, "theta": -5},
+        {"h1": Fraction(-1, 2), "h2": -5, "s": -3, "theta": 1},
+        {"h1": 2, "h2": Fraction(-15, 4), "s": Fraction(1, 2), "theta": 1},
+    ],
+    "KFS4/3+4/3": [
+        {"h1": 1, "h2": -3, "s": 0},
+        {"h1": Fraction(1, 4), "h2": -4, "s": 4},
+        {"h1": 1, "h2": -3, "s": Fraction(17, 10)},
+        {"h1": 3, "h2": -4, "s": Fraction(331, 120)},
+    ],
+}
+
+
+@pytest.mark.parametrize("ident", FAMILIES)
+def test_rank_at_point_rejects_as_symbolic_igusa_does(ident):
+    """At points of the discriminant locus and of the J2 = 0 locus, the
+    rejection decided on ints (`_discriminant` and the `a` of
+    `_integer_abc`) raises what `igusa` on the same ints decides: J10
+    first, then J2. Both loci are met in every family."""
+    fam = catalog_get(ident)
+    seen = set()
+    for point in DEGENERATE_POINTS[ident]:
+        values = {name: Fraction(v) for name, v in point.items()}
+        inv = igusa(fam._coefficients_at(values)[0])
+        if inv.j10 == 0:
+            message = "discriminant locus"
+        else:
+            assert inv.j2 == 0
+            message = "J2 = 0 locus"
+        seen.add(message)
+        with pytest.raises(DegenerateCurveError, match=message):
+            rank_at_point(fam, point)
+    assert seen == {"discriminant locus", "J2 = 0 locus"}
+
+
 def test_small_modulus_keeps_rejections_exact_and_ranks_below(monkeypatch):
     """With the jet modulus forced down to 11, many points have a
     denominator, J2 or J10 that vanishes mod 11 without vanishing over Q.
