@@ -370,7 +370,7 @@ def main(argv=None):
     except InconclusiveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     envelope = {"command": args.command, "inputs": inputs, "outputs": outputs}

@@ -11,6 +11,8 @@ A curve over Q is one integer model, ints over one positive denominator
 in lowest terms. A family evaluates a rational point on ints, and
 reduction mod p and the rank runs of `igusa_invariants` read the ints;
 Fractions are made only when a caller asks for `coefficients`.
+
+A family is one `_FAMILIES` entry; `catalog_get` builds it on first use.
 """
 
 import json
@@ -288,32 +290,80 @@ class PlaneSpectralCurve(Frozen):
         )
 
 
-def _family_from_strings(identifier, parameters, ascending, degree, metadata):
-    coeffs = [MultiPoly.parse(text, parameters) for text in ascending]
-    if len(coeffs) != degree + 1:
-        raise DegreeBoundError("coefficient count does not match degree")
-    return CurveFamily(identifier, parameters, coeffs, metadata=metadata)
-
-
-@lru_cache(maxsize=None)
-def _build_gar92():
+# The catalog in listing order, identifier -> builder: parameters,
+# ascending coefficient strings and description for a family written
+# out here, a function for a constructed one, None for a family that is
+# registered without exact data.
+_FAMILIES = {
     # coefficient frame: the slots of the depressed quintic are the
     # parameters, which is the frame the invariant formulas live in;
     # the conserved-value frame differs by an invertible substitution
     # (see gar92_hamiltonian_frame)
-    return _family_from_strings(
-        GAR92,
+    GAR92: (
         ("h1", "h2", "s1", "s2"),
-        ["h2", "h1", "s2", "s1", "0", "1"],
-        5,
-        {
-            "description": (
-                "quintic spectral family of the four-dimensional flow with "
-                "one irregular point of rank 9/2, parameterized by its "
-                "coefficient slots"
-            ),
-        },
-    )
+        ("h2", "h1", "s2", "s1", "0", "1"),
+        "quintic spectral family of the four-dimensional flow with one "
+        "irregular point of rank 9/2, parameterized by its coefficient "
+        "slots",
+    ),
+    GAR52_32: (
+        ("h1", "h2", "s1", "s2"),
+        ("0", "s2", "h2", "h1", "-s1", "1"),
+        "quintic spectral family of the flow with irregular points of "
+        "ranks 5/2 and 3/2",
+    ),
+    MAT_I: lambda: mat_i_weierstrass_family(1),
+    MAT_III: lambda: quadratic_resolvent_curve(
+        mat_iii_quartic()
+    ).with_identifier(
+        MAT_III,
+        description=(
+            "branch-radical reduction of the quartic cover with dihedral "
+            "symmetry; degree-6 model in the radical coordinate"
+        ),
+    ),
+    KFS: (
+        ("h1", "h2", "s"),
+        ("h2^2 - 4*s", "2*h1*h2", "h1^2 - 2*h2", "2*h2 - 2*h1", "2*h1 + 1",
+         "-2", "1"),
+        "sextic spectral family of the coupled 4/3 + 4/3 flow; the "
+        "generic member has split extra structure, so it serves as the "
+        "negative control for invariant independence",
+    ),
+    KSS: None,
+}
+
+
+@lru_cache(maxsize=None)
+def _build(canonical):
+    entry = _FAMILIES[canonical]
+    if callable(entry):
+        return entry()
+    parameters, ascending, description = entry
+    coeffs = [MultiPoly.parse(text, parameters) for text in ascending]
+    return CurveFamily(canonical, parameters, coeffs,
+                       metadata={"description": description})
+
+
+def catalog_ids():
+    return tuple(_FAMILIES)
+
+
+def catalog_get(identifier):
+    """The catalog family for an identifier (aliases accepted), built
+    once per process."""
+    canonical = _ALIASES.get(identifier, identifier)
+    if canonical not in _FAMILIES:
+        known = ", ".join(_FAMILIES)
+        raise UnknownFamilyError(
+            f"unknown family {identifier!r}; known identifiers: {known}"
+        )
+    if _FAMILIES[canonical] is None:
+        raise BlockedOnDataError(
+            f"family {canonical!r} is registered, but no exact spectral "
+            "coefficients are available for it; nothing can be computed"
+        )
+    return _build(canonical)
 
 
 @lru_cache(maxsize=None)
@@ -323,7 +373,7 @@ def gar92_hamiltonian_frame():
     the catalog family after the substitution h1 -> 2*s2^2 - h1,
     h2 -> h2 - s1*s2, s1 -> 3*s2, s2 -> -s1, which is invertible over Q.
     """
-    slots = _build_gar92()
+    slots = catalog_get(GAR92)
     images = {
         name: MultiPoly.parse(text, slots.parameters)
         for name, text in (
@@ -340,47 +390,6 @@ def gar92_hamiltonian_frame():
         metadata={
             "description": (
                 "rank-9/2 spectral quintic in conserved-value coordinates"
-            ),
-        },
-    )
-
-
-@lru_cache(maxsize=None)
-def _build_gar52_32():
-    return _family_from_strings(
-        GAR52_32,
-        ("h1", "h2", "s1", "s2"),
-        ["0", "s2", "h2", "h1", "-s1", "1"],
-        5,
-        {
-            "description": (
-                "quintic spectral family of the flow with irregular points "
-                "of ranks 5/2 and 3/2"
-            ),
-        },
-    )
-
-
-@lru_cache(maxsize=None)
-def _build_kfs():
-    return _family_from_strings(
-        KFS,
-        ("h1", "h2", "s"),
-        [
-            "h2^2 - 4*s",
-            "2*h1*h2",
-            "h1^2 - 2*h2",
-            "2*h2 - 2*h1",
-            "2*h1 + 1",
-            "-2",
-            "1",
-        ],
-        6,
-        {
-            "description": (
-                "sextic spectral family of the coupled 4/3 + 4/3 flow; the "
-                "generic member has split extra structure, so it serves as "
-                "the negative control for invariant independence"
             ),
         },
     )
@@ -412,58 +421,6 @@ def mat_i_weierstrass_family(odd_sign=1):
             "odd_sign": str(odd_sign),
         },
     )
-
-
-@lru_cache(maxsize=None)
-def _build_mat_i():
-    return mat_i_weierstrass_family(1)
-
-
-@lru_cache(maxsize=None)
-def _build_mat_iii():
-    fam = quadratic_resolvent_curve(mat_iii_quartic())
-    return fam.with_identifier(
-        MAT_III,
-        description=(
-            "branch-radical reduction of the quartic cover with dihedral "
-            "symmetry; degree-6 model in the radical coordinate"
-        ),
-    )
-
-
-_BUILDERS = {
-    GAR92: _build_gar92,
-    GAR52_32: _build_gar52_32,
-    MAT_I: _build_mat_i,
-    MAT_III: _build_mat_iii,
-    KFS: _build_kfs,
-}
-
-
-def catalog_ids():
-    return (GAR92, GAR52_32, MAT_I, MAT_III, KFS, KSS)
-
-
-def _resolve_identifier(identifier):
-    if identifier in _BUILDERS or identifier == KSS:
-        return identifier
-    if identifier in _ALIASES:
-        return _ALIASES[identifier]
-    known = ", ".join(catalog_ids())
-    raise UnknownFamilyError(
-        f"unknown family {identifier!r}; known identifiers: {known}"
-    )
-
-
-def catalog_get(identifier):
-    """The catalog family for an identifier (aliases accepted)."""
-    canonical = _resolve_identifier(identifier)
-    if canonical == KSS:
-        raise BlockedOnDataError(
-            f"family {KSS!r} is registered, but no exact spectral "
-            "coefficients are available for it; nothing can be computed"
-        )
-    return _BUILDERS[canonical]()
 
 
 def catalog_entries():
@@ -527,11 +484,6 @@ def _rational_from_json(value):
         raise PolyParseError("booleans are not rational numbers")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise PolyParseError(f"bad rational literal {value!r}") from exc
     if isinstance(value, dict):
         try:
             num, den = (

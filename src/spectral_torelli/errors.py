@@ -48,6 +48,8 @@ class StructureError(SpectralTorelliError, ValueError):
 class UnknownFamilyError(SpectralTorelliError, KeyError):
     """Requested catalog id does not exist."""
 
+    __str__ = Exception.__str__  # the message, not KeyError's repr of it
+
 
 class BlockedOnDataError(SpectralTorelliError, ValueError):
     """The catalog entry exists but its defining data must be supplied by

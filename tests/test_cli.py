@@ -32,6 +32,7 @@ import pytest
 import spectral_torelli
 from spectral_torelli import cli, endo_pipeline, galois_certificates
 from spectral_torelli.cli import build_parser, main
+from spectral_torelli.curve_catalog import load_curve_file
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -275,6 +276,35 @@ def test_float_degree_in_a_curve_file_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert "degree" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariants"],
+        ["count-points", "--p", "37"],
+        ["certify-endo", "--p1", "37", "--p2", "53"],
+    ],
+)
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_curve_file_exits_2(argv, kind, tmp_path, capsys):
+    path = tmp_path / "absent.json" if kind == "missing" else tmp_path
+    with pytest.raises(OSError) as info:
+        load_curve_file(str(path))
+    code = main(argv + ["--file", str(path), "--json"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: {info.value}\n"
+
+
+def test_unknown_family_error_line(capsys):
+    code = main(["independence", "--family", "Nope", "--json"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (
+        "error: unknown family 'Nope'; known identifiers: Gar9/2, "
+        "Gar5/2+3/2, MatI, MatIII(D8), KFS4/3+4/3, KSs3/2+5/4\n"
+    )
 
 
 def test_certificates_never_reach_the_generic_classifier(monkeypatch, capsys):

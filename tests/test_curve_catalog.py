@@ -4,6 +4,7 @@ reductions, pinned against transcribed data and hand-checkable algebra."""
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -46,6 +47,7 @@ from spectral_torelli.igusa_invariants import (
     rank_at_point,
 )
 
+GOLDEN = Path(__file__).parent / "golden"
 KFS_POINT = {"h1": 12, "h2": 17, "s": 29}
 KFS_RATIONAL = (173, 408, 110, 10, 25, -2, 1)
 
@@ -72,6 +74,45 @@ def test_catalog_aliases_and_errors():
         catalog_get("Gar7/2")
     with pytest.raises(BlockedOnDataError):
         catalog_get("KSs3/2+5/4")
+
+
+def test_catalog_families_are_golden():
+    """Parameters, degree, metadata and every coefficient of each
+    available family, recorded while each family still had its own
+    builder function."""
+    recorded = {}
+    for identifier in catalog_ids():
+        try:
+            family = catalog_get(identifier)
+        except BlockedOnDataError:
+            continue
+        recorded[identifier] = {
+            "parameters": list(family.parameters),
+            "degree": family.degree,
+            "metadata": family.metadata,
+            "coefficients": [str(c) for c in family.coefficients],
+        }
+    golden = (GOLDEN / "catalog_families.json").read_text()
+    assert json.dumps(recorded, indent=2) + "\n" == golden
+
+
+@pytest.mark.parametrize("alias, target", sorted(curve_catalog._ALIASES.items()))
+def test_alias_and_target_are_one_object(alias, target):
+    # each family is built once per process, whichever name asks first
+    family = catalog_get(alias)
+    assert family.identifier == target
+    for name in (target, alias, target):
+        assert catalog_get(name) is family
+
+
+def test_unknown_family_message_is_plain():
+    with pytest.raises(UnknownFamilyError) as info:
+        catalog_get("Nope")
+    assert isinstance(info.value, KeyError)
+    assert str(info.value) == (
+        "unknown family 'Nope'; known identifiers: Gar9/2, Gar5/2+3/2, "
+        "MatI, MatIII(D8), KFS4/3+4/3, KSs3/2+5/4"
+    )
 
 
 def test_family_transcriptions():
