@@ -4,7 +4,8 @@
 their slots in their constructors with `object.__setattr__`, or all of
 them in `__slots__` order with `_set`. `Record` adds a constructor,
 field-wise equality and hashing, and a repr, all driven by the
-subclass's `__slots__`, which name its fields in order.
+subclass's `__slots__`, which name its fields in order. `ReadOnlyDict`
+is a dict that refuses every write.
 """
 
 
@@ -54,3 +55,21 @@ class Record(Frozen):
     def __repr__(self):
         body = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
         return f"{type(self).__name__}({body})"
+
+
+class ReadOnlyDict(dict):
+    """A dict whose contents are fixed at construction: every method that
+    would change it raises TypeError. It still compares, copies and
+    serializes to JSON as a dict."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} does not support writes")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        # copy and pickle would otherwise refill a new instance by writes
+        return type(self), (dict(self),)

@@ -21,7 +21,7 @@ import os
 from fractions import Fraction
 from functools import lru_cache
 
-from ._record import Frozen, Record
+from ._record import Frozen, ReadOnlyDict, Record
 from .errors import (
     AlignmentError,
     BadReductionError,
@@ -141,13 +141,37 @@ class HyperellipticCurve(Frozen):
 class CurveFamily(Frozen):
     """A parameterized genus-2 model: ascending coefficients of f(x) as
     polynomials in the family parameters. Validity (a squarefree f) is
-    generic; specialization checks it at each chosen parameter point."""
+    generic; specialization checks it at each chosen parameter point.
+
+    `metadata` is a `ReadOnlyDict`: a catalog family is one object per
+    process, so a write to it would change every later reader.
+
+    Content rule. A family may carry a polynomial `content` lam beside
+    its primitive coefficients g: it is then the family f = lam * g, and
+    `coefficients` and `sextic_coefficients()` give those products. As
+    J2, ..., J10 have degrees 2, ..., 10 in the coefficients,
+    J_2k(lam g) = lam^2k J_2k(g) exactly, and the absolute invariants of
+    f and g agree wherever lam is nonzero, so `igusa` and `rank_at_point`
+    work on the smaller `primitive` family (the family itself when there
+    is no content). Constructed with `content`, `coefficients` are the
+    primitive ones."""
 
     __slots__ = ("identifier", "parameters", "coefficients", "degree",
-                 "metadata", "_tops", "_denominator", "_integer_terms")
+                 "metadata", "content", "primitive", "_tops", "_denominator",
+                 "_integer_terms")
 
-    def __init__(self, identifier, parameters, coefficients, *, metadata=None):
+    def __init__(self, identifier, parameters, coefficients, *,
+                 metadata=None, content=None):
         parameters = tuple(parameters)
+        primitive = self
+        if content is not None:
+            if not (isinstance(content, MultiPoly) and content
+                    and content.variables == parameters):
+                raise AlignmentError(
+                    "content must be a nonzero polynomial in the parameters"
+                )
+            primitive = CurveFamily(None, parameters, coefficients)
+            coefficients = [content * c for c in primitive.coefficients]
         lifted = []
         for c in coefficients:
             if isinstance(c, MultiPoly):
@@ -170,7 +194,8 @@ class CurveFamily(Frozen):
         columns = zip(*(exps for t in terms for exps, _ in t))
         den = math.lcm(*(c.denominator for c in lifted))
         self._set(identifier, parameters, tuple(lifted), len(lifted) - 1,
-                  dict(metadata or {}), tuple(map(max, columns)), den,
+                  ReadOnlyDict(metadata or {}), content, primitive,
+                  tuple(map(max, columns)), den,
                   tuple((den // c.denominator, t)
                         for c, t in zip(lifted, terms)))
 
@@ -178,7 +203,8 @@ class CurveFamily(Frozen):
         meta = dict(self.metadata)
         meta.update(extra_metadata)
         return CurveFamily(
-            identifier, self.parameters, self.coefficients, metadata=meta
+            identifier, self.parameters, self.primitive.coefficients,
+            metadata=meta, content=self.content,
         )
 
     def sextic_coefficients(self):
@@ -705,9 +731,13 @@ def quadratic_resolvent_curve(curve):
     Writes r = q^2 - 4c. When r = x^(2m) (A x + B) with A nonzero, the
     substitution x = (v^2 - B)/A and w = A^3 (2y + e x) turns the cover
     sheet 2u - q = x^m v into w^2 = g(v) with g polynomial of degree 5
-    or 6; that family is returned. When r itself is a degree-5/6
-    polynomial in x, the direct model w^2 = r(x) is returned. Anything
-    else raises StructureError.
+    or 6; that family is returned. Each term of g carries A^(6 - k) for
+    some k <= t = max(deg h, m), with h = 2q + e x^2, so the family keeps
+    its content A^(6 - t) (for the dihedral cover A^3) beside the
+    primitive coefficients g / A^(6 - t); its `coefficients` are still
+    those of g (see the content rule of `CurveFamily`). When r itself is
+    a degree-5/6 polynomial in x, the direct model w^2 = r(x) is
+    returned, without content. Anything else raises StructureError.
     """
     poly = curve.polynomial
     xn, yn = curve.x_name, curve.y_name
@@ -752,6 +782,7 @@ def quadratic_resolvent_curve(curve):
             raise StructureError(
                 "base degree exceeds the fixed clearing weight"
             )
+        top = max(dh, m)
         names = ("v",) + params
         v = MultiPoly.variable("v", names)
         lead_v = lead.with_variables(names)
@@ -759,8 +790,8 @@ def quadratic_resolvent_curve(curve):
         g = MultiPoly.zero(names)
         for k in range(dh + 1):
             hk = h.coefficient_of(xn, k)
-            g = g + hk.with_variables(names) * square ** k * lead_v ** (6 - k)
-        g = g + square ** m * lead_v ** (6 - m) * v * 2
+            g = g + hk.with_variables(names) * square ** k * lead_v ** (top - k)
+        g = g + square ** m * lead_v ** (top - m) * v * 2
         dg = g.degree_in("v")
         if dg not in (5, 6):
             raise StructureError(
@@ -778,6 +809,7 @@ def quadratic_resolvent_curve(curve):
                 "base_image": f"{xn} = (v^2 - B)/A",
                 "cover_image": f"w = A^3*({sheet})",
             },
+            content=lead ** (6 - top) if top < 6 else None,
         )
     if d in (5, 6):
         sheet = f"2*{yn} + {xn}" if shift else f"2*{yn}"

@@ -23,6 +23,7 @@ endomorphism algebras from reductions the same way.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 from ._record import Record
 from .curve_catalog import (
@@ -324,6 +325,12 @@ _RELATION_VARIABLES = ("alpha", "beta", "h1", "h2", "s1", "s2")
 _CURVE_VARIABLES = ("x", "y", "h1", "h2", "s1", "s2")
 
 
+@lru_cache(maxsize=1)
+def _pole_relation():
+    """`_POLE_RELATION_TEXT` parsed once per process."""
+    return MultiPoly.parse(_POLE_RELATION_TEXT, _RELATION_VARIABLES)
+
+
 def _constant_agrees(series, expected_poly):
     """True when a truncated series is the constant expected_poly as far
     as it is determined, with the constant term actually in window."""
@@ -398,7 +405,7 @@ def verify_painleve_divisor_gar92():
                 f"checked below t^{series.truncation}",
             )
         )
-    relation = MultiPoly.parse(_POLE_RELATION_TEXT, _RELATION_VARIABLES)
+    relation = _pole_relation()
     eliminated = _eliminate_tail(h1_value, h2_value)
     stages.append(
         (

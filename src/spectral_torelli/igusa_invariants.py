@@ -28,6 +28,18 @@ on the rank over Q, and rejections stay exact (see `rank_at_point`).
 Each run reads the family's coefficients as ints over one denominator, a
 scale the absolute invariants do not see, and takes a, b, c from
 functions written the same way as the discriminant (`_integer_abc`).
+
+Both paths hand the generated programs the smallest model with the same
+invariants, by two exact identities. J_2k has degree 2k in the
+coefficients, so J_2k(lam f) = lam^2k J_2k(f): symbolic `igusa` runs a
+family that keeps a content lam (`CurveFamily`) on its primitive
+coefficients and multiplies back, and as the absolute invariants ignore
+any scale, a rank run ranks the primitive model where lam is a unit mod
+q. They also ignore an affine change x -> (x - t)/l, so a rank run
+moves a model whose top coefficient times its degree is a unit mod q^2
+to a monic one without its second-highest term (`_absolute_mod`).
+Symbolic `igusa` also keeps constant coefficients as numbers, so the
+programs multiply ints, not constant MultiPolys.
 """
 
 import json
@@ -247,6 +259,15 @@ def _is_zero_value(x):
     return x == 0
 
 
+def _number(c):
+    """A constant MultiPoly as an int, or a Fraction when it is not
+    integral; anything else unchanged."""
+    if isinstance(c, MultiPoly) and c.is_constant():
+        c = c.constant_value()
+        return c.numerator if c.denominator == 1 else c
+    return c
+
+
 class IgusaInvariants(Record):
     """The tuple (J2, J4, J6, J8, J10), weighted by coefficient degree."""
 
@@ -284,6 +305,13 @@ def igusa(source):
     a quintic is treated as a sextic with vanishing leading coefficient)
     or any object exposing sextic_coefficients(), other than a curve over
     F_p.
+
+    A family with a `content` lam (see `CurveFamily`) is lam times its
+    `primitive` family g: its invariants are those of g with J_2k
+    multiplied by lam^2k, which is J_2k of the products exactly. Constant
+    MultiPoly coefficients enter the invariant map as ints or Fractions,
+    so the generated code multiplies numbers where it can; the ring's
+    zero is added to each invariant at the end.
     """
     if hasattr(source, "sextic_coefficients"):
         if getattr(source, "characteristic", 0):
@@ -291,6 +319,14 @@ def igusa(source):
                 "Igusa invariants of a curve over F_p are not computed: "
                 "its residues would give those of an integer lift"
             )
+        content = getattr(source, "content", None)
+        if content is not None:
+            lam2 = content * content
+            lam4 = lam2 * lam2
+            lam8 = lam4 * lam4
+            j2, j4, j6, j8, j10 = igusa(source.primitive).as_tuple()
+            return IgusaInvariants(j2 * lam2, j4 * lam4, j6 * (lam4 * lam2),
+                                   j8 * lam8, j10 * (lam8 * lam2))
         coeffs = list(source.sextic_coefficients())
     else:
         coeffs = list(source)
@@ -299,10 +335,12 @@ def igusa(source):
     if len(coeffs) != 7:
         raise DegreeBoundError("need 6 or 7 ascending coefficients")
     coeffs = _lift_common(coeffs)
+    zero = coeffs[0] * 0
+    coeffs = [_number(c) for c in coeffs]
     j2, j4, j6 = _j2_j4_j6(*_abc(coeffs), _weights())
     j8 = (j2 * j6 + (j4 * j4) * (-1)) / 4
     j10 = binary_sextic_discriminant(coeffs)
-    return IgusaInvariants(j2, j4, j6, j8, j10)
+    return IgusaInvariants(*(j + zero for j in (j2, j4, j6, j8, j10)))
 
 
 class RankReport(Record):
@@ -318,8 +356,36 @@ class RankReport(Record):
 def _absolute_mod(coefficients, m):
     """The absolute invariants mod m, run on ints, of int sextic or
     quintic coefficients; None if J2 is not a unit. They are those of
-    any rational multiple of the coefficients by a unit mod m."""
-    b = [c % m for c in coefficients] + [0] * (7 - len(coefficients))
+    any rational multiple of the coefficients by a unit mod m.
+
+    The generated programs get the cheapest model with the same values.
+    A = (J4/J2^2, J6/J2^3, J10/J2^5) is unchanged by f -> lam f (J_2k has
+    degree 2k in the coefficients) and by x -> (x - t)/l (J_2k of the
+    binary sextic has weight 6k, so it gains the factor l^-6k, which the
+    quotients cancel): these are identities of polynomials over Z[1/30]
+    in the coefficients, lam, t and 1/l, so they hold mod m when lam and
+    l are units. With top = 6 for a sextic and 5 for a quintic, l = top
+    b_top, t = b_(top-1) and lam = l^top / b_top, the model F(y) =
+    lam f((y - t)/l) is monic with no y^(top-1) term: it is the Taylor
+    shift by -t of the polynomial with coefficients top b_k l^(top-1-k)
+    (k < top) and 1, so no inverse is taken. J2(F) = lam^2 l^-6 J2(f) is
+    a unit exactly when J2(f) is. When l is not a unit mod m (q divides
+    top b_top), f runs as given."""
+    b = [c % m for c in coefficients]
+    top = len(b) - 1
+    lead = top * b[top]
+    if math.gcd(lead, m) == 1:
+        shift = -b[top - 1]
+        scale = top
+        for k in range(top - 1, -1, -1):
+            b[k] = b[k] * scale % m
+            scale = scale * lead % m
+        b[top] = 1
+        # Taylor shift by Horner: b becomes the coefficients of F(y)
+        for i in range(top):
+            for k in range(top - 1, i - 1, -1):
+                b[k] = (b[k] + shift * b[k + 1]) % m
+    b += [0] * (7 - len(b))
     j2, j4, j6 = _j2_j4_j6(*_integer_abc()(*b), _weights(m))
     if math.gcd(j2, m) != 1:
         return None
@@ -340,11 +406,16 @@ def rank_at_point(family, point):
 
     The Jacobian comes from n + 1 exact runs of the invariant map on
     ints, at the point v and at v + q e_k for each parameter k: the
-    family's coefficients at that point as ints N = lam f over one
-    denominator lam (`_coefficients_at`), then A = (J4/J2^2, J6/J2^3,
-    J10/J2^5) of N mod q^2. As J2, ..., J10 have weights 2, ..., 10,
-    A(N) = A(f), which is A(f) mod q^2 when lam is a unit mod q; lam is
-    the same at every run, since n/d + q = (n + q d)/d keeps d. Column k
+    coefficients at that point of the family's `primitive` model g (the
+    family f itself unless it keeps a content c, f = c g; see
+    `CurveFamily`) as ints N = lam g over one denominator lam
+    (`_coefficients_at`), then A = (J4/J2^2, J6/J2^3, J10/J2^5) of N mod
+    q^2 (`_absolute_mod`, which runs the programs on a monic model
+    without its second-highest term when it can). As J2, ..., J10 have
+    weights 2, ..., 10, A(N) = A(g) = A(f) wherever c(v) is nonzero,
+    which is A(f) mod q^2 when lam and c(v) are units mod q; lam is the
+    same at every run, since n/d + q = (n + q d)/d keeps d, and
+    c(v + q e_k) = c(v) mod q. Column k
     is (A(v + q e_k) - A(v)) mod q^2 // q, by the step-q lemma: if
     F = P/Q with P, Q polynomials over Z_(q) (rationals with denominators
     prime to q) and Q(v) a unit mod q, then F(v + q e_k) = F(v) +
@@ -356,13 +427,15 @@ def rank_at_point(family, point):
     bound on the rank over Q at the point; `independence_rank` reports
     it as an observed rank.
 
-    Rejections are exact. Points where J10 or J2 vanishes over Q (the
-    absolute chart breaks down there) raise DegenerateCurveError, decided
-    on the ints N, since lam scales J2 and J10 by lam^2 and lam^10: J10
-    is `_discriminant` of N, and J2 is a nonzero multiple of the `a` of
+    Rejections are exact. Points where J10 or J2 of f vanishes over Q
+    (the absolute chart breaks down there) raise DegenerateCurveError. A
+    point where the content vanishes makes f zero, and raises as on the
+    discriminant locus; elsewhere it is decided on the ints N, since
+    lam c(v) scales J2 and J10 by its square and tenth power: J10 is
+    `_discriminant` of N, and J2 is a nonzero multiple of the `a` of
     `_integer_abc`.
-    When J10 or J2 is 0 mod q, or q divides lam or the denominator of a
-    value (a parameter of degree 0 does not enter lam), the point is
+    When J10 or J2 is 0 mod q, or q divides lam, c(v) or the denominator
+    of a value (a parameter of degree 0 does not enter lam), the point is
     first settled over Q. If it passes but J2 or a denominator is 0 mod
     q, it has no certificate mod q and counts as rank 0, which is still
     a true lower bound.
@@ -370,8 +443,16 @@ def rank_at_point(family, point):
     values = family._values(point, full=True)
     q = Jet1.MODULUS
     qq = q * q
-    exact, scale = family._coefficients_at(values)
-    units = scale % q and all(v.denominator % q for v in values.values())
+    units = True
+    if family.content is not None:
+        lam = family.content.evaluate(values)
+        if not lam:
+            raise DegenerateCurveError("sample hits the discriminant locus")
+        units = lam.numerator % q
+    model = family.primitive
+    exact, scale = model._coefficients_at(values)
+    units = units and scale % q and all(
+        v.denominator % q for v in values.values())
     base = _absolute_mod(exact, qq) if units else None
     if base is None or not base[2] % q:
         b = exact + [0] * (7 - len(exact))
@@ -381,7 +462,7 @@ def rank_at_point(family, point):
             raise DegenerateCurveError("sample hits the J2 = 0 locus")
         if base is None:
             return 0
-    steps = [_absolute_mod(family._coefficients_at(
+    steps = [_absolute_mod(model._coefficients_at(
         {**values, name: values[name] + q})[0], qq)
         for name in family.parameters]
     rows = [[(s - a) % qq // q for s in col]

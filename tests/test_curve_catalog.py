@@ -1,8 +1,10 @@
 """Catalog families, file input, reduction mod p, and the quartic-cover
 reductions, pinned against transcribed data and hand-checkable algebra."""
 
+import copy
 import json
 import math
+import pickle
 from fractions import Fraction
 from pathlib import Path
 
@@ -645,3 +647,73 @@ def test_resolvent_direct_branch_radical(poly_text, sheet):
         "construction": "direct branch radical",
         "cover_image": f"w = {sheet}",
     }
+
+
+def test_family_metadata_is_read_only():
+    """The catalog hands every caller one family object, so its metadata
+    refuses writes; `with_identifier` and `specialize` still copy it."""
+    fam = catalog_get("KFS4/3+4/3")
+    before = catalog_entries()
+    writes = (
+        lambda m: m.__setitem__("description", "changed"),
+        lambda m: m.__delitem__("description"),
+        lambda m: m.__ior__({"x": 1}),
+        lambda m: m.update(description="changed"),
+        lambda m: m.setdefault("x", 1),
+        lambda m: m.pop("description"),
+        lambda m: m.popitem(),
+        lambda m: m.clear(),
+    )
+    for write in writes:
+        with pytest.raises(TypeError):
+            write(fam.metadata)
+    with pytest.raises(TypeError):
+        fam.metadata["description"] = "changed"
+    assert catalog_entries() == before
+    assert json.loads(json.dumps(fam.metadata)) == fam.metadata
+    for twin in (copy.deepcopy(fam.metadata),
+                 pickle.loads(pickle.dumps(fam.metadata))):
+        assert twin == fam.metadata and type(twin) is type(fam.metadata)
+    renamed = fam.with_identifier("copy", note="kept")
+    assert renamed.metadata == {**fam.metadata, "note": "kept"}
+    partial = fam.specialize({"s": 1})
+    assert partial.metadata == {**fam.metadata,
+                                "specialized_from": "KFS4/3+4/3"}
+    for derived in (renamed, partial):
+        with pytest.raises(TypeError):
+            derived.metadata["description"] = "changed"
+    assert catalog_get("KFS").metadata["description"].startswith("sextic")
+
+
+def test_matiii_keeps_its_content_beside_the_primitive_model():
+    """The dihedral family is A^3 times a primitive model, A = -4(theta^2
+    + 2 h1); its coefficients are still the products, and `with_identifier`
+    keeps the content."""
+    fam = catalog_get("MatIII(D8)")
+    theta, h1 = (MultiPoly.variable(n, fam.parameters) for n in ("theta", "h1"))
+    assert fam.content == ((theta * theta + h1 * 2) * -4) ** 3
+    assert fam.coefficients == tuple(
+        fam.content * c for c in fam.primitive.coefficients)
+    assert [len(c.terms) for c in fam.coefficients][0] == 98
+    assert [len(c.terms) for c in fam.primitive.coefficients][0] == 49
+    assert fam.primitive.content is None
+    assert fam.primitive.primitive is fam.primitive
+    again = quadratic_resolvent_curve(mat_iii_quartic()).with_identifier("x")
+    assert again.content == fam.content
+    assert again.coefficients == fam.coefficients
+    assert catalog_get("MatI").content is None
+    assert catalog_get("MatI").primitive is catalog_get("MatI")
+
+
+def test_content_must_be_a_nonzero_polynomial_in_the_parameters():
+    names = ("a",)
+    a = MultiPoly.variable("a", names)
+    coeffs = [a, 0, 0, 0, 0, 1]
+    for content in (MultiPoly.zero(names), MultiPoly.variable("b", ("b",)),
+                    2):
+        with pytest.raises(AlignmentError):
+            CurveFamily(None, names, coeffs, content=content)
+    fam = CurveFamily(None, names, coeffs, content=a + 1)
+    assert fam.coefficients == tuple(
+        (a + 1) * c for c in CurveFamily(None, names, coeffs).coefficients)
+    assert fam.degree == 5

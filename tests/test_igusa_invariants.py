@@ -870,3 +870,161 @@ def test_matiii_transvectants_golden():
             (len(c.terms), hashlib.sha256(str(c).encode()).hexdigest())
             for c in coefficients
         ] == MATIII_TRANSVECTANTS[name], name
+
+
+def absolute_mod_reference(coefficients, m):
+    """`_absolute_mod` as it ran before it moved each model to a monic one
+    without its second-highest term, kept as the oracle: the invariant
+    programs on the residues as given."""
+    ig = igusa_invariants
+    b = [c % m for c in coefficients] + [0] * (7 - len(coefficients))
+    j2, j4, j6 = ig._j2_j4_j6(*ig._integer_abc()(*b), ig._weights(m))
+    if math.gcd(j2, m) != 1:
+        return None
+    u = pow(j2, -1, m)
+    j10 = ig._discriminant()(*b)
+    return j4 * u**2 % m, j6 * u**3 % m, j10 * u**5 % m
+
+
+def with_j2(b, m, target):
+    """b with one coefficient moved so that J2 is `target` mod m: the `a`
+    of `_integer_abc` is linear in b0 (slope a unit times b6) and, for a
+    quintic, in b1 (slope a unit times b5)."""
+    ig = igusa_invariants
+    pad = [0] * (7 - len(b))
+    for i in (0, 1):
+        at = [ig._integer_abc()(*(b[:i] + [x] + b[i + 1:] + pad))[0] % m
+              for x in (0, 1)]
+        slope = (at[1] - at[0]) % m
+        if math.gcd(slope, m) == 1:
+            w = ig._weights(m)[0]
+            want = target * pow(w, -1, m) - at[0]
+            return b[:i] + [want * pow(slope, -1, m) % m] + b[i + 1:]
+    return None
+
+
+@pytest.mark.parametrize("q", [Jet1.MODULUS, 11, 101])
+def test_absolute_mod_equals_the_run_on_the_given_model(q):
+    """On seeded residues mod q^2 (and ints beyond it), `_absolute_mod`
+    gives the oracle's values or its None: sextics and quintics with a
+    unit top coefficient, a sextic whose b6 is 0 mod q^2 or divisible by
+    q only, a quintic whose b5 is, and models moved onto J2 = 0 mod q^2
+    and mod q only."""
+    m = q * q
+    rng = random.Random(q)
+    seen = set()
+
+    def check(b, kind):
+        got = igusa_invariants._absolute_mod(b, m)
+        assert got == absolute_mod_reference(b, m), (kind, b)
+        seen.add((kind, got is None))
+
+    for _ in range(40):
+        b = [rng.randrange(m) for _ in range(7)]
+        check(b, "sextic")
+        check(b[:6], "quintic")
+        check([c - 2**130 for c in b], "sextic beyond m")
+        check(b[:6] + [m * rng.randrange(1, 9)], "b6 = 0 mod q^2")
+        check(b[:6] + [q * rng.randrange(1, q)], "b6 = 0 mod q")
+        check(b[:5] + [q * rng.randrange(1, q)], "b5 = 0 mod q")
+        check(b[:5] + [0], "b5 = 0")
+        for kind, target in (("J2 = 0 mod q^2", 0), ("J2 = 0 mod q", q)):
+            for model in (b, b[:6]):
+                moved = with_j2(model, m, target)
+                if moved is not None:
+                    check(moved, kind)
+    assert {kind for kind, none in seen if none} >= {
+        "J2 = 0 mod q^2", "J2 = 0 mod q"}
+    assert {kind for kind, none in seen if not none} >= {
+        "sextic", "quintic", "sextic beyond m", "b6 = 0 mod q^2",
+        "b6 = 0 mod q", "b5 = 0 mod q"}
+
+
+def test_absolute_mod_runs_the_monic_model_without_its_next_term(
+        monkeypatch):
+    # the programs get a monic model with no x^5 (x^4) term when 6 b6
+    # (5 b5) is a unit, and the residues as given otherwise
+    seen = []
+    program = igusa_invariants._discriminant()
+    monkeypatch.setattr(igusa_invariants, "_discriminant",
+                        lambda: lambda *b: seen.append(b) or program(*b))
+    m = 101**2
+    igusa_invariants._absolute_mod([3, 1, 4, 1, 5, 9, 2], m)
+    igusa_invariants._absolute_mod([3, 1, 4, 1, 5, 9], m)
+    igusa_invariants._absolute_mod([3, 1, 4, 1, 5, 9, 202], m)
+    assert seen[0][5:] == (0, 1)
+    assert seen[1][4:] == (0, 1, 0)
+    assert seen[2] == (3, 1, 4, 1, 5, 9, 202)
+
+
+# sha256 of str(J2), ..., str(J10) of MatIII(D8), as `igusa` gave them on
+# the 98-term product coefficients before the family kept its content
+MATIII_INVARIANTS = {
+    "J2": "51eec696f8f1cf4f8f8520e2d118ca3da273f490ab7f53bf8cf88ccbcf450404",
+    "J4": "b50f3db035e27d16501c626990ffcb1272fec431be77e7049023ff3499055697",
+    "J6": "2991c787ba0e1c2457b098627642b509af84006c937555dee3fa9d48beb2b56e",
+    "J8": "e90fcb03b49ec7d6ea8114d48ac9792ab4e45883e9d193234749f242976492f7",
+    "J10": "8d088f9c9f3b507610b729127ca206e4b5d7f7601cd1f416e218544450c67108",
+}
+
+
+def test_matiii_invariants_are_pinned():
+    inv = igusa(catalog_get("MatIII(D8)"))
+    names = ("J2", "J4", "J6", "J8", "J10")
+    assert {n: hashlib.sha256(str(j).encode()).hexdigest()
+            for n, j in zip(names, inv.as_tuple())} == MATIII_INVARIANTS
+
+
+def test_igusa_of_a_family_with_content_is_that_of_the_products():
+    rng = random.Random(5)
+    names = ("a", "b")
+    for _ in range(6):
+        def poly(size):
+            return MultiPoly(names, {
+                (rng.randint(0, 2), rng.randint(0, 2)):
+                    Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                for _ in range(size)})
+        coeffs = [poly(2) for _ in range(rng.choice([6, 7]))]
+        coeffs[-1] = coeffs[-1] + rng.randint(1, 4)
+        content = poly(2) + rng.randint(1, 4)
+        fam = CurveFamily(None, names, coeffs, content=content)
+        products = CurveFamily(None, names, fam.coefficients)
+        assert igusa(fam) == igusa(products)
+        point = {"a": Fraction(rng.randint(-9, 9), 7), "b": 3}
+        assert rank_or_none(fam, point) == rank_or_none(products, point)
+
+
+def test_constant_polynomial_coefficients_give_polynomial_invariants():
+    names = ("h",)
+    rng = random.Random(8)
+    coeffs, inv = random_sextic(rng)
+    got = igusa([MultiPoly.constant(names, c) for c in coeffs])
+    for j, expected in zip(got.as_tuple(), inv.as_tuple()):
+        assert isinstance(j, MultiPoly) and j.variables == names
+        assert j == MultiPoly.constant(names, expected)
+
+
+def test_matiii_ranks_its_primitive_model_with_the_same_rejections(
+        monkeypatch):
+    """`rank_at_point` ranks MatIII(D8) on its primitive model: it still
+    raises where the content A^3 vanishes (theta^2 = -2 h1), gives 0
+    without a certificate where A is 0 mod q only, and agrees with the
+    family of the products elsewhere, at q = 2^61 - 1 and at q = 11."""
+    fam = catalog_get("MatIII(D8)")
+    products = CurveFamily(None, fam.parameters, fam.coefficients)
+    with pytest.raises(DegenerateCurveError,
+                       match="sample hits the discriminant locus"):
+        rank_at_point(fam, {"h1": -2, "h2": 3, "s": 5, "theta": 2})
+    rng = random.Random(13)
+    points = [{n: Fraction(rng.randint(-30, 30), rng.randint(1, 30))
+               for n in fam.parameters} for _ in range(8)]
+    for point in points:
+        assert rank_or_none(fam, point) == rank_or_none(products, point)
+    monkeypatch.setattr(Jet1, "MODULUS", 11)
+    # theta^2 + 2 h1 = 11
+    lifted = [{"h1": 1, "h2": 2, "s": 3, "theta": 3},
+              {"h1": 1, "h2": -5, "s": Fraction(7, 2), "theta": -3}]
+    for point in lifted:
+        assert rank_at_point(fam, point) == 0 == rank_at_point(products, point)
+    for point in points + lifted:
+        assert rank_or_none(fam, point) == rank_or_none(products, point)

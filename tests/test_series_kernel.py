@@ -676,3 +676,19 @@ def test_divisor_replay_adds_at_most_one_symbol_per_phase_series(monkeypatch):
     assert verify_painleve_divisor_gar92().identical
     base = len(garnier92_solution().variables)
     assert base < max(widths) <= base + len(PHASE)
+
+
+def test_divisor_replay_parses_its_relation_once(monkeypatch):
+    # the transcribed pole relation is frozen data: a replay after the
+    # first parses no polynomial text
+    assert verify_painleve_divisor_gar92().identical
+    parsed = []
+    parse = MultiPoly.parse.__func__
+
+    def counted(cls, text, variables):
+        parsed.append(text)
+        return parse(cls, text, variables)
+
+    monkeypatch.setattr(MultiPoly, "parse", classmethod(counted))
+    assert verify_painleve_divisor_gar92().identical
+    assert parsed == []
