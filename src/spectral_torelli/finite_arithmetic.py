@@ -112,8 +112,8 @@ def count_points(curve, p, *, extension=1):
       annihilates the class of D = P1 + P2 - D_inf (D_inf the divisor at
       infinity) is the true a2 (Kedlaya-Sutherland, ANTS VIII). With
       both points at infinity conjugate, Mumford pairs (u, v) with
-      deg u = 2 stand for the nonzero classes and Cantor's reduction
-      needs no rational Weierstrass point.
+      deg u = 2 stand for the nonzero classes, and their closed-form
+      group law needs no rational Weierstrass point.
     The direct count below runs instead under p = 41, where it is
     faster, and when three divisors leave several candidates (groups of
     small exponent at small p).
@@ -291,10 +291,7 @@ def _order_test(f, p, a1, candidates):
     points = _points(f, p)
     alive = range(len(candidates))
     for _ in range(_ORDER_TEST_DIVISORS):
-        (x1, y1), (x2, y2) = next(points), next(points)
-        # P1 + P2 - D_inf: u = (x - x1)(x - x2), v the line through both
-        slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
-        divisor = ((x1 * x2 % p, -(x1 + x2) % p, 1), ((y1 - slope * x1) % p, slope))
+        divisor = _two_points(*next(points), *next(points), f, p)
         step = _jac_mul(divisor, p, f, p)
         current = _jac_mul(divisor, first, f, p)
         killed = []
@@ -383,7 +380,10 @@ def _points(f, p):
 # reduction (f - v^2)/u takes a composed u of degree 4 straight to
 # degree 2. Sums and doubles whose two u are coprime (Res(u, 2v) != 0
 # for a double) take that composition and reduction in closed form, as
-# Lange (AAECC 2005) does for quintics; the rest run Cantor's algorithm
+# Lange (AAECC 2005) does for quintics. Two u that share a root share a
+# rational one; as P + (-P) ~ D_inf, and 2P ~ D_inf at a Weierstrass
+# point, such a sum is a line or tangent pair, or a composition of both.
+# Only a u = (x - a)^2 that shares its root runs Cantor's algorithm
 # (Math. Comp. 1987).
 
 
@@ -417,12 +417,26 @@ def _jac_add(d1, d2, f, p):
         s1 = (w1 * i0 - w0 * z1 - t * u21) % p
         s0 = (w0 * i0 - t * u20) % p
         return _compose(u1, v1, u2, r, s0, s1, f, p)
+    (v10, v11), (v20, v21) = v1, v2
     if u1 == u2:
         if v1 == v2:
             return _jac_double(d1, f, p)
         if not any((a + b) % p for a, b in zip(v1, v2)):
             return (1,), ()
-    return _cantor(d1, d2, f, p)
+        # v1 = v2 at one root a of u, v1 = -v2 at the other
+        a = (v20 - v10) * pow(v11 - v21, -1, p) % p
+    else:
+        # the one shared root a of u1 = (x - a)(x - b), u2 = (x - a)(x - c)
+        a = -z0 * pow(z1, -1, p) % p
+    b, c = (-u11 - a) % p, (-u21 - a) % p
+    y, yb, yc = (v10 + v11 * a) % p, (v10 + v11 * b) % p, (v20 + v21 * c) % p
+    line = _two_points(b, yb, c, yc, f, p)
+    if y != (v20 + v21 * a) % p:
+        return line  # opposite points over a: Q1 + Q2
+    if a in (b, c):
+        return _cantor(d1, d2, f, p)
+    # the same point P over a: 2P + Q1 + Q2, with coprime u
+    return _jac_add(_two_points(a, y, a, y, f, p), line, f, p)
 
 
 def _jac_double(divisor, f, p):
@@ -452,7 +466,25 @@ def _jac_double(divisor, f, p):
         s1 = (w1 * i0 - w0 * z1 - t * u1) % p
         s0 = (w0 * i0 - t * u0) % p
         return _compose(u, v, u, r, s0, s1, f, p)
-    return _cantor(divisor, divisor, f, p)
+    # v vanishes at one root a = -v0/v1 of u, so u = (x - a)(x - b) with
+    # (a, 0) a Weierstrass point: 2D - 2D_inf ~ 2Q - D_inf, Q = (b, v(b))
+    b = (v0 * pow(v1, -1, p) - u1) % p
+    y = (v0 + v1 * b) % p
+    return _two_points(b, y, b, y, f, p)
+
+
+def _two_points(x1, y1, x2, y2, f, p):
+    """The Mumford pair of P1 + P2 - D_inf for affine points Pi = (xi, yi)
+    of y^2 = f(x), residues mod p: the line through them, the tangent at
+    P1 = P2 with slope f'(x1)/(2*y1), or zero when P2 = -P1 (a
+    Weierstrass point doubled included)."""
+    if x1 != x2:
+        slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    elif (y1 + y2) % p == 0:
+        return (1,), ()
+    else:
+        slope = sum(i * f[i] * x1 ** (i - 1) for i in range(1, 7)) * pow(2 * y1, -1, p) % p
+    return (x1 * x2 % p, -(x1 + x2) % p, 1), ((y1 - slope * x1) % p, slope)
 
 
 def _compose(u1, v1, u2, r, s0, s1, f, p):

@@ -50,17 +50,24 @@ d | n, they are closed under divisors.
 The same two squares count those ratios. For i != j, r_j / r_i has order
 dividing n exactly when r_i^n = r_j^n. The n-th powers pair as r^n,
 q/r^n with q = p^n, so P_n = prod (t - r_i^n) is
-t^4 - b1 t^3 + b2 t^2 - q b1 t + q^2 with b1 = s_n and
-b2 = (s_n^2 - s_2n) / 2, s_k the power sums of the r_i. Writing P_n = (t^2 - S t + q)(t^2 - S' t + q), its
-D_n = b1^2 - 4 b2 + 8q = (S - S')^2 and E_n = (b2 + 2q)^2 - 4q b1^2 =
-(S^2 - 4q)(S'^2 - 4q); a factor has a double root iff S^2 = 4q, and the
-two share a root iff S = S'. So the number c(n) of ordered pairs i != j
-with r_i^n = r_j^n is 0 when D_n E_n != 0; when only E_n = 0 it is 2,
-or 4 if both factors are squares, which is b1 = 0 and b2 = -2q (then
-S' = -S); when D_n = 0 it is 4, or 12 if b1^2 = 16q (one quadruple
-root). The number of ratios of exact order n is c(n) less the numbers
-of exact order d for the proper divisors d of n, with none of order 1
-for a separable quartic. That is `root_ratio_orders`.
+(t^2 - S t + q)(t^2 - S' t + q) = t^4 - b1 t^3 + b2 t^2 - q b1 t + q^2
+with b1 = S + S', b2 = S S' + 2q. Its D_n = b1^2 - 4 b2 + 8q = (S - S')^2
+and E_n = (b2 + 2q)^2 - 4q b1^2 = (S^2 - 4q)(S'^2 - 4q); a factor has a
+double root iff S^2 = 4q, and the two share a root iff S = S'. So the
+number c(n) of ordered pairs i != j with r_i^n = r_j^n is 0 when
+D_n E_n != 0; when only E_n = 0 it is 2, or 4 if both factors are
+squares, which is b1 = 0 and b2 = -2q (then S' = -S); when D_n = 0 it
+is 4, or 12 if b1^2 = 16q (one quadruple root). The number of ratios of
+exact order n is c(n) less the numbers of exact order d for the proper
+divisors d of n, with none of order 1: c(1) = 0 is the separability of
+P, as disc P = p^2 D^2 E. That is `root_ratio_orders`.
+
+With the Dickson polynomials V_m(x + a/x, a) = x^m + (a/x)^m, S is
+V_n(s, p) for a root s of s^2 - a1 s + (a2 - 2p), and V_mn(x, a) =
+V_m(V_n(x, a), a^n), so each of the 13 orders is one step V_2, V_3 or
+V_5 from a smaller order or from 1. From V_0 = 2, V_1 = S, the recurrence
+V_j = S V_(j-1) - q V_(j-2) keeps V_j(S, q) = (x_j + y_j sqrt(D_n))/2 for
+integers x_j, y_j, and P_mn has q^m, b1 = x_m and D_mn = D_n y_m^2.
 
 The Frobenius entry points `quadratic_subfield`, `tate_condition` and
 `root_ratio_orders` take a `WeilPolynomial` (p, a1, a2), the only
@@ -83,8 +90,10 @@ from .finite_arithmetic import _within_weil_bounds
 
 _TRIAL_LIMIT = 10 ** 6
 _CERTIFIED_COFACTOR_BOUND = 10 ** 18
-# the orders n >= 2 with phi(n) dividing 8 (see the module docstring)
-_RATIO_ORDERS = (2, 3, 4, 5, 6, 8, 10, 12, 15, 16, 20, 24, 30)
+# the orders n >= 2 with phi(n) dividing 8, each mapped to the order k
+# whose P_k one Dickson step V_(n/k) takes to P_n (see the module docstring)
+_RATIO_STEPS = {2: 1, 3: 1, 4: 2, 5: 1, 6: 3, 8: 4, 10: 5, 12: 6, 15: 5,
+                16: 8, 20: 10, 24: 12, 30: 15}
 
 
 def _is_square(n):
@@ -394,20 +403,6 @@ class RootRatioReport(Record):
         return not self.orders
 
 
-def _power_sums(coefficients, count):
-    """Power sums s_0..s_count of the roots of a monic integer quartic
-    (ascending coefficients), by Newton's identities."""
-    e, d, c, b, _ = coefficients
-    elementary = (b, c, d, e)
-    sums = [4]
-    for k in range(1, count + 1):
-        total = -k * elementary[k - 1] if k <= 4 else 0
-        for i in range(1, min(k, 5)):
-            total -= elementary[i - 1] * sums[k - i]
-        sums.append(total)
-    return sums
-
-
 def _coinciding_pairs(q, b1, b2):
     """c(n) of the module docstring: the ordered pairs i != j with
     r_i^n = r_j^n, from P_n = t^4 - b1 t^3 + b2 t^2 - q b1 t + q^2."""
@@ -425,16 +420,29 @@ def root_ratio_orders(weil):
 
     Only the 13 orders with phi(n) | 8 can occur. For each, in
     ascending order, the pairs with r_i^n = r_j^n are counted from the
-    D and E of the quartic of n-th powers, and those of a smaller order
-    d | n taken off (see the module docstring). Repeated eigenvalues
-    raise StructureError.
+    D and E of P_n, one Dickson step from a smaller order, and those of
+    a smaller order d | n taken off (see the module docstring).
+    Repeated eigenvalues (c(1) != 0, or p = 0) raise StructureError.
     """
-    if not tate_condition(weil):
+    weil = _validated_weil(weil)
+    p, a1, a2 = weil.p, weil.a1, weil.a2
+    if not p or _coinciding_pairs(p, a1, a2):
         raise StructureError("repeated Frobenius eigenvalues")
-    p = weil.p
-    s = _power_sums(weil.frobenius_coefficients, 2 * _RATIO_ORDERS[-1])
+    # (q, b1, D_n) of P_n by order n; c(1) = 0, so exact keeps only the
+    # nonzero counts of ratios of exact order n
+    levels = {1: (p, a1, a1 * a1 - 4 * a2 + 8 * p)}
     exact = {}
-    for n in _RATIO_ORDERS:
-        pairs = _coinciding_pairs(p**n, s[n], (s[n] * s[n] - s[2 * n]) // 2)
-        exact[n] = pairs - sum(exact[d] for d in exact if n % d == 0)
-    return RootRatioReport(tuple(n for n, count in exact.items() if count))
+    for n, k in _RATIO_STEPS.items():
+        q, b1, d = levels[k]
+        # V_j(S, q) = (x + y sqrt(d)) / 2 for j = 0, 1, ..., m
+        x0, y0, x, y = 4, 0, b1, 1
+        for _ in range(n // k - 1):
+            x0, y0, x, y = x, y, (b1 * x + d * y) // 2 - q * x0, (x + b1 * y) // 2 - q * y0
+        q, d = q ** (n // k), d * y * y
+        levels[n] = q, x, d
+        pairs = _coinciding_pairs(q, x, (x * x - d) // 4 + 2 * q)
+        if pairs:
+            pairs -= sum(c for j, c in exact.items() if n % j == 0)
+            if pairs:
+                exact[n] = pairs
+    return RootRatioReport(tuple(exact))

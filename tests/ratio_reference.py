@@ -1,7 +1,13 @@
-"""The ratio polynomial of a Frobenius quartic for the tests: the
-construction that `root_ratio_orders` once scanned, kept as the reference
-its pair count is checked against. The package itself builds no ratio
+"""Two references for `root_ratio_orders`, kept for the tests.
+
+The ratio polynomial of a Frobenius quartic: the construction that
+`root_ratio_orders` once scanned. The package itself builds no ratio
 polynomial and no cyclotomic polynomial.
+
+The power-sum pair count (`power_sum_ratio_orders`): the same pair count
+c(n) as the package, with the quartic of n-th powers read from the
+power sums s_n and s_2n of the eigenvalues (Newton's identities up to
+s_60) instead of from Dickson steps.
 
 For the Frobenius quartic P = t^4 + b t^3 + c t^2 + d t + e, e = p^2,
 with roots r_i, Res_t(P(t), P(u t)) = prod_{i,j} (u r_i - r_j), so with
@@ -19,7 +25,40 @@ h_k p^8 / p^(2k), which must be an integer.
 
 from functools import lru_cache
 
-from spectral_torelli.galois_certificates import _power_sums
+from spectral_torelli.errors import StructureError
+from spectral_torelli.galois_certificates import (
+    _RATIO_STEPS,
+    _coinciding_pairs,
+    tate_condition,
+)
+
+
+def power_sums(coefficients, count):
+    """Power sums s_0..s_count of the roots of a monic integer quartic
+    (ascending coefficients), by Newton's identities."""
+    e, d, c, b, _ = coefficients
+    elementary = (b, c, d, e)
+    sums = [4]
+    for k in range(1, count + 1):
+        total = -k * elementary[k - 1] if k <= 4 else 0
+        for i in range(1, min(k, 5)):
+            total -= elementary[i - 1] * sums[k - i]
+        sums.append(total)
+    return sums
+
+
+def power_sum_ratio_orders(weil):
+    """The orders of `root_ratio_orders`, from P_n = t^4 - b1 t^3 + b2 t^2
+    - q b1 t + q^2 with b1 = s_n, b2 = (s_n^2 - s_2n) / 2 and q = p^n."""
+    if not tate_condition(weil):
+        raise StructureError("repeated Frobenius eigenvalues")
+    p = weil.p
+    s = power_sums(weil.frobenius_coefficients, 2 * max(_RATIO_STEPS))
+    exact = {}
+    for n in _RATIO_STEPS:
+        pairs = _coinciding_pairs(p**n, s[n], (s[n] * s[n] - s[2 * n]) // 2)
+        exact[n] = pairs - sum(exact[d] for d in exact if n % d == 0)
+    return tuple(n for n, count in exact.items() if count)
 
 
 def divmod_monic(poly, divisor):
@@ -54,8 +93,8 @@ def ratio_polynomial(weil):
     """Ascending integer coefficients of the degree-12 ratio polynomial
     of a Weil polynomial (see the module docstring)."""
     e, d, c, b, _ = weil.frobenius_coefficients
-    s = _power_sums((e, d, c, b, 1), 12)
-    t = _power_sums((e**3, b * e**2, c * e, d, 1), 12)
+    s = power_sums((e, d, c, b, 1), 12)
+    t = power_sums((e**3, b * e**2, c * e, d, 1), 12)
     h = [1]
     for k in range(1, 13):
         total = sum(

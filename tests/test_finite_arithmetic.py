@@ -557,24 +557,61 @@ class TestFrobeniusCount:
         assume(quadratic_character(lead, p) == -1)
         f = tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=6, max_size=6)))
         f += (lead,)
+        if data.draw(st.booleans()):
+            # a Weierstrass point at x = w
+            w = data.draw(st.integers(0, p - 1))
+            f = ((-sum(c * w**i for i, c in enumerate(f) if i)) % p,) + f[1:]
         assume(squarefree_mod_p(f, p))
         points = list(finite_arithmetic._points(f, p))
         assume(len(points) >= 4)
         for x, y in points:
             assert (y * y - sum(c * x**i for i, c in enumerate(f))) % p == 0
+        cantor = finite_arithmetic._cantor
 
         def pair(a, b):
-            return finite_arithmetic._cantor(
-                *(((-x % p, 1), (y,)) for x, y in (a, b)), f, p
-            )
+            return cantor(*(((-x % p, 1), (y,)) for x, y in (a, b)), f, p)
 
         d, e = pair(*points[:2]), pair(*points[2:4])
         for _ in range(8):
             total = finite_arithmetic._jac_add(d, e, f, p)
             double = finite_arithmetic._jac_double(d, f, p)
-            assert total == finite_arithmetic._cantor(d, e, f, p)
-            assert double == finite_arithmetic._cantor(d, d, f, p)
+            assert total == cantor(d, e, f, p)
+            assert double == cantor(d, d, f, p)
             d, e = double, total
+
+        # Sums whose two u share a root, built by Cantor from points:
+        # each takes a closed form, with no call to Cantor's algorithm.
+        (a, y), (b, yb), (c, yc) = points[:3]
+        same, minus = (a, y), (a, p - y)
+        sums = [
+            (pair(same, (b, yb)), pair(same, (c, yc))),
+            (pair(same, (b, yb)), pair(minus, (c, yc))),
+            # u1 = u2 with v1 = v2 at a and v1 = -v2 at b
+            (pair(same, (b, yb)), pair(same, (b, p - yb))),
+        ]
+        doubles = []
+        roots = [x for x in range(p) if sum(c * x**i for i, c in enumerate(f)) % p == 0]
+        for root in roots[:1]:
+            weierstrass = (root, 0)
+            sums.append((pair(weierstrass, (b, yb)), pair(weierstrass, (c, yc))))
+            doubles.append(pair(weierstrass, (b, yb)))
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                finite_arithmetic, "_cantor",
+                lambda *args: calls.append(args) or cantor(*args),
+            )
+            totals = [finite_arithmetic._jac_add(d, e, f, p) for d, e in sums]
+            doubled = [finite_arithmetic._jac_double(d, f, p) for d in doubles]
+        assert calls == []
+        assert totals == [cantor(d, e, f, p) for d, e in sums]
+        assert doubled == [cantor(d, d, f, p) for d in doubles]
+        # the two-point pairs: line, tangent and zero
+        for q in ((b, yb), same, minus, *((root, 0) for root in roots[:1])):
+            assert finite_arithmetic._two_points(*same, *q, f, p) == pair(same, q)
+        # the one fallback: u = (x - a)^2 sharing its root with the other u
+        tangent, line = pair(same, same), pair(same, (b, yb))
+        assert finite_arithmetic._jac_add(tangent, line, f, p) == cantor(tangent, line, f, p)
         # #J(F_p) = P(1) from the direct counts annihilates every class
         w = weil_polynomial(
             PointCount(
@@ -585,6 +622,31 @@ class TestFrobeniusCount:
         )
         order = sum(w.frobenius_coefficients)
         assert finite_arithmetic._jac_mul(d, order, f, p) == ((1,), ())
+
+    def test_cantor_calls_on_the_golden_reductions_are_pinned(self, monkeypatch):
+        # Closed forms leave Cantor's algorithm only a u = (x - a)^2 that
+        # shares its root with the other u; the count is deterministic, so
+        # a change that reopens the slow path fails here.
+        cantor = finite_arithmetic._cantor
+        calls = []
+        monkeypatch.setattr(
+            finite_arithmetic, "_cantor", lambda *args: calls.append(args) or cantor(*args)
+        )
+        reductions = 0
+        for family, point in GOLDEN["points"].items():
+            curve = catalog_get(family).specialize(point)
+            for p in range(41, 111):
+                if not is_prime(p):
+                    continue
+                try:
+                    reduction = reduce_mod_p(curve, p)
+                except BadReductionError:
+                    continue
+                finite_arithmetic._count_quadratic_frobenius(
+                    reduction.sextic_coefficients(), reduction.degree, p
+                )
+                reductions += 1
+        assert (reductions, len(calls)) == (84, 1)
 
     def test_undecided_order_test_falls_back_to_the_direct_count(self, monkeypatch):
         # x^5 + x leaves several candidates at p = 101; with every

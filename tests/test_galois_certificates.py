@@ -31,7 +31,7 @@ from spectral_torelli.finite_arithmetic import (
     zeta_rational_form,
 )
 from spectral_torelli.galois_certificates import (
-    _RATIO_ORDERS,
+    _RATIO_STEPS,
     _coinciding_pairs,
     _eval_int_poly,
     _int_divisors,
@@ -44,7 +44,12 @@ from spectral_torelli.galois_certificates import (
     squarefree_part,
     tate_condition,
 )
-from ratio_reference import cyclotomic, divmod_monic, ratio_polynomial
+from ratio_reference import (
+    cyclotomic,
+    divmod_monic,
+    power_sum_ratio_orders,
+    ratio_polynomial,
+)
 
 # ascending quartics with known groups, cross-checked against sympy below
 GROUP_SUITE = [
@@ -181,10 +186,16 @@ class TestEulerPhiAndCyclotomic:
     def test_ratio_orders_are_those_with_phi_dividing_8(self):
         # phi(n) >= sqrt(n / 2), so no n above 128 has phi(n) <= 8
         expected = tuple(n for n in range(2, 200) if 8 % sympy.totient(n) == 0)
-        assert _RATIO_ORDERS == expected
+        assert tuple(_RATIO_STEPS) == expected
         # the exact-order count subtracts every proper divisor d >= 2
-        for n in _RATIO_ORDERS:
-            assert all(d in _RATIO_ORDERS for d in range(2, n) if n % d == 0)
+        for n in _RATIO_STEPS:
+            assert all(d in _RATIO_STEPS for d in range(2, n) if n % d == 0)
+        # each order is one Dickson step D_2, D_3 or D_5 from an earlier
+        # order or from 1
+        seen = [1]
+        for n, k in _RATIO_STEPS.items():
+            assert k in seen and n // k in (2, 3, 5) and n % k == 0
+            seen.append(n)
 
     def test_cyclotomic_matches_sympy(self):
         # the reference's cyclotomic polynomials
@@ -693,6 +704,62 @@ class TestRootRatioOrders:
                     checked += 1
                     with_orders += bool(old)
         assert (checked, with_orders) == (7801, 569)
+
+
+class TestDicksonStepsAgainstPowerSums:
+    """`root_ratio_orders` reaches the quartic of n-th powers by Dickson
+    steps; the reference reads it from the power sums s_n and s_2n."""
+
+    def test_every_separable_weil_triple_at_odd_p_up_to_47(self):
+        checked = with_orders = 0
+        for p in range(3, 48, 2):
+            if not is_prime(p):
+                continue
+            bound = math.isqrt(16 * p)
+            for a1 in range(-bound, bound + 1):
+                for a2 in range(-2 * p, 6 * p + 1):
+                    if not _within_weil_bounds(p, a1, a2):
+                        continue
+                    weil = WeilPolynomial(p, a1, a2)
+                    if not tate_condition(weil):
+                        with pytest.raises(StructureError):
+                            root_ratio_orders(weil)
+                        continue
+                    orders = root_ratio_orders(weil).orders
+                    assert orders == power_sum_ratio_orders(weil), (p, a1, a2)
+                    checked += 1
+                    with_orders += bool(orders)
+        assert (checked, with_orders) == (19180, 2080)
+
+    @given(st.data())
+    def test_weil_triples_at_large_primes(self, data):
+        p = sympy.nextprime(data.draw(st.integers(2, 10**15)))
+        bound = math.isqrt(16 * p)
+        a1 = data.draw(
+            st.one_of(st.integers(-bound, bound), st.sampled_from([0, bound]))
+        )
+        # the Weil bounds: 2 sqrt(p) |a1| - 2p <= a2 <= a1^2 / 4 + 2p
+        low = math.isqrt(4 * p * a1 * a1) - 2 * p
+        high = a1 * a1 // 4 + 2 * p
+        a2 = data.draw(
+            st.one_of(
+                st.integers(low, high),
+                st.sampled_from([low, low + 1, high, 0, p, -p, 2 * p]),
+            )
+        )
+        if not _within_weil_bounds(p, a1, a2):
+            return
+        weil = WeilPolynomial(p, a1, a2)
+        if not tate_condition(weil):
+            with pytest.raises(StructureError):
+                root_ratio_orders(weil)
+            return
+        assert root_ratio_orders(weil).orders == power_sum_ratio_orders(weil)
+
+    def test_zero_p_has_a_repeated_eigenvalue(self):
+        # t^2 (t^2 - t + 2): c(1) reads 0 at q = 0, but 0 is a double root
+        with pytest.raises(StructureError):
+            root_ratio_orders(WeilPolynomial(0, 1, 2))
 
 
 class TestIntegerArithmeticAgainstSympy:
