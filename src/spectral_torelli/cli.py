@@ -354,6 +354,63 @@ def _print_human(envelope):
             print(f"{key} = {_fmt(value)}")
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _indented_json(value, pad="\n"):
+    """The text of json.dumps(value, indent=2) for a tree of dicts with
+    str keys, lists, tuples, strs, ints, bools and None, made without the
+    pure-Python encoder that `indent` selects; `pad` is the newline and
+    indent of the current level. Any other leaf or key raises TypeError.
+    A container writes its str and int items itself, which saves a call
+    for most leaves."""
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = [
+            _encode_str(key) + ": " + (
+                _encode_str(item) if type(item) is str
+                else int.__repr__(item) if type(item) is int
+                else _indented_json(item, inner)
+            )
+            for key, item in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        items = [
+            _encode_str(item) if type(item) is str
+            else int.__repr__(item) if type(item) is int
+            else _indented_json(item, inner)
+            for item in value
+        ]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"{type(value).__name__} is left to json.dumps")
+
+
+def _envelope_json(envelope):
+    """json.dumps(envelope, indent=2), written by `_indented_json` unless
+    the envelope holds something else; json.dumps then writes it, or
+    raises its own error."""
+    try:
+        return _indented_json(envelope)
+    except TypeError:
+        return json.dumps(envelope, indent=2)
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -375,7 +432,7 @@ def main(argv=None):
         return 2
     envelope = {"command": args.command, "inputs": inputs, "outputs": outputs}
     if args.json:
-        print(json.dumps(envelope, indent=2))
+        print(_envelope_json(envelope))
     else:
         _print_human(envelope)
     return code

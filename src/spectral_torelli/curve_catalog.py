@@ -153,8 +153,9 @@ class CurveFamily(Frozen):
     J_2k(lam g) = lam^2k J_2k(g) exactly, and the absolute invariants of
     f and g agree wherever lam is nonzero, so `igusa` and `rank_at_point`
     work on the smaller `primitive` family (the family itself when there
-    is no content). Constructed with `content`, `coefficients` are the
-    primitive ones."""
+    is no content). `specialize` works on g and lam too, and on the
+    products only where lam substitutes to zero. Constructed with
+    `content`, `coefficients` are the primitive ones."""
 
     __slots__ = ("identifier", "parameters", "coefficients", "degree",
                  "metadata", "content", "primitive", "_tops", "_denominator",
@@ -190,14 +191,17 @@ class CurveFamily(Frozen):
             raise DegenerateCurveError(
                 "leading coefficient is identically zero"
             )
-        terms = [tuple(c.numerators.items()) for c in lifted]
+        # the rows `_coefficients_at` evaluates: the primitive model and
+        # the content when there is one, else the coefficients
+        rows = lifted if content is None else [*primitive.coefficients, content]
+        terms = [tuple(c.numerators.items()) for c in rows]
         columns = zip(*(exps for t in terms for exps, _ in t))
-        den = math.lcm(*(c.denominator for c in lifted))
+        den = math.lcm(*(c.denominator for c in rows))
         self._set(identifier, parameters, tuple(lifted), len(lifted) - 1,
                   ReadOnlyDict(metadata or {}), content, primitive,
                   tuple(map(max, columns)), den,
                   tuple((den // c.denominator, t)
-                        for c, t in zip(lifted, terms)))
+                        for c, t in zip(rows, terms)))
 
     def with_identifier(self, identifier, **extra_metadata):
         meta = dict(self.metadata)
@@ -220,18 +224,26 @@ class CurveFamily(Frozen):
         """Substitute exact rational parameter values, ints or Fractions
         (anything else raises TypeError). A full assignment returns a
         validated HyperellipticCurve; a partial one returns the smaller
-        family."""
+        family, which keeps the substituted content beside the
+        substituted primitive coefficients while that content is not
+        zero."""
         values = self._values(values, full=False)
         remaining = tuple(p for p in self.parameters if p not in values)
         if remaining:
-            coeffs = [
-                c.substitute(values, variables=remaining)
-                for c in self.coefficients
-            ]
+            def substitute(c):
+                return c.substitute(values, variables=remaining)
+
             meta = dict(self.metadata)
             if self.identifier:
                 meta.setdefault("specialized_from", self.identifier)
-            return CurveFamily(None, remaining, coeffs, metadata=meta)
+            # a content that substitutes to zero makes every product
+            # zero, and the family of the products refuses that
+            content = self.content and substitute(self.content) or None
+            source = self.primitive if content else self
+            return CurveFamily(
+                None, remaining, [substitute(c) for c in source.coefficients],
+                metadata=meta, content=content,
+            )
         curve = object.__new__(HyperellipticCurve)
         return curve._fill(*self._coefficients_at(values))
 
@@ -254,14 +266,17 @@ class CurveFamily(Frozen):
         """The coefficients at a full assignment as ints N over one
         denominator lam > 0, not in lowest terms, built from no Fraction.
         With the value of parameter i written n_i/d_i and D_i the largest
-        exponent of i in any coefficient, one table per parameter holds
-        n_i^e * d_i^(D_i - e) for e = 0..D_i, shared by all coefficients.
-        N_j is sum(c * prod(table_i[e_i])) over the int numerators of
-        coefficient j, times L over its denominator; lam = L * prod
-        d_i^D_i. The maxima D_i, the lcm L of the coefficient
-        denominators and each coefficient's (exponent tuple, numerator)
-        pairs with its factor L / denominator are the family's, found once
-        by its constructor."""
+        exponent of i in any row, one table per parameter holds
+        n_i^e * d_i^(D_i - e) for e = 0..D_i, shared by all rows. Row j
+        evaluates to R_j = sum(c * prod(table_i[e_i])) over its int
+        numerators, times L over its denominator, which is S times the
+        row's value, S = L * prod d_i^D_i. The rows are the coefficients,
+        or for a family with content c the primitive coefficients g and
+        then c: the coefficients c*g are then N_j = R_c * R_j over S^2,
+        so the products are never evaluated. The maxima D_i, the lcm L of
+        the row denominators and each row's (exponent tuple, numerator)
+        pairs with its factor L / denominator are the family's, found
+        once by its constructor."""
         tables = []
         scale = self._denominator
         for name, top in zip(self.parameters, self._tops):
@@ -269,13 +284,17 @@ class CurveFamily(Frozen):
             tables.append([num**e * den ** (top - e) for e in range(top + 1)])
             scale *= den**top
         lookup = list.__getitem__
-        return [
+        rows = [
             factor * sum(
                 math.prod(map(lookup, tables, exps), start=n)
                 for exps, n in terms
             )
             for factor, terms in self._integer_terms
-        ], scale
+        ]
+        if self.content is None:
+            return rows, scale
+        content = rows.pop()
+        return [content * n for n in rows], scale * scale
 
     def __repr__(self):
         name = self.identifier or "<anonymous>"

@@ -15,6 +15,7 @@ F_{p^2} in O(p^2) steps; count_points says when.
 """
 
 from functools import lru_cache
+from itertools import islice
 from math import comb
 
 from ._record import Record
@@ -106,14 +107,18 @@ def count_points(curve, p, *, extension=1):
       whose leading coefficient is not a square mod p.
     - a2 = det W mod p for the Hasse-Witt matrix W = (c_{ip-j}) of
       f^((p-1)/2) (Manin 1961, Yui 1978). tr W = a1 mod p is checked; a
-      mismatch raises InconsistentCountsError and gives no count.
+      mismatch raises InconsistentCountsError and gives no count. W
+      takes the O(p) part of the work: two runs of a linear recurrence
+      of p - 1 steps, each step one product of packed ints.
     - The Weil bounds leave at most five a2 in that class. #J(F_p) =
       P(1) annihilates every class of J(F_p), so a candidate that alone
       annihilates the class of D = P1 + P2 - D_inf (D_inf the divisor at
       infinity) is the true a2 (Kedlaya-Sutherland, ANTS VIII). With
       both points at infinity conjugate, Mumford pairs (u, v) with
       deg u = 2 stand for the nonzero classes, and their closed-form
-      group law needs no rational Weierstrass point.
+      group law needs no rational Weierstrass point. Each divisor costs
+      about 2 log2(p) doublings: [p]D, then [P(1)]D from [p]D and D in
+      one joint ladder.
     The direct count below runs instead under p = 41, where it is
     faster, and when three divisors leave several candidates (groups of
     small exponent at small p).
@@ -285,15 +290,22 @@ def _order_test(f, p, a1, candidates):
 
     The candidates are consecutive in one class mod p, so their orders
     step by p: with Q = [P(1) of the first]D and R = [p]D, candidate j
-    annihilates D exactly when Q + j*R is zero.
+    annihilates D exactly when Q + j*R is zero. Q reuses R: the first
+    order is p*(p - a1) + (1 - a1 + c0), c0 the first candidate, so
+    Q = [p - a1]R + [1 - a1 + c0]D comes from one joint ladder, with -D
+    in place of D when the second multiplier is negative. The first is
+    positive, as |a1| <= 4*sqrt(p) < p.
     """
-    first = p * p + 1 - a1 * (p + 1) + candidates[0]
+    lead, rest = p - a1, 1 - a1 + candidates[0]
     points = _points(f, p)
     alive = range(len(candidates))
     for _ in range(_ORDER_TEST_DIVISORS):
         divisor = _two_points(*next(points), *next(points), f, p)
         step = _jac_mul(divisor, p, f, p)
-        current = _jac_mul(divisor, first, f, p)
+        if rest < 0:
+            u, v = divisor
+            divisor = u, tuple(-c % p for c in v)
+        current = _jac_mul(step, lead, f, p, divisor, abs(rest))
         killed = []
         for j in range(max(alive) + 1):
             if j:
@@ -326,27 +338,35 @@ def _power_head(f, p, inverses):
     """Coefficients p-2 and p-1 of g = f^k, k = (p-1)/2, for ascending
     residues f of degree at most 6 with f(0) != 0.
 
-    f*g' = k*f'*g gives m*f0*g_m = sum_i (i*(k+1) - m)*f_i*g_(m-i), so
-    each coefficient costs a dozen products until m reaches p. It runs
-    on h = (f/f0)^k and returns f0^k * h, where f0^k is +-1.
+    f*g' = k*f'*g gives m*f0*g_m = sum_i (i*(k+1) - m)*f_i*g_(m-i). It
+    runs on h = (f/f0)^k, so with e_i = f_i/f0 and a_i = i*(k+1)*e_i mod
+    p, h_m = inverses[m] * sum_i (a_i + (p - m)*e_i)*h_(m-i) mod p, and it
+    returns f0^k * h, where f0^k is +-1.
+
+    The sum is one int product. Slot j of width B holds h_(m-1-j) in H
+    and c_(6-j) = a_(6-j) + (p - m)*e_(6-j) in C, for j = 0..5, so slot 5
+    of H*C is the sum. Every slot of the product is a sum of at most six
+    h*c < p * p^2, and B = bit length of 6p^3, plus one, leaves no carry
+    from one slot into the next. C steps to the next m by C -= E, E the
+    e_i in the same slots; no slot goes negative, since p - m >= 1.
     """
     k = (p - 1) // 2
     inv0 = pow(f[0], -1, p)
-    e1, e2, e3, e4, e5, e6 = (c * inv0 % p for c in f[1:7])
-    half = k + 1
-    a1, a2, a3, a4, a5, a6 = (
-        i * half * e % p for i, e in enumerate((e1, e2, e3, e4, e5, e6), 1)
-    )
-    # h1..h6 hold h_(m-1)..h_(m-6); h_0 = 1
-    h1, h2, h3, h4, h5, h6 = 1, 0, 0, 0, 0, 0
-    for m in range(1, p):
-        h = (
-            a1 * h1 + a2 * h2 + a3 * h3 + a4 * h4 + a5 * h5 + a6 * h6
-            - m * (e1 * h1 + e2 * h2 + e3 * h3 + e4 * h4 + e5 * h5 + e6 * h6)
-        ) * inverses[m] % p
-        h1, h2, h3, h4, h5, h6 = h, h1, h2, h3, h4, h5
+    width = (6 * p**3).bit_length() + 1
+    mask = (1 << width) - 1
+    window = (1 << 6 * width) - 1
+    top = 5 * width
+    C = E = 0
+    for i, c in enumerate(f[1:7], 1):
+        e = c * inv0 % p
+        E |= e << (6 - i) * width
+        C |= (i * (k + 1) * e % p + (p - 1) * e) << (6 - i) * width
+    H = 1  # h_0 = 1 in slot 0; h_(-1)..h_(-5) = 0
+    for inv in islice(inverses, 1, p):
+        H = (H << width & window) | (H * C >> top & mask) * inv % p
+        C -= E
     sign = pow(f[0], k, p)
-    return h2 * sign % p, h1 * sign % p
+    return (H >> width & mask) * sign % p, (H & mask) * sign % p
 
 
 def _mobius(coeffs, t, t2, p):
@@ -387,13 +407,21 @@ def _points(f, p):
 # (Math. Comp. 1987).
 
 
-def _jac_mul(divisor, n, f, p):
-    """[n]divisor for n >= 1, by doubling and adding."""
-    result = divisor
-    for bit in bin(n)[3:]:
+def _jac_mul(divisor, n, f, p, other=None, m=0):
+    """[n]divisor + [m]other for n >= 1 and m >= 0, by one joint
+    double-and-add over the bits of n and m (Straus; Shamir's trick)."""
+    # a pair of bits of n and m, from the top, picks what is added
+    table = {"10": divisor}
+    if m:
+        table["01"] = other
+        table["11"] = _jac_add(divisor, other, f, p)
+    width = max(n.bit_length(), m.bit_length())
+    picks = map(str.__add__, format(n, f"0{width}b"), format(m, f"0{width}b"))
+    result = table[next(picks)]
+    for pick in picks:
         result = _jac_double(result, f, p)
-        if bit == "1":
-            result = _jac_add(result, divisor, f, p)
+        if pick != "00":
+            result = _jac_add(result, table[pick], f, p)
     return result
 
 

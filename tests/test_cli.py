@@ -28,10 +28,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import spectral_torelli
 from spectral_torelli import cli, endo_pipeline, galois_certificates
-from spectral_torelli.cli import build_parser, main
+from spectral_torelli._record import ReadOnlyDict
+from spectral_torelli.cli import _envelope_json, _indented_json, build_parser, main
 from spectral_torelli.curve_catalog import load_curve_file
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -353,3 +355,73 @@ def test_impossible_counts_exit_2(command, p, n1, n2, capsys):
         capsys,
     )
     assert (code, envelope) == (2, None)
+
+
+# JSON trees of the kinds an envelope holds: any text (non-ASCII,
+# quotes, backslashes and control characters included), ints far beyond
+# 64 bits, bools and None, in lists, tuples, dicts and ReadOnlyDicts,
+# empty ones included.
+JSON_LEAVES = (
+    st.text()
+    | st.sampled_from(["", '"', "\\", "\x00\x1f\x7f", "\u00e9\u2028\U0001d11e"])
+    | st.integers()
+    | st.integers(-(10**40), 10**40)
+    | st.booleans()
+    | st.none()
+)
+JSON_TREES = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4).map(ReadOnlyDict),
+    max_leaves=30,
+)
+
+
+@given(tree=JSON_TREES)
+def test_envelope_writer_matches_json_dumps(tree):
+    assert _indented_json(tree) == json.dumps(tree, indent=2)
+
+
+@given(tree=JSON_TREES, leaf=st.sampled_from([1.5, -0.0, float("inf")]))
+def test_envelope_writer_leaves_other_leaves_to_json_dumps(tree, leaf):
+    # a float anywhere, or a key that is not a str, sends the whole
+    # envelope to json.dumps
+    for envelope in ({"outputs": [tree, {"x": leaf}]}, {"outputs": {7: tree}}):
+        assert _envelope_json(envelope) == json.dumps(envelope, indent=2)
+
+
+def test_envelopes_skip_the_pure_python_encoder(monkeypatch, capsys):
+    """--json output of certify-endo, count-points and independence comes
+    from the direct writer: json's pure-Python encoder, which `indent`
+    selects, is never reached. A leaf the writer does not handle still
+    prints the bytes of json.dumps(indent=2), through that encoder."""
+    goldens = [
+        json.loads(path.read_text())
+        for path in sorted(GOLDEN.glob("*.json"))
+        if path.name.startswith(("certify_", "count_points_", "independence_"))
+    ]
+    expected = [
+        json.dumps(golden["envelope"], indent=2) + "\n" for golden in goldens
+    ]
+    made = []
+    make = json.encoder._make_iterencode
+    monkeypatch.setattr(
+        json.encoder, "_make_iterencode",
+        lambda *args, **kwargs: made.append(args) or make(*args, **kwargs),
+    )
+    commands = set()
+    for golden, out in zip(goldens, expected):
+        assert main(golden["argv"]) == golden["exit_code"]
+        assert capsys.readouterr().out == out
+        commands.add(golden["argv"][0])
+    assert commands == {"certify-endo", "count-points", "independence"}
+    assert made == []
+    families = [{"identifier": "x", "weight": 0.5}]
+    monkeypatch.setattr(cli, "catalog_entries", lambda: families)
+    assert main(["catalog", "--json"]) == 0
+    envelope = {"command": "catalog", "inputs": {},
+                "outputs": {"families": families}}
+    assert len(made) == 1
+    assert capsys.readouterr().out == json.dumps(envelope, indent=2) + "\n"

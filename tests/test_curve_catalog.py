@@ -5,6 +5,7 @@ import copy
 import json
 import math
 import pickle
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -46,6 +47,7 @@ from spectral_torelli.errors import (
 from spectral_torelli.exact_algebra import MultiPoly
 from spectral_torelli.igusa_invariants import (
     binary_sextic_discriminant,
+    igusa,
     rank_at_point,
 )
 
@@ -703,6 +705,74 @@ def test_matiii_keeps_its_content_beside_the_primitive_model():
     assert again.coefficients == fam.coefficients
     assert catalog_get("MatI").content is None
     assert catalog_get("MatI").primitive is catalog_get("MatI")
+
+
+def _products_family(family):
+    """The family's product coefficients with no content beside them:
+    what `specialize` evaluated before it read the primitive model."""
+    return CurveFamily(None, family.parameters, family.coefficients)
+
+
+def _seeded_points(family, seed, count):
+    rng = random.Random(seed)
+    return [
+        {name: Fraction(rng.choice((-1, 1)) * rng.randint(1, 30),
+                        rng.randint(1, 30)) for name in family.parameters}
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("identifier", catalog_ids()[:5])
+def test_full_specialize_gives_the_curve_of_the_products(identifier):
+    # a family with content evaluates its primitive ints times the
+    # content; the curve is the one the products give, at the frozen
+    # point and at 8 seeded points
+    family = catalog_get(identifier)
+    products = _products_family(family)
+    points = [dict(zip(family.parameters, ORACLE_POINTS[0]))]
+    points += _seeded_points(family, 21001, 8)
+    for point in points:
+        got, expected = family.specialize(point), products.specialize(point)
+        assert (got.numerators, got.denominator, got.discriminant()) == (
+            expected.numerators, expected.denominator, expected.discriminant())
+
+
+def test_specialize_where_the_content_vanishes():
+    # theta^2 + 2*h1 = 0 makes the MatIII(D8) content and every product
+    # zero: a full point and a partial one raise as the products do
+    family = catalog_get("MatIII(D8)")
+    products = _products_family(family)
+    for point in ({"theta": 2, "h1": -2, "h2": 1, "s": 1},
+                  {"theta": 2, "h1": -2}):
+        errors = []
+        for source in (family, products):
+            with pytest.raises(DegenerateCurveError) as info:
+                source.specialize(point)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+
+
+def test_partial_specialize_keeps_the_content():
+    family = catalog_get("MatIII(D8)")
+    partial = family.specialize({"s": 1})
+    rest = ("h1", "h2", "theta")
+
+    def substitute(c):
+        return c.substitute({"s": 1}, variables=rest)
+
+    assert partial.parameters == rest
+    assert partial.content == substitute(family.content)
+    assert partial.primitive.coefficients == tuple(
+        map(substitute, family.primitive.coefficients))
+    assert partial.coefficients == tuple(map(substitute, family.coefficients))
+    assert partial.metadata["specialized_from"] == "MatIII(D8)"
+    # igusa reads the primitive model and the content, and agrees with
+    # the invariants of the products
+    line = family.specialize({"s": 1, "h2": 2, "theta": 3})
+    assert line.content is not None
+    assert igusa(line) == igusa(_products_family(line))
+    point = {"h1": Fraction(5, 7)}
+    assert line.specialize(point) == _products_family(line).specialize(point)
 
 
 def test_content_must_be_a_nonzero_polynomial_in_the_parameters():

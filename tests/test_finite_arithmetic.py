@@ -41,6 +41,7 @@ from spectral_torelli.finite_arithmetic import (
     zeta_rational_form,
 )
 
+import frobenius_reference
 from fp2_reference import Fp2
 
 KFS_POINT = {"h1": 12, "h2": 17, "s": 29}
@@ -655,7 +656,8 @@ class TestFrobeniusCount:
         expected = finite_arithmetic._count_quadratic(coeffs, degree, p)
         direct = []
         monkeypatch.setattr(
-            finite_arithmetic, "_jac_mul", lambda divisor, n, f, p: ((1,), ())
+            finite_arithmetic, "_jac_mul",
+            lambda divisor, n, f, p, *other: ((1,), ()),
         )
         monkeypatch.setattr(
             finite_arithmetic,
@@ -686,10 +688,92 @@ class TestFrobeniusCount:
 
     def test_order_no_candidate_annihilates_raises(self, monkeypatch):
         monkeypatch.setattr(
-            finite_arithmetic, "_jac_mul", lambda divisor, n, f, p: divisor
+            finite_arithmetic, "_jac_mul",
+            lambda divisor, n, f, p, *other: divisor,
         )
         with pytest.raises(InconsistentCountsError, match="Jacobian order"):
             count_points(mod_p(SYMMETRIC_QUINTIC, 101), 101, extension=2)
+
+
+# Primes of the Frobenius path, and a few near 10^4 where the slots of
+# the packed Hasse-Witt kernel are wide.
+ORACLE_PRIMES = st.one_of(
+    st.sampled_from(
+        [q for q in PRIMES_TO_300 if q >= finite_arithmetic._FROBENIUS_MIN_PRIME]
+    ),
+    st.sampled_from((9973, 10007, 10009)),
+)
+
+
+class TestKernelOracles:
+    """The packed Hasse-Witt recurrence and the one-ladder order test
+    against the loops they replaced (`frobenius_reference`)."""
+
+    @given(data=st.data())
+    def test_packed_power_head_matches_the_loop(self, data):
+        p = data.draw(ORACLE_PRIMES)
+        f = [data.draw(st.integers(1, p - 1))] + data.draw(
+            st.lists(st.integers(0, p - 1), min_size=6, max_size=6)
+        )
+        inverses = frobenius_reference.inverse_table(p)
+        assert finite_arithmetic._power_head(f, p, inverses) == (
+            frobenius_reference.power_head(f, p, inverses)
+        )
+
+    @pytest.mark.parametrize("p", [41, 10007, 100003])
+    def test_packed_power_head_at_the_largest_residues(self, p):
+        # f0 = 1 and every other coefficient p - 1: each slot of the
+        # product is as full as the residues make it
+        f = [1] + [p - 1] * 6
+        inverses = frobenius_reference.inverse_table(p)
+        assert finite_arithmetic._power_head(f, p, inverses) == (
+            frobenius_reference.power_head(f, p, inverses)
+        )
+
+    @given(data=st.data())
+    def test_one_ladder_order_test_matches_two_ladders(self, data):
+        # the true a1 and the class of det W, so the true a2 is among the
+        # candidates; extra candidates below and above move the second
+        # multiplier 1 - a1 + c0 through both signs
+        p = data.draw(ORACLE_PRIMES)
+        coeffs, degree = draw_model(data, p)
+        values = finite_arithmetic._values(coeffs[::-1], p)
+        chi = finite_arithmetic._legendre_table(p)
+        model = finite_arithmetic._unusual_model(coeffs, degree, values, chi, p)
+        a1 = p + 1 - finite_arithmetic._count_ground(coeffs, degree, values, chi)
+        (h11, h12), (h21, h22) = finite_arithmetic._hasse_witt(model, p)
+        inside = [
+            a2
+            for a2 in range((h11 * h22 - h12 * h21) % p - 2 * p, 6 * p + 1, p)
+            if finite_arithmetic._within_weil_bounds(p, a1, a2)
+        ]
+        below, above = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+        candidates = [inside[0] + j * p for j in range(-below, len(inside) + above)]
+        assume(len(candidates) > 1)
+        expected = frobenius_reference.order_test(model, p, a1, candidates)
+        assert finite_arithmetic._order_test(model, p, a1, candidates) == expected
+        assert expected is None or len(expected) == 1
+
+    @given(data=st.data())
+    def test_joint_ladder_is_the_sum_of_two_ladders(self, data):
+        p = data.draw(ORACLE_PRIMES)
+        coeffs, degree = draw_model(data, p)
+        values = finite_arithmetic._values(coeffs[::-1], p)
+        chi = finite_arithmetic._legendre_table(p)
+        f = finite_arithmetic._unusual_model(coeffs, degree, values, chi, p)
+        points = finite_arithmetic._points(f, p)
+        d1, d2 = (
+            finite_arithmetic._two_points(*next(points), *next(points), f, p)
+            for _ in range(2)
+        )
+        n = data.draw(st.integers(1, p * p))
+        m = data.draw(st.one_of(st.just(0), st.integers(1, p * p)))
+        expected = frobenius_reference.jac_mul(d1, n, f, p)
+        if m:
+            expected = finite_arithmetic._jac_add(
+                expected, frobenius_reference.jac_mul(d2, m, f, p), f, p
+            )
+        assert finite_arithmetic._jac_mul(d1, n, f, p, d2, m) == expected
 
 
 class TestWeilData:
