@@ -264,16 +264,24 @@ class CurveFamily(Frozen):
 
     def _coefficients_at(self, values):
         """The coefficients at a full assignment as ints N over one
-        denominator lam > 0, not in lowest terms, built from no Fraction.
+        denominator lam > 0, not in lowest terms, built from no Fraction
+        (`_rows_at`). For a family with content c they are N_j = R_c * R_j
+        over S^2, so the products are never evaluated."""
+        rows, content, scale = self._rows_at(values)
+        if content is None:
+            return rows, scale
+        return [content * n for n in rows], scale * scale
+
+    def _rows_at(self, values):
+        """The rows at a full assignment as ints over one denominator
+        S > 0: the coefficients, or for a family with content c the
+        primitive coefficients g, then R_c (None without content), then S.
         With the value of parameter i written n_i/d_i and D_i the largest
         exponent of i in any row, one table per parameter holds
         n_i^e * d_i^(D_i - e) for e = 0..D_i, shared by all rows. Row j
         evaluates to R_j = sum(c * prod(table_i[e_i])) over its int
         numerators, times L over its denominator, which is S times the
-        row's value, S = L * prod d_i^D_i. The rows are the coefficients,
-        or for a family with content c the primitive coefficients g and
-        then c: the coefficients c*g are then N_j = R_c * R_j over S^2,
-        so the products are never evaluated. The maxima D_i, the lcm L of
+        row's value, S = L * prod d_i^D_i. The maxima D_i, the lcm L of
         the row denominators and each row's (exponent tuple, numerator)
         pairs with its factor L / denominator are the family's, found
         once by its constructor."""
@@ -291,10 +299,8 @@ class CurveFamily(Frozen):
             )
             for factor, terms in self._integer_terms
         ]
-        if self.content is None:
-            return rows, scale
-        content = rows.pop()
-        return [content * n for n in rows], scale * scale
+        content = None if self.content is None else rows.pop()
+        return rows, content, scale
 
     def __repr__(self):
         name = self.identifier or "<anonymous>"

@@ -15,21 +15,23 @@ c = (i, (i, i)_2)_4. A transvectant works straight on ascending
 coefficient lists: each partial derivative it needs is one integer
 factor per coefficient (with the weight (-1)^i C(k, i) folded in), and
 the products are summed; the Fraction prefactors are folded into the
-constants of J2, J4 and J6 (`_weights`), so ints stay ints. The
-discriminant J10 comes from a frozen table of 246 integer terms, written
-out at first use as one Python function of b0..b6 in nested Horner form
-(`_straight_line`); it serves every ring, and a curve's discriminant mod
-p is the same function on its residues.
+constants of J2, J4 and J6 (`_weights`), so ints stay ints. These
+transvectants are expanded once on the coordinate MultiPolys into 4, 17
+and 50 integer terms of a, b and c (`_abc_terms`), and the discriminant
+J10 comes from a frozen table of 246 integer terms. Each table is
+written out at first use as Python code of b0..b6 in nested Horner form
+(`_straight_line`); `igusa` and the rank runs take a, b, c and J10 from
+these programs on every ring, and a curve's discriminant mod p is the
+same program on its residues.
 
 The independence rank runs the invariant map on ints mod q^2, at the
 point and at the point moved by q along each parameter, and reads the
 Jacobian mod q from the differences; its rank is a certified lower bound
 on the rank over Q, and rejections stay exact (see `rank_at_point`).
 Each run reads the family's coefficients as ints over one denominator, a
-scale the absolute invariants do not see, and takes a, b, c from
-functions written the same way as the discriminant (`_integer_abc`).
+scale the absolute invariants do not see.
 
-Both paths hand the generated programs the smallest model with the same
+Both paths hand the programs the smallest model with the same
 invariants, by two exact identities. J_2k has degree 2k in the
 coefficients, so J_2k(lam f) = lam^2k J_2k(f): symbolic `igusa` runs a
 family that keeps a content lam (`CurveFamily`) on its primitive
@@ -38,8 +40,11 @@ any scale, a rank run ranks the primitive model where lam is a unit mod
 q. They also ignore an affine change x -> (x - t)/l, so a rank run
 moves a model whose top coefficient times its degree is a unit mod q^2
 to a monic one without its second-highest term (`_absolute_mod`).
-Symbolic `igusa` also keeps constant coefficients as numbers, so the
-programs multiply ints, not constant MultiPolys.
+
+Known coefficients are folded into the tables before the code is
+written (`_programs`), so no product multiplies a known 0 or 1: the
+rank runs fold those of their monic model, and symbolic `igusa` keeps
+constant coefficients as numbers and folds its int 0s, 1s and -1s.
 """
 
 import json
@@ -114,11 +119,34 @@ def _horner(terms, powers, i=0):
     return times(above, expr) if above else expr
 
 
+def _fold(terms, constants):
+    """`terms` with b_i = v put in for each (i, v) of `constants`, v in
+    {0, 1, -1}: a term with a positive power of a b_i at 0 goes, a power
+    b_i^e at 1 or -1 leaves the monomial and multiplies the coefficient
+    by v^e, and terms left with equal exponents merge, so no term is
+    added."""
+    folded = {}
+    for exps, coeff in terms:
+        exps = list(exps)
+        for i, v in constants:
+            if exps[i]:
+                if not v:
+                    break
+                coeff *= v ** exps[i]
+                exps[i] = 0
+        else:
+            key = tuple(exps)
+            folded[key] = folded.get(key, 0) + coeff
+    return [term for term in folded.items() if term[1]]
+
+
 def _straight_line(name, tables):
     """One function of b0..b6, compiled once, that binds each power to a
-    local and returns the term tables in the Horner form of `_horner`."""
+    local and returns the term tables in the Horner form of `_horner`; an
+    empty table returns 0, and the caller adds the ring's zero."""
     powers = {}
-    result = ", ".join(_horner(terms, powers) for terms in tables)
+    result = ", ".join(_horner(terms, powers) if terms else "0"
+                       for terms in tables)
     lines = [f"def {name}(b0, b1, b2, b3, b4, b5, b6):"]
     lines += [f"    {v} = b{i} ** {g}" for (i, g), v in powers.items()
               if g > 1]
@@ -135,18 +163,66 @@ def _discriminant():
     return _straight_line("discriminant", [_discriminant_terms()])
 
 
+@lru_cache(maxsize=16)
+def _programs(constants):
+    """The discriminant and the a, b, c of `_integer_abc` as functions of
+    b0..b6 that read b_i = v for each (i, v) of `constants`, a tuple of
+    pairs with v an int 0, 1 or -1 (so at most 3^7 patterns): both are
+    written from the tables with the constants folded in (`_fold`), and
+    ignore the arguments at those places. Without constants they are
+    `_discriminant()` and `_integer_abc()`.
+
+    J10 and a, b, c are homogeneous of degrees 10 and 2, 4, 6 and
+    isobaric of weights 30 and 6, 12, 18 in the b_i, so folding at most
+    two places to 1 or -1 merges no terms. On the monic model with no
+    second-highest term of a rank run, {b5 = 0, b6 = 1} leaves 76 of the
+    246 discriminant terms and 3, 11, 27 of the 4, 17, 50 terms of a, b,
+    c; {b4 = 0, b5 = 1, b6 = 0} for a quintic leaves 19 and 2, 4, 7."""
+    if not constants:
+        return _discriminant(), _integer_abc()
+    return (
+        _straight_line("discriminant",
+                       [_fold(_discriminant_terms(), constants)]),
+        _straight_line("integer_abc",
+                       [_fold(terms, constants) for terms in _abc_terms()]),
+    )
+
+
+def _constants(b):
+    """The (index, value) pairs of the int 0s, 1s and -1s among the
+    coefficients b when one of them is a ring element, for `_programs`;
+    coefficients that are all numbers keep the general programs."""
+    if all(isinstance(c, (int, Fraction)) for c in b):
+        return ()
+    return tuple((i, c) for i, c in enumerate(b)
+                 if type(c) is int and -1 <= c <= 1)
+
+
 def binary_sextic_discriminant(coefficients):
     """Discriminant of b0 + b1*x + ... + b6*x^6 (`_discriminant`).
 
     `coefficients` is an ascending length-7 sequence over a commutative
     ring whose elements support x + y, x * y, x ** g (g >= 2), and + and *
-    with an int on either side; `+ b0 * 0` keeps a zero in the ring. A
-    number or a string among them must be an int or a Fraction.
+    with an int on either side. A number or a string among them must be
+    an int or a Fraction.
+
+    Coefficients that are all numbers (a curve over Q, its residues mod
+    p) run the general program, and `+ b0 * 0` keeps a zero in their
+    ring. When one of them is a ring element, the int 0s, 1s and -1s
+    among them are folded into the table (`_constants`), so no ring
+    product multiplies a known 0 or 1 (a catalog family's constant
+    coefficients, say), and the sum of the ring elements' zeros is
+    added: it keeps the result in the ring when the folded table is
+    empty, and refuses rings that do not mix, as their products would.
     """
     b = tuple(map(_exact_scalar, coefficients))
     if len(b) != 7:
         raise DegreeBoundError("expected 7 ascending sextic coefficients")
-    return _discriminant()(*b) + b[0] * 0
+    constants = _constants(b)
+    if not constants:
+        return _discriminant()(*b) + b[0] * 0
+    zero = sum(c * 0 for c in b if not isinstance(c, (int, Fraction)))
+    return _programs(constants)[0](*b) + zero
 
 
 def _exact_scalar(c):
@@ -227,7 +303,8 @@ def _weights(modulus=None):
 def _abc(f):
     """a = [f, f]_6, b = [i, i]_4 and c = [i, [i, i]_2]_4 with
     i = [f, f]_4, the transvectants [., .]_k without prefactor of the
-    sextic f (7 coefficients over one ring)."""
+    sextic f (7 coefficients over one ring): the source of the tables of
+    `_abc_terms`."""
     (a,) = _transvectant(f, f, 6)
     i = _transvectant(f, f, 4)
     (b,) = _transvectant(i, i, 4)
@@ -236,13 +313,18 @@ def _abc(f):
 
 
 @lru_cache(maxsize=1)
-def _integer_abc():
-    """`_abc` as one function of seven ints: a, b and c expanded once on
-    the coordinate MultiPolys (4, 17 and 50 integer terms). Symbolic
-    `igusa` keeps `_abc`, which is faster on MultiPoly."""
+def _abc_terms():
+    """The tables of a, b and c: `_abc` expanded once on the coordinate
+    MultiPolys, 4, 17 and 50 integer terms."""
     names = tuple(f"b{i}" for i in range(7))
     forms = _abc([MultiPoly.variable(n, names) for n in names])
-    return _straight_line("integer_abc", [x.numerators.items() for x in forms])
+    return tuple(tuple(x.numerators.items()) for x in forms)
+
+
+@lru_cache(maxsize=1)
+def _integer_abc():
+    """`_abc` as one function of b0..b6, written from `_abc_terms`."""
+    return _straight_line("integer_abc", _abc_terms())
 
 
 def _j2_j4_j6(a, b, c, w):
@@ -312,6 +394,11 @@ def igusa(source):
     MultiPoly coefficients enter the invariant map as ints or Fractions,
     so the generated code multiplies numbers where it can; the ring's
     zero is added to each invariant at the end.
+
+    a, b, c and J10 come from the generated programs, folded at the int
+    0s, 1s and -1s among the coefficients when one of them is a ring
+    element (`_constants`): Gar9/2 keeps (b4, b5, b6) = (0, 1, 0), MatI
+    and KFS keep b6 = 1.
     """
     if hasattr(source, "sextic_coefficients"):
         if getattr(source, "characteristic", 0):
@@ -337,7 +424,8 @@ def igusa(source):
     coeffs = _lift_common(coeffs)
     zero = coeffs[0] * 0
     coeffs = [_number(c) for c in coeffs]
-    j2, j4, j6 = _j2_j4_j6(*_abc(coeffs), _weights())
+    abc = _programs(_constants(coeffs))[1]
+    j2, j4, j6 = _j2_j4_j6(*abc(*coeffs), _weights())
     j8 = (j2 * j6 + (j4 * j4) * (-1)) / 4
     j10 = binary_sextic_discriminant(coeffs)
     return IgusaInvariants(*(j + zero for j in (j2, j4, j6, j8, j10)))
@@ -351,6 +439,11 @@ class RankReport(Record):
     def __init__(self, identifier, rank, witness, trials, rejected, seed):
         super().__init__(identifier, rank, dict(witness), trials, rejected,
                          seed)
+
+
+# the known coefficients of the monic model without its second-highest
+# term that `_absolute_mod` runs, by degree
+_DEPRESSED = {6: ((5, 0), (6, 1)), 5: ((4, 0), (5, 1), (6, 0))}
 
 
 def _absolute_mod(coefficients, m):
@@ -369,12 +462,17 @@ def _absolute_mod(coefficients, m):
     lam f((y - t)/l) is monic with no y^(top-1) term: it is the Taylor
     shift by -t of the polynomial with coefficients top b_k l^(top-1-k)
     (k < top) and 1, so no inverse is taken. J2(F) = lam^2 l^-6 J2(f) is
-    a unit exactly when J2(f) is. When l is not a unit mod m (q divides
-    top b_top), f runs as given."""
+    a unit exactly when J2(f) is. F runs the programs folded at its known
+    coefficients (`_programs`), so no product multiplies them: {b5 = 0,
+    b6 = 1} for a sextic (76 of the 246 discriminant terms) and {b4 = 0,
+    b5 = 1, b6 = 0} for a quintic (19 terms). When l is not a unit mod m
+    (q divides top b_top), f runs the general programs as given."""
     b = [c % m for c in coefficients]
     top = len(b) - 1
     lead = top * b[top]
+    constants = ()
     if math.gcd(lead, m) == 1:
+        constants = _DEPRESSED[top]
         shift = -b[top - 1]
         scale = top
         for k in range(top - 1, -1, -1):
@@ -386,11 +484,12 @@ def _absolute_mod(coefficients, m):
             for k in range(top - 1, i - 1, -1):
                 b[k] = (b[k] + shift * b[k + 1]) % m
     b += [0] * (7 - len(b))
-    j2, j4, j6 = _j2_j4_j6(*_integer_abc()(*b), _weights(m))
+    discriminant, abc = _programs(constants)
+    j2, j4, j6 = _j2_j4_j6(*abc(*b), _weights(m))
     if math.gcd(j2, m) != 1:
         return None
     u = pow(j2, -1, m)
-    j10 = _discriminant()(*b)
+    j10 = discriminant(*b)
     return j4 * u**2 % m, j6 * u**3 % m, j10 * u**5 % m
 
 
@@ -408,10 +507,11 @@ def rank_at_point(family, point):
     ints, at the point v and at v + q e_k for each parameter k: the
     coefficients at that point of the family's `primitive` model g (the
     family f itself unless it keeps a content c, f = c g; see
-    `CurveFamily`) as ints N = lam g over one denominator lam
-    (`_coefficients_at`), then A = (J4/J2^2, J6/J2^3, J10/J2^5) of N mod
-    q^2 (`_absolute_mod`, which runs the programs on a monic model
-    without its second-highest term when it can). As J2, ..., J10 have
+    `CurveFamily`) as ints N = lam g over one denominator lam, read with
+    c(v) = R_c / lam from the family's integer rows (`_rows_at`), then
+    A = (J4/J2^2, J6/J2^3, J10/J2^5) of N mod q^2 (`_absolute_mod`,
+    which runs the folded programs on a monic model without its
+    second-highest term when it can). As J2, ..., J10 have
     weights 2, ..., 10, A(N) = A(g) = A(f) wherever c(v) is nonzero,
     which is A(f) mod q^2 when lam and c(v) are units mod q; lam is the
     same at every run, since n/d + q = (n + q d)/d keeps d, and
@@ -443,15 +543,10 @@ def rank_at_point(family, point):
     values = family._values(point, full=True)
     q = Jet1.MODULUS
     qq = q * q
-    units = True
-    if family.content is not None:
-        lam = family.content.evaluate(values)
-        if not lam:
-            raise DegenerateCurveError("sample hits the discriminant locus")
-        units = lam.numerator % q
-    model = family.primitive
-    exact, scale = model._coefficients_at(values)
-    units = units and scale % q and all(
+    exact, content, scale = family._rows_at(values)
+    if content == 0:
+        raise DegenerateCurveError("sample hits the discriminant locus")
+    units = scale % q and (content is None or content % q) and all(
         v.denominator % q for v in values.values())
     base = _absolute_mod(exact, qq) if units else None
     if base is None or not base[2] % q:
@@ -462,7 +557,7 @@ def rank_at_point(family, point):
             raise DegenerateCurveError("sample hits the J2 = 0 locus")
         if base is None:
             return 0
-    steps = [_absolute_mod(model._coefficients_at(
+    steps = [_absolute_mod(family._rows_at(
         {**values, name: values[name] + q})[0], qq)
         for name in family.parameters]
     rows = [[(s - a) % qq // q for s in col]

@@ -164,8 +164,8 @@ def test_import_builds_no_generated_function():
         [sys.executable, "-c", _BUILD_PROBE], env=env, capture_output=True,
         text=True, check=True,
     ).stdout
-    # symbolic `igusa` builds the discriminant only
-    assert json.loads(out) == [[0, 0], [0, 0], [1, 0]]
+    # `igusa` takes a, b, c from the generated programs too
+    assert json.loads(out) == [[0, 0], [0, 0], [1, 1]]
 
 
 def test_frobenius_at_a_prime_whose_core_is_not_certified(capsys):

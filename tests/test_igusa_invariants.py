@@ -943,11 +943,18 @@ def test_absolute_mod_equals_the_run_on_the_given_model(q):
 def test_absolute_mod_runs_the_monic_model_without_its_next_term(
         monkeypatch):
     # the programs get a monic model with no x^5 (x^4) term when 6 b6
-    # (5 b5) is a unit, and the residues as given otherwise
+    # (5 b5) is a unit, and the residues as given otherwise; the first two
+    # run the programs folded at those known coefficients
     seen = []
-    program = igusa_invariants._discriminant()
-    monkeypatch.setattr(igusa_invariants, "_discriminant",
-                        lambda: lambda *b: seen.append(b) or program(*b))
+    folded = []
+    programs = igusa_invariants._programs
+
+    def spy(constants):
+        discriminant, abc = programs(constants)
+        folded.append(constants)
+        return lambda *b: seen.append(b) or discriminant(*b), abc
+
+    monkeypatch.setattr(igusa_invariants, "_programs", spy)
     m = 101**2
     igusa_invariants._absolute_mod([3, 1, 4, 1, 5, 9, 2], m)
     igusa_invariants._absolute_mod([3, 1, 4, 1, 5, 9], m)
@@ -955,6 +962,7 @@ def test_absolute_mod_runs_the_monic_model_without_its_next_term(
     assert seen[0][5:] == (0, 1)
     assert seen[1][4:] == (0, 1, 0)
     assert seen[2] == (3, 1, 4, 1, 5, 9, 202)
+    assert folded == [((5, 0), (6, 1)), ((4, 0), (5, 1), (6, 0)), ()]
 
 
 # sha256 of str(J2), ..., str(J10) of MatIII(D8), as `igusa` gave them on
@@ -1028,3 +1036,27 @@ def test_matiii_ranks_its_primitive_model_with_the_same_rejections(
         assert rank_at_point(fam, point) == 0 == rank_at_point(products, point)
     for point in points + lifted:
         assert rank_or_none(fam, point) == rank_or_none(products, point)
+
+
+def test_matiii_reads_its_content_from_the_integer_rows(monkeypatch):
+    """`rank_at_point` reads c(v) of MatIII(D8) from the family's integer
+    content row, so it evaluates no MultiPoly, and ranks the rows the
+    family of the products gives: at the frozen point and at seeded
+    points. Where the content vanishes it still raises."""
+    fam = catalog_get("MatIII(D8)")
+    products = CurveFamily(None, fam.parameters, fam.coefficients)
+    (frozen,) = [w["point"] for w in frozen_rank_witnesses()
+                 if w["family"] == "MatIII(D8)"]
+    points = [frozen] + seeded_points(fam, "content row")
+    want = [outcome(integer_route, products, point) for point in points]
+
+    def refused(self, values):
+        raise AssertionError("a MultiPoly was evaluated")
+
+    monkeypatch.setattr(MultiPoly, "evaluate", refused)
+    assert [outcome(integer_route, fam, point) for point in points] == want
+    assert want[0][0] == 3
+    with pytest.raises(DegenerateCurveError,
+                       match="sample hits the discriminant locus"):
+        rank_at_point(fam, {"h1": Fraction(-9, 2), "h2": 3, "s": 5,
+                            "theta": 3})

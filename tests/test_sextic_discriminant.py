@@ -1,8 +1,9 @@
 """The sextic discriminant kernel: exact expansion of the generated
 nested-Horner function, agreement with the term-by-term table loop on
-every coefficient ring (jets included), a guard on the number of ring
-products one evaluation makes, and the step-q lemma behind the integer
-rank runs."""
+every coefficient ring (jets included), the programs with known
+coefficients folded in against the general ones, guards on the number
+of ring products one evaluation makes, and the step-q lemma behind the
+integer rank runs."""
 
 from fractions import Fraction
 from unittest import mock
@@ -16,7 +17,10 @@ from spectral_torelli.exact_algebra import Jet1, MultiPoly
 from spectral_torelli.igusa_invariants import (
     _discriminant,
     _discriminant_terms,
+    _integer_abc,
+    _programs,
     binary_sextic_discriminant,
+    igusa,
 )
 
 B = tuple(f"b{i}" for i in range(7))
@@ -235,3 +239,93 @@ def test_one_discriminant_makes_703_products():
     assert Counted.products == 703
     assert disc.value == binary_sextic_discriminant(list(values))
     assert disc.value == reference_discriminant(values)
+
+
+# each place is free (None) or folded to an int 0, 1 or -1
+PATTERNS = st.lists(st.sampled_from([None, None, 0, 1, -1]),
+                    min_size=7, max_size=7)
+M = Jet1.MODULUS**2
+
+
+def folded_case(ring):
+    """(constants, b): a fold pattern and seven coefficients that hold its
+    ints at the folded places and elements of `ring` at the free ones."""
+    def case(draw):
+        pattern = draw(PATTERNS)
+        constants = tuple((i, v) for i, v in enumerate(pattern)
+                          if v is not None)
+        free = draw(seven(ring))
+        return constants, [v if v is not None else x
+                           for v, x in zip(pattern, free)]
+    return st.composite(case)()
+
+
+FOLDED_CASES = st.one_of(
+    folded_case(st.integers(0, M - 1)),
+    folded_case(st.builds(Fraction, small, st.integers(1, 10**4))),
+    SMALL_SEXTICS.flatmap(lambda polys: folded_case(st.sampled_from(polys))),
+    jets(Jet1.MODULUS).flatmap(lambda pairs: folded_case(
+        st.sampled_from([Jet1(*p) for p in pairs]))),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(FOLDED_CASES)
+def test_folded_programs_equal_the_general_ones(case):
+    """At every pattern of folded 0s and 1s and -1s, the folded
+    discriminant and a, b, c equal the general programs on the same
+    coefficients: ints mod q^2, Fractions, MultiPolys and Jet1s mixed with
+    ints. A table that folds away returns 0, and the ring's zero makes it
+    the general value."""
+    constants, b = case
+    zero = sum(c * 0 for c in b)
+    discriminant, abc = _programs(constants)
+    assert discriminant(*b) + zero == _discriminant()(*b) + zero
+    for got, want in zip(abc(*b), _integer_abc()(*b)):
+        assert got + zero == want + zero
+
+
+def test_a_table_that_folds_away_returns_zero():
+    # f = u x^6 has a sixfold root, so every term of J10 and of a, b, c
+    # holds a b_i folded to 0; the ring's zero comes back from the callers
+    constants = tuple((i, 0) for i in range(6))
+    discriminant, abc = _programs(constants)
+    assert discriminant(*[0] * 6, 7) == 0
+    assert abc(*[0] * 6, 7) == (0, 0, 0)
+    u = MultiPoly.variable("u", ("u",))
+    disc = binary_sextic_discriminant([0] * 6 + [u])
+    assert type(disc) is MultiPoly and disc.is_zero()
+    assert all(type(j) is MultiPoly and j.is_zero()
+               for j in igusa([0] * 6 + [u]).as_tuple())
+    # rings that do not mix are refused although no product meets them
+    jet = Jet1(2, (1,))
+    with pytest.raises(TypeError):
+        binary_sextic_discriminant([jet] + [0] * 5 + [u])
+    with pytest.raises(AlignmentError):
+        binary_sextic_discriminant([jet] + [0] * 5 + [Jet1(3, (1, 1))])
+
+
+@pytest.mark.parametrize("constants, folded, general", [
+    (((5, 0), (6, 1)), (179, 95), (320, 126)),
+    (((4, 0), (5, 1), (6, 0)), (52, 34), (152, 83)),
+])
+def test_folded_programs_make_fewer_products(constants, folded, general):
+    # the rank runs' monic models without their second-highest term: the
+    # discriminant and a, b, c folded at the known coefficients, against
+    # the general programs on the same arguments (703 and 196 products
+    # when no argument is known)
+    values = (3, -1, 4, 1, -5, 9, 2)
+    fixed = dict(constants)
+    counted = [fixed.get(i, Counted(v)) for i, v in enumerate(values)]
+    results = []
+    for programs, products in ((_programs(constants), folded),
+                               ((_discriminant(), _integer_abc()), general)):
+        discriminant, abc = programs
+        Counted.products = 0
+        disc = discriminant(*counted)
+        assert Counted.products == products[0]
+        Counted.products = 0
+        forms = abc(*counted)
+        assert Counted.products == products[1]
+        results.append([x.value for x in (disc, *forms)])
+    assert results[0] == results[1]
