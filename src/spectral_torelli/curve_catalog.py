@@ -105,6 +105,16 @@ class HyperellipticCurve(Frozen):
         return self._set(tuple(nums), denominator // g, len(nums) - 1, 0, disc)
 
     @property
+    def content(self):
+        """1/L: over Q the curve is `content` times its int `primitive`
+        model `numerators` (the content rule of `CurveFamily`)."""
+        return Fraction(1, self.denominator)
+
+    @property
+    def primitive(self):
+        return self.numerators
+
+    @property
     def coefficients(self):
         if self.characteristic:
             return self.numerators
@@ -155,7 +165,9 @@ class CurveFamily(Frozen):
     work on the smaller `primitive` family (the family itself when there
     is no content). `specialize` works on g and lam too, and on the
     products only where lam substitutes to zero. Constructed with
-    `content`, `coefficients` are the primitive ones."""
+    `content`, `coefficients` are the primitive ones. A curve over Q
+    follows the same rule with lam = 1/L and g its int numerators, so
+    `igusa` runs it on ints."""
 
     __slots__ = ("identifier", "parameters", "coefficients", "degree",
                  "metadata", "content", "primitive", "_tops", "_denominator",

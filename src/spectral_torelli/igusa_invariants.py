@@ -5,8 +5,9 @@ integers it divides by (4 and factorials up to 6!^2) are invertible:
 Fraction and MultiPoly (exact, over Q and over symbolic parameters) or
 Jet1 (first-order jets mod q = 2^61 - 1). A curve over F_p holds plain
 int residues, so it is refused rather than read as its integer lift.
-Adding the ring's zero to every coefficient first turns ints into
-Fractions and lifts scalars into the ring of the others.
+Int coefficients reach the generated code as ints; each invariant
+lands in the ring of the coefficients by adding its zero (`_ring_zero`)
+at the end.
 
 J2, J4 and J6 come from the transvectants of Mestre ("Construction de
 courbes de genre 2 à partir de leurs modules", 1991): a = (f, f)_6, the
@@ -19,10 +20,10 @@ constants of J2, J4 and J6 (`_weights`), so ints stay ints. These
 transvectants are expanded once on the coordinate MultiPolys into 4, 17
 and 50 integer terms of a, b and c (`_abc_terms`), and the discriminant
 J10 comes from a frozen table of 246 integer terms. Each table is
-written out at first use as Python code of b0..b6 in nested Horner form
-(`_straight_line`); `igusa` and the rank runs take a, b, c and J10 from
-these programs on every ring, and a curve's discriminant mod p is the
-same program on its residues.
+written out at its first use as Python code of b0..b6 in nested Horner
+form, and all such code sits behind one cache (`_program`); `igusa` and
+the rank runs take a, b, c and J10 from these programs on every ring,
+and a curve's discriminant mod p is the same program on its residues.
 
 The independence rank runs the invariant map on ints mod q^2, at the
 point and at the point moved by q along each parameter, and reads the
@@ -33,16 +34,17 @@ scale the absolute invariants do not see.
 
 Both paths hand the programs the smallest model with the same
 invariants, by two exact identities. J_2k has degree 2k in the
-coefficients, so J_2k(lam f) = lam^2k J_2k(f): symbolic `igusa` runs a
-family that keeps a content lam (`CurveFamily`) on its primitive
-coefficients and multiplies back, and as the absolute invariants ignore
-any scale, a rank run ranks the primitive model where lam is a unit mod
-q. They also ignore an affine change x -> (x - t)/l, so a rank run
-moves a model whose top coefficient times its degree is a unit mod q^2
-to a monic one without its second-highest term (`_absolute_mod`).
+coefficients, so J_2k(lam f) = lam^2k J_2k(f): `igusa` runs a family
+that keeps a content lam (`CurveFamily`) on its primitive coefficients,
+and a curve over Q (lam = 1/L) on its int numerators, and multiplies
+back; as the absolute invariants ignore any scale, a rank run ranks the
+primitive model where lam is a unit mod q. They also ignore an affine
+change x -> (x - t)/l, so a rank run moves a model whose top
+coefficient times its degree is a unit mod q^2 to a monic one without
+its second-highest term (`_absolute_mod`).
 
 Known coefficients are folded into the tables before the code is
-written (`_programs`), so no product multiplies a known 0 or 1: the
+written (`_program`), so no product multiplies a known 0 or 1: the
 rank runs fold those of their monic model, and symbolic `igusa` keeps
 constant coefficients as numbers and folds its int 0s, 1s and -1s.
 """
@@ -156,41 +158,33 @@ def _straight_line(name, tables):
     return namespace[name]
 
 
-@lru_cache(maxsize=1)
-def _discriminant():
-    """The frozen table as one function of b0..b6: 26 powers, then the
-    Horner products, 703 ring products in all, on no int but the table's."""
-    return _straight_line("discriminant", [_discriminant_terms()])
+@lru_cache(maxsize=32)
+def _program(table, constants=()):
+    """The table "discriminant" (J10) or "abc" (a, b, c of `_abc_terms`)
+    as one function of b0..b6 (`_straight_line`), with b_i = v folded in
+    (`_fold`) for each (i, v) of `constants`, v an int 0, 1 or -1 (at
+    most 3^7 patterns); the function ignores its arguments there. Each
+    table compiles at its first use, so a caller that needs only J10
+    never builds a, b, c. The cache keys on the arguments as given:
+    callers pass `constants` positionally, () included.
 
-
-@lru_cache(maxsize=16)
-def _programs(constants):
-    """The discriminant and the a, b, c of `_integer_abc` as functions of
-    b0..b6 that read b_i = v for each (i, v) of `constants`, a tuple of
-    pairs with v an int 0, 1 or -1 (so at most 3^7 patterns): both are
-    written from the tables with the constants folded in (`_fold`), and
-    ignore the arguments at those places. Without constants they are
-    `_discriminant()` and `_integer_abc()`.
-
-    J10 and a, b, c are homogeneous of degrees 10 and 2, 4, 6 and
-    isobaric of weights 30 and 6, 12, 18 in the b_i, so folding at most
-    two places to 1 or -1 merges no terms. On the monic model with no
+    Without constants the discriminant binds 26 powers, then makes 703
+    ring products in all, on no int but the table's. J10 and a, b, c are
+    homogeneous of degrees 10 and 2, 4, 6 and isobaric of weights 30 and
+    6, 12, 18 in the b_i, so folding at most two places to 1 or -1 merges
+    no terms. On the monic model with no
     second-highest term of a rank run, {b5 = 0, b6 = 1} leaves 76 of the
     246 discriminant terms and 3, 11, 27 of the 4, 17, 50 terms of a, b,
     c; {b4 = 0, b5 = 1, b6 = 0} for a quintic leaves 19 and 2, 4, 7."""
-    if not constants:
-        return _discriminant(), _integer_abc()
-    return (
-        _straight_line("discriminant",
-                       [_fold(_discriminant_terms(), constants)]),
-        _straight_line("integer_abc",
-                       [_fold(terms, constants) for terms in _abc_terms()]),
-    )
+    tables = _abc_terms() if table == "abc" else [_discriminant_terms()]
+    if constants:
+        tables = [_fold(terms, constants) for terms in tables]
+    return _straight_line(table, tables)
 
 
 def _constants(b):
     """The (index, value) pairs of the int 0s, 1s and -1s among the
-    coefficients b when one of them is a ring element, for `_programs`;
+    coefficients b when one of them is a ring element, for `_program`;
     coefficients that are all numbers keep the general programs."""
     if all(isinstance(c, (int, Fraction)) for c in b):
         return ()
@@ -199,7 +193,7 @@ def _constants(b):
 
 
 def binary_sextic_discriminant(coefficients):
-    """Discriminant of b0 + b1*x + ... + b6*x^6 (`_discriminant`).
+    """Discriminant of b0 + b1*x + ... + b6*x^6 (`_program`).
 
     `coefficients` is an ascending length-7 sequence over a commutative
     ring whose elements support x + y, x * y, x ** g (g >= 2), and + and *
@@ -220,9 +214,9 @@ def binary_sextic_discriminant(coefficients):
         raise DegreeBoundError("expected 7 ascending sextic coefficients")
     constants = _constants(b)
     if not constants:
-        return _discriminant()(*b) + b[0] * 0
+        return _program("discriminant", ())(*b) + b[0] * 0
     zero = sum(c * 0 for c in b if not isinstance(c, (int, Fraction)))
-    return _programs(constants)[0](*b) + zero
+    return _program("discriminant", constants)(*b) + zero
 
 
 def _exact_scalar(c):
@@ -231,16 +225,16 @@ def _exact_scalar(c):
     return _rational(c) if isinstance(c, (numbers.Number, str)) else c
 
 
-def _lift_common(coeffs):
-    """Put every coefficient into one ring by adding that ring's zero:
-    ints become Fractions, and int/Fraction scalars join the MultiPoly or
-    Jet1 ring of the others. Rings that do not add raise AlignmentError."""
-    coeffs = [_exact_scalar(c) for c in coeffs]
+def _ring_zero(coeffs):
+    """The zero of the one ring that holds every coefficient: Fraction(0)
+    for numbers, else the MultiPoly or Jet1 zero of the ring elements. A
+    number must be an exact rational (`_exact_scalar`, TypeError), and
+    rings that do not add raise AlignmentError."""
+    zeros = [_exact_scalar(c) * 0 for c in coeffs]
     try:
-        zero = sum((c * 0 for c in coeffs), Fraction(0))
+        return sum(zeros, Fraction(0))
     except TypeError:
         raise AlignmentError("coefficients from different rings") from None
-    return [c + zero for c in coeffs]
 
 
 def _partial(c, a, b, w):
@@ -280,10 +274,10 @@ def transvectant(f_coefficients, g_coefficients, k):
     """k-th transvectant of two binary forms given by ascending
     coefficient sequences (degree = length - 1). Returns the ascending
     coefficient tuple of the resulting form. Both forms are lifted into
-    one ring."""
-    f = list(f_coefficients)
-    lifted = _lift_common(f + list(g_coefficients))
-    f, g = lifted[:len(f)], lifted[len(f):]
+    one ring by adding its zero (`_ring_zero`)."""
+    f, g = list(f_coefficients), list(g_coefficients)
+    zero = _ring_zero(f + g)
+    f, g = [c + zero for c in f], [c + zero for c in g]
     pref = _prefactor(len(f) - 1, len(g) - 1, k)
     return tuple(c * pref for c in _transvectant(f, g, k))
 
@@ -319,12 +313,6 @@ def _abc_terms():
     names = tuple(f"b{i}" for i in range(7))
     forms = _abc([MultiPoly.variable(n, names) for n in names])
     return tuple(tuple(x.numerators.items()) for x in forms)
-
-
-@lru_cache(maxsize=1)
-def _integer_abc():
-    """`_abc` as one function of b0..b6, written from `_abc_terms`."""
-    return _straight_line("integer_abc", _abc_terms())
 
 
 def _j2_j4_j6(a, b, c, w):
@@ -388,12 +376,13 @@ def igusa(source):
     or any object exposing sextic_coefficients(), other than a curve over
     F_p.
 
-    A family with a `content` lam (see `CurveFamily`) is lam times its
-    `primitive` family g: its invariants are those of g with J_2k
-    multiplied by lam^2k, which is J_2k of the products exactly. Constant
-    MultiPoly coefficients enter the invariant map as ints or Fractions,
-    so the generated code multiplies numbers where it can; the ring's
-    zero is added to each invariant at the end.
+    A source with a `content` lam is lam times its `primitive` model g
+    (see `CurveFamily`; a curve over Q is 1/L times its int numerators):
+    its invariants are those of g with J_2k multiplied by lam^2k, which
+    is J_2k of the products exactly. Ints and constant MultiPolys enter
+    the invariant map as ints or Fractions, so the generated code
+    multiplies numbers where it can; the ring's zero (`_ring_zero`) is
+    added to each invariant at the end.
 
     a, b, c and J10 come from the generated programs, folded at the int
     0s, 1s and -1s among the coefficients when one of them is a ring
@@ -421,10 +410,9 @@ def igusa(source):
         coeffs.append(coeffs[0] * 0)
     if len(coeffs) != 7:
         raise DegreeBoundError("need 6 or 7 ascending coefficients")
-    coeffs = _lift_common(coeffs)
-    zero = coeffs[0] * 0
+    zero = _ring_zero(coeffs)
     coeffs = [_number(c) for c in coeffs]
-    abc = _programs(_constants(coeffs))[1]
+    abc = _program("abc", _constants(coeffs))
     j2, j4, j6 = _j2_j4_j6(*abc(*coeffs), _weights())
     j8 = (j2 * j6 + (j4 * j4) * (-1)) / 4
     j10 = binary_sextic_discriminant(coeffs)
@@ -463,7 +451,7 @@ def _absolute_mod(coefficients, m):
     shift by -t of the polynomial with coefficients top b_k l^(top-1-k)
     (k < top) and 1, so no inverse is taken. J2(F) = lam^2 l^-6 J2(f) is
     a unit exactly when J2(f) is. F runs the programs folded at its known
-    coefficients (`_programs`), so no product multiplies them: {b5 = 0,
+    coefficients (`_program`), so no product multiplies them: {b5 = 0,
     b6 = 1} for a sextic (76 of the 246 discriminant terms) and {b4 = 0,
     b5 = 1, b6 = 0} for a quintic (19 terms). When l is not a unit mod m
     (q divides top b_top), f runs the general programs as given."""
@@ -484,12 +472,11 @@ def _absolute_mod(coefficients, m):
             for k in range(top - 1, i - 1, -1):
                 b[k] = (b[k] + shift * b[k + 1]) % m
     b += [0] * (7 - len(b))
-    discriminant, abc = _programs(constants)
-    j2, j4, j6 = _j2_j4_j6(*abc(*b), _weights(m))
+    j2, j4, j6 = _j2_j4_j6(*_program("abc", constants)(*b), _weights(m))
     if math.gcd(j2, m) != 1:
         return None
     u = pow(j2, -1, m)
-    j10 = discriminant(*b)
+    j10 = _program("discriminant", constants)(*b)
     return j4 * u**2 % m, j6 * u**3 % m, j10 * u**5 % m
 
 
@@ -531,9 +518,9 @@ def rank_at_point(family, point):
     (the absolute chart breaks down there) raise DegenerateCurveError. A
     point where the content vanishes makes f zero, and raises as on the
     discriminant locus; elsewhere it is decided on the ints N, since
-    lam c(v) scales J2 and J10 by its square and tenth power: J10 is
-    `_discriminant` of N, and J2 is a nonzero multiple of the `a` of
-    `_integer_abc`.
+    lam c(v) scales J2 and J10 by its square and tenth power: J10 is the
+    general discriminant program of N, and J2 is a nonzero multiple of
+    the `a` of the general "abc" program (`_program`).
     When J10 or J2 is 0 mod q, or q divides lam, c(v) or the denominator
     of a value (a parameter of degree 0 does not enter lam), the point is
     first settled over Q. If it passes but J2 or a denominator is 0 mod
@@ -551,9 +538,9 @@ def rank_at_point(family, point):
     base = _absolute_mod(exact, qq) if units else None
     if base is None or not base[2] % q:
         b = exact + [0] * (7 - len(exact))
-        if not _discriminant()(*b):
+        if not _program("discriminant", ())(*b):
             raise DegenerateCurveError("sample hits the discriminant locus")
-        if not _integer_abc()(*b)[0]:
+        if not _program("abc", ())(*b)[0]:
             raise DegenerateCurveError("sample hits the J2 = 0 locus")
         if base is None:
             return 0

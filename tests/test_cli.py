@@ -141,23 +141,38 @@ import contextlib, io, json
 import spectral_torelli
 from spectral_torelli import cli, igusa_invariants as ig
 
-def built():
-    return [f.cache_info().currsize for f in (ig._discriminant, ig._integer_abc)]
+built = []
+straight_line = ig._straight_line
+ig._straight_line = lambda name, tables: (
+    built.append(name) or straight_line(name, tables))
+at = ["--family", "KFS", "--at", "h1=12,h2=17,s=29"]
 
-seen = [built()]
-with contextlib.redirect_stdout(io.StringIO()):
-    cli.main(["frobenius", "--p", "37", "--n1", "36", "--n2", "1442"])
-    cli.main(["galois", "--poly", "1,0,0,0,9"])
-seen.append(built())
-spectral_torelli.igusa([1, 2, 0, 0, 0, 1, 3])
-seen.append(built())
+def step(*runs):
+    # the tables each step builds from an empty cache
+    ig._program.cache_clear()
+    built.clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        for run in runs:
+            run()
+    return sorted(built)
+
+seen = [sorted(built)]
+seen.append(step(
+    lambda: cli.main(["frobenius", "--p", "37", "--n1", "36", "--n2", "1442"]),
+    lambda: cli.main(["galois", "--poly", "1,0,0,0,9"])))
+seen.append(step(lambda: cli.main(["count-points", *at, "--p", "37"])))
+seen.append(step(lambda: cli.main(["certify-endo", *at, "--p1", "37",
+                                   "--p2", "53"])))
+seen.append(step(lambda: spectral_torelli.igusa([1, 2, 0, 0, 0, 1, 3])))
 print(json.dumps(seen))
 """
 
 
 def test_import_builds_no_generated_function():
     # The discriminant and the integer transvectants are compiled at
-    # first use, so commands that never touch a sextic do not pay for it.
+    # first use, each table on its own, so commands that never touch a
+    # sextic do not pay for either, and a curve's reductions mod p build
+    # only the discriminant.
     src = str(Path(spectral_torelli.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
@@ -165,7 +180,8 @@ def test_import_builds_no_generated_function():
         text=True, check=True,
     ).stdout
     # `igusa` takes a, b, c from the generated programs too
-    assert json.loads(out) == [[0, 0], [0, 0], [1, 1]]
+    assert json.loads(out) == [[], [], ["discriminant"], ["discriminant"],
+                               ["abc", "discriminant"]]
 
 
 def test_frobenius_at_a_prime_whose_core_is_not_certified(capsys):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from spectral_torelli import curve_catalog, exact_algebra, igusa_invariants
 from spectral_torelli.curve_catalog import (
     CurveFamily,
+    HyperellipticCurve,
     catalog_get,
     gar92_hamiltonian_frame,
     reduce_mod_p,
@@ -435,9 +436,9 @@ DEGENERATE_POINTS = {
 @pytest.mark.parametrize("ident", FAMILIES)
 def test_rank_at_point_rejects_as_symbolic_igusa_does(ident):
     """At points of the discriminant locus and of the J2 = 0 locus, the
-    rejection decided on ints (`_discriminant` and the `a` of
-    `_integer_abc`) raises what `igusa` on the same ints decides: J10
-    first, then J2. Both loci are met in every family."""
+    rejection decided on ints (the general "discriminant" program and the
+    `a` of the general "abc" program) raises what `igusa` on the same
+    ints decides: J10 first, then J2. Both loci are met in every family."""
     fam = catalog_get(ident)
     seen = set()
     for point in DEGENERATE_POINTS[ident]:
@@ -593,7 +594,7 @@ def test_integer_j2_j4_j6_are_the_fraction_ones_mod_m(coeffs, m):
     # the generated integer a, b, c with the weights mod m give J2, J4,
     # J6 over Q from the transvectants, reduced mod m
     ig = igusa_invariants
-    abc = ig._integer_abc()(*(_residue(c, m) for c in coeffs))
+    abc = ig._program("abc")(*(_residue(c, m) for c in coeffs))
     got = ig._j2_j4_j6(*abc, ig._weights(m))
     exact = ig._j2_j4_j6(*ig._abc(coeffs), ig._weights())
     assert [x % m for x in got] == [_residue(x, m) for x in exact]
@@ -878,22 +879,22 @@ def absolute_mod_reference(coefficients, m):
     programs on the residues as given."""
     ig = igusa_invariants
     b = [c % m for c in coefficients] + [0] * (7 - len(coefficients))
-    j2, j4, j6 = ig._j2_j4_j6(*ig._integer_abc()(*b), ig._weights(m))
+    j2, j4, j6 = ig._j2_j4_j6(*ig._program("abc")(*b), ig._weights(m))
     if math.gcd(j2, m) != 1:
         return None
     u = pow(j2, -1, m)
-    j10 = ig._discriminant()(*b)
+    j10 = ig._program("discriminant")(*b)
     return j4 * u**2 % m, j6 * u**3 % m, j10 * u**5 % m
 
 
 def with_j2(b, m, target):
     """b with one coefficient moved so that J2 is `target` mod m: the `a`
-    of `_integer_abc` is linear in b0 (slope a unit times b6) and, for a
+    of the "abc" program is linear in b0 (slope a unit times b6) and, for a
     quintic, in b1 (slope a unit times b5)."""
     ig = igusa_invariants
     pad = [0] * (7 - len(b))
     for i in (0, 1):
-        at = [ig._integer_abc()(*(b[:i] + [x] + b[i + 1:] + pad))[0] % m
+        at = [ig._program("abc")(*(b[:i] + [x] + b[i + 1:] + pad))[0] % m
               for x in (0, 1)]
         slope = (at[1] - at[0]) % m
         if math.gcd(slope, m) == 1:
@@ -947,14 +948,16 @@ def test_absolute_mod_runs_the_monic_model_without_its_next_term(
     # run the programs folded at those known coefficients
     seen = []
     folded = []
-    programs = igusa_invariants._programs
+    program = igusa_invariants._program
 
-    def spy(constants):
-        discriminant, abc = programs(constants)
-        folded.append(constants)
-        return lambda *b: seen.append(b) or discriminant(*b), abc
+    def spy(table, constants=()):
+        run = program(table, constants)
+        if table == "abc":
+            folded.append(constants)
+            return run
+        return lambda *b: seen.append(b) or run(*b)
 
-    monkeypatch.setattr(igusa_invariants, "_programs", spy)
+    monkeypatch.setattr(igusa_invariants, "_program", spy)
     m = 101**2
     igusa_invariants._absolute_mod([3, 1, 4, 1, 5, 9, 2], m)
     igusa_invariants._absolute_mod([3, 1, 4, 1, 5, 9], m)
@@ -1060,3 +1063,63 @@ def test_matiii_reads_its_content_from_the_integer_rows(monkeypatch):
                        match="sample hits the discriminant locus"):
         rank_at_point(fam, {"h1": Fraction(-9, 2), "h2": 3, "s": 5,
                             "theta": 3})
+
+
+# the first point each family is checked at: its recorded rank witness,
+# or for KFS4/3+4/3, which has none, the point of its `invariants` golden
+FROZEN_POINTS = {w["family"]: w["point"] for w in frozen_rank_witnesses()}
+FROZEN_POINTS["KFS4/3+4/3"] = {"h1": Fraction(12), "h2": Fraction(17),
+                               "s": Fraction(29)}
+
+
+@pytest.mark.parametrize("ident", FAMILIES)
+def test_symbolic_igusa_at_a_point_is_that_of_the_curve_there(ident):
+    """The benchmark's igusa check, with the Fraction oracle beside it: at
+    the frozen point and 5 seeded points, the symbolic invariants
+    evaluated there, `igusa` of the specialized curve (run on its int
+    numerators and scaled back) and `igusa` of its Fraction coefficients
+    agree exactly, so a wrong scale rule fails here."""
+    fam = catalog_get(ident)
+    symbolic = igusa(fam).as_tuple()
+    checked = []
+    for point in [FROZEN_POINTS[ident]] + seeded_points(fam, "check_igusa"):
+        try:
+            curve = fam.specialize(point)
+        except DegenerateCurveError:
+            continue
+        at_point = [j.evaluate(point) for j in symbolic]
+        assert at_point == list(igusa(curve).as_tuple()), point
+        assert at_point == list(igusa(list(curve.coefficients)).as_tuple())
+        checked.append(point)
+        if len(checked) == 6:
+            break
+    assert len(checked) == 6 and checked[0] is FROZEN_POINTS[ident]
+
+
+def test_igusa_of_a_curve_over_q_runs_the_programs_on_ints(monkeypatch):
+    """A curve over Q enters the generated code as its int numerators,
+    scaled back by powers of 1/L, and gives what its Fraction
+    coefficients give: a quintic, a sextic over L = 6 and a non-monic
+    sextic."""
+    program = igusa_invariants._program
+    passed = []
+
+    def spy(table, constants=()):
+        run = program(table, constants)
+        return lambda *b: passed.extend(b) or run(*b)
+
+    monkeypatch.setattr(igusa_invariants, "_program", spy)
+    cases = [
+        [1, -2, 0, 3, 5, 1],
+        [Fraction(1, 2), 0, Fraction(-2, 3), 1, 4, 0, 1],
+        [3, 1, -4, 1, 5, -9, 2],
+    ]
+    curves = [HyperellipticCurve(coeffs) for coeffs in cases]
+    assert [(c.degree, c.denominator, c.numerators[-1]) for c in curves] == [
+        (5, 1, 1), (6, 6, 6), (6, 1, 2)]
+    for coeffs, curve in zip(cases, curves):
+        passed.clear()
+        inv = igusa(curve)
+        assert passed and all(type(b) is int for b in passed)
+        assert inv == igusa([Fraction(c) for c in coeffs])
+        assert all(type(j) is Fraction for j in inv.as_tuple())

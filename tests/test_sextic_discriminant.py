@@ -15,10 +15,8 @@ from hypothesis import strategies as st
 from spectral_torelli.errors import AlignmentError
 from spectral_torelli.exact_algebra import Jet1, MultiPoly
 from spectral_torelli.igusa_invariants import (
-    _discriminant,
     _discriminant_terms,
-    _integer_abc,
-    _programs,
+    _program,
     binary_sextic_discriminant,
     igusa,
 )
@@ -106,7 +104,7 @@ SMALL_SEXTICS = seven(st.dictionaries(
 ))
 def test_generated_function_is_the_table(coeffs):
     # the compiled Horner expression, called straight, on each ring
-    disc = _discriminant()(*coeffs)
+    disc = _program("discriminant")(*coeffs)
     assert disc == reference_discriminant(coeffs)
 
 
@@ -247,6 +245,12 @@ PATTERNS = st.lists(st.sampled_from([None, None, 0, 1, -1]),
 M = Jet1.MODULUS**2
 
 
+def programs(constants):
+    """The discriminant and a, b, c programs folded at `constants`."""
+    return (_program("discriminant", constants),
+            _program("abc", constants))
+
+
 def folded_case(ring):
     """(constants, b): a fold pattern and seven coefficients that hold its
     ints at the folded places and elements of `ring` at the free ones."""
@@ -279,9 +283,9 @@ def test_folded_programs_equal_the_general_ones(case):
     the general value."""
     constants, b = case
     zero = sum(c * 0 for c in b)
-    discriminant, abc = _programs(constants)
-    assert discriminant(*b) + zero == _discriminant()(*b) + zero
-    for got, want in zip(abc(*b), _integer_abc()(*b)):
+    discriminant, abc = programs(constants)
+    assert discriminant(*b) + zero == _program("discriminant")(*b) + zero
+    for got, want in zip(abc(*b), _program("abc")(*b)):
         assert got + zero == want + zero
 
 
@@ -289,7 +293,7 @@ def test_a_table_that_folds_away_returns_zero():
     # f = u x^6 has a sixfold root, so every term of J10 and of a, b, c
     # holds a b_i folded to 0; the ring's zero comes back from the callers
     constants = tuple((i, 0) for i in range(6))
-    discriminant, abc = _programs(constants)
+    discriminant, abc = programs(constants)
     assert discriminant(*[0] * 6, 7) == 0
     assert abc(*[0] * 6, 7) == (0, 0, 0)
     u = MultiPoly.variable("u", ("u",))
@@ -318,9 +322,8 @@ def test_folded_programs_make_fewer_products(constants, folded, general):
     fixed = dict(constants)
     counted = [fixed.get(i, Counted(v)) for i, v in enumerate(values)]
     results = []
-    for programs, products in ((_programs(constants), folded),
-                               ((_discriminant(), _integer_abc()), general)):
-        discriminant, abc = programs
+    for pattern, products in ((constants, folded), ((), general)):
+        discriminant, abc = programs(pattern)
         Counted.products = 0
         disc = discriminant(*counted)
         assert Counted.products == products[0]
