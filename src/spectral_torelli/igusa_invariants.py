@@ -159,16 +159,15 @@ def _straight_line(name, tables):
 
 
 @lru_cache(maxsize=32)
-def _program(table, constants=()):
+def _program(table, constants):
     """The table "discriminant" (J10) or "abc" (a, b, c of `_abc_terms`)
     as one function of b0..b6 (`_straight_line`), with b_i = v folded in
     (`_fold`) for each (i, v) of `constants`, v an int 0, 1 or -1 (at
     most 3^7 patterns); the function ignores its arguments there. Each
     table compiles at its first use, so a caller that needs only J10
-    never builds a, b, c. The cache keys on the arguments as given:
-    callers pass `constants` positionally, () included.
+    never builds a, b, c.
 
-    Without constants the discriminant binds 26 powers, then makes 703
+    With `constants` () the discriminant binds 26 powers, then makes 703
     ring products in all, on no int but the table's. J10 and a, b, c are
     homogeneous of degrees 10 and 2, 4, 6 and isobaric of weights 30 and
     6, 12, 18 in the b_i, so folding at most two places to 1 or -1 merges

@@ -141,6 +141,8 @@ import contextlib, io, json
 import spectral_torelli
 from spectral_torelli import cli, igusa_invariants as ig
 
+# every generated function comes from `_program`: none is cached yet
+seen = [["built at import"] if ig._program.cache_info().currsize else []]
 built = []
 straight_line = ig._straight_line
 ig._straight_line = lambda name, tables: (
@@ -156,7 +158,6 @@ def step(*runs):
             run()
     return sorted(built)
 
-seen = [sorted(built)]
 seen.append(step(
     lambda: cli.main(["frobenius", "--p", "37", "--n1", "36", "--n2", "1442"]),
     lambda: cli.main(["galois", "--poly", "1,0,0,0,9"])))

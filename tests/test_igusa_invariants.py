@@ -594,7 +594,7 @@ def test_integer_j2_j4_j6_are_the_fraction_ones_mod_m(coeffs, m):
     # the generated integer a, b, c with the weights mod m give J2, J4,
     # J6 over Q from the transvectants, reduced mod m
     ig = igusa_invariants
-    abc = ig._program("abc")(*(_residue(c, m) for c in coeffs))
+    abc = ig._program("abc", ())(*(_residue(c, m) for c in coeffs))
     got = ig._j2_j4_j6(*abc, ig._weights(m))
     exact = ig._j2_j4_j6(*ig._abc(coeffs), ig._weights())
     assert [x % m for x in got] == [_residue(x, m) for x in exact]
@@ -879,11 +879,11 @@ def absolute_mod_reference(coefficients, m):
     programs on the residues as given."""
     ig = igusa_invariants
     b = [c % m for c in coefficients] + [0] * (7 - len(coefficients))
-    j2, j4, j6 = ig._j2_j4_j6(*ig._program("abc")(*b), ig._weights(m))
+    j2, j4, j6 = ig._j2_j4_j6(*ig._program("abc", ())(*b), ig._weights(m))
     if math.gcd(j2, m) != 1:
         return None
     u = pow(j2, -1, m)
-    j10 = ig._program("discriminant")(*b)
+    j10 = ig._program("discriminant", ())(*b)
     return j4 * u**2 % m, j6 * u**3 % m, j10 * u**5 % m
 
 
@@ -894,7 +894,7 @@ def with_j2(b, m, target):
     ig = igusa_invariants
     pad = [0] * (7 - len(b))
     for i in (0, 1):
-        at = [ig._program("abc")(*(b[:i] + [x] + b[i + 1:] + pad))[0] % m
+        at = [ig._program("abc", ())(*(b[:i] + [x] + b[i + 1:] + pad))[0] % m
               for x in (0, 1)]
         slope = (at[1] - at[0]) % m
         if math.gcd(slope, m) == 1:
@@ -950,7 +950,7 @@ def test_absolute_mod_runs_the_monic_model_without_its_next_term(
     folded = []
     program = igusa_invariants._program
 
-    def spy(table, constants=()):
+    def spy(table, constants):
         run = program(table, constants)
         if table == "abc":
             folded.append(constants)
@@ -1104,7 +1104,7 @@ def test_igusa_of_a_curve_over_q_runs_the_programs_on_ints(monkeypatch):
     program = igusa_invariants._program
     passed = []
 
-    def spy(table, constants=()):
+    def spy(table, constants):
         run = program(table, constants)
         return lambda *b: passed.extend(b) or run(*b)
 

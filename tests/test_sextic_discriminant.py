@@ -104,7 +104,7 @@ SMALL_SEXTICS = seven(st.dictionaries(
 ))
 def test_generated_function_is_the_table(coeffs):
     # the compiled Horner expression, called straight, on each ring
-    disc = _program("discriminant")(*coeffs)
+    disc = _program("discriminant", ())(*coeffs)
     assert disc == reference_discriminant(coeffs)
 
 
@@ -284,8 +284,9 @@ def test_folded_programs_equal_the_general_ones(case):
     constants, b = case
     zero = sum(c * 0 for c in b)
     discriminant, abc = programs(constants)
-    assert discriminant(*b) + zero == _program("discriminant")(*b) + zero
-    for got, want in zip(abc(*b), _program("abc")(*b)):
+    general = _program("discriminant", ())
+    assert discriminant(*b) + zero == general(*b) + zero
+    for got, want in zip(abc(*b), _program("abc", ())(*b)):
         assert got + zero == want + zero
 
 
